@@ -78,17 +78,6 @@ diff "$workdir/jobs1.txt" "$workdir/jobs4.txt" \
 diff "$workdir/exp1.txt" "$workdir/exp4.txt" \
   || { echo "FAIL: experiment output diverges between --jobs 1 and --jobs 4"; exit 1; }
 
-echo "== fault-sim kernel smoke (wide vs narrow differential, --jobs 1 and 4)"
-# The wide-word kernel's contract: MODSOC_FAULT_SIM=narrow forces every
-# blocked sweep back onto the single-u64 path, and the full-binary
-# output must not move a byte in either direction at any --jobs value.
-MODSOC_FAULT_SIM=narrow ./target/release/modsoc analyze testdata/soc2.soc --keep-going --jobs 1 > "$workdir/narrow1.txt"
-MODSOC_FAULT_SIM=narrow ./target/release/modsoc analyze testdata/soc2.soc --keep-going --jobs 4 > "$workdir/narrow4.txt"
-diff "$workdir/jobs1.txt" "$workdir/narrow1.txt" \
-  || { echo "FAIL: wide and narrow fault-sim kernels diverge at --jobs 1"; exit 1; }
-diff "$workdir/jobs4.txt" "$workdir/narrow4.txt" \
-  || { echo "FAIL: wide and narrow fault-sim kernels diverge at --jobs 4"; exit 1; }
-
 echo "== metrics determinism gate (counters identical at --jobs 1 vs --jobs 4)"
 # The metrics layer's contract: every report field except wall times
 # (*_ms), the sched objects and the jobs field itself is deterministic.

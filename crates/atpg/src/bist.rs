@@ -191,39 +191,6 @@ pub fn evaluate_bist(
     let mut misr = Misr::standard();
     let mut ramp = Vec::new();
     let mut applied = 0usize;
-    if crate::fault_sim::narrow_forced() {
-        while applied < pattern_count {
-            let block: Vec<Vec<bool>> = (0..64.min(pattern_count - applied))
-                .map(|_| lfsr.next_pattern(width))
-                .collect();
-            applied += block.len();
-            let undetected: Vec<usize> = (0..faults.len()).filter(|&i| !detected[i]).collect();
-            let targets: Vec<Fault> = undetected.iter().map(|&i| faults[i]).collect();
-            let masks = fsim.detection_masks(&block, &targets)?;
-            for (k, m) in masks.into_iter().enumerate() {
-                if m != 0 {
-                    detected[undetected[k]] = true;
-                }
-            }
-            // Good-machine signature over primary outputs, per pattern.
-            let (good, _) = fsim.good_values(&block)?;
-            for (slot, _) in block.iter().enumerate() {
-                let response: Vec<bool> = circuit
-                    .outputs()
-                    .iter()
-                    .map(|o| good[o.index()] & (1 << slot) != 0)
-                    .collect();
-                misr.absorb(&response);
-            }
-            ramp.push(detected.iter().filter(|&&d| d).count() as f64 / faults.len().max(1) as f64);
-        }
-        return Ok(BistOutcome {
-            patterns: applied,
-            coverage: detected.iter().filter(|&&d| d).count() as f64 / faults.len().max(1) as f64,
-            good_signature: misr.signature(),
-            ramp,
-        });
-    }
     while applied < pattern_count {
         let block: Vec<Vec<bool>> = (0..BLOCK_BITS.min(pattern_count - applied))
             .map(|_| lfsr.next_pattern(width))
@@ -232,9 +199,10 @@ pub fn evaluate_bist(
         let (good, n) = fsim.good_blocks(&block)?;
         let active = block_active_mask(n);
         // One 512-wide detection mask per still-undetected fault; marking
-        // is then replayed one 64-bit word at a time so the per-64 ramp
-        // matches the narrow path bit for bit (the ramp's granularity is
-        // part of the report contract, not an implementation detail).
+        // is then replayed one 64-bit word at a time so the ramp keeps its
+        // per-64 granularity (part of the report contract, not an
+        // implementation detail; pinned against a narrow reference in the
+        // tests).
         let mut masks: Vec<(usize, SimBlock)> = Vec::new();
         for (i, &f) in faults.iter().enumerate() {
             if detected[i] {
@@ -414,6 +382,104 @@ mod tests {
     use crate::collapse::collapse_faults;
     use modsoc_netlist::bench_format::parse_bench;
 
+    /// Reference: [`evaluate_bist`] on the narrow kernel, one 64-pattern
+    /// block at a time, re-targeting only the still-undetected faults.
+    fn evaluate_bist_narrow(
+        circuit: &Circuit,
+        faults: &[Fault],
+        mut lfsr: Lfsr,
+        pattern_count: usize,
+    ) -> BistOutcome {
+        let mut fsim = FaultSimulator::new(circuit).unwrap();
+        let width = circuit.input_count();
+        let mut detected = vec![false; faults.len()];
+        let mut misr = Misr::standard();
+        let mut ramp = Vec::new();
+        let mut applied = 0usize;
+        let coverage = |d: &[bool]| d.iter().filter(|&&d| d).count() as f64 / d.len().max(1) as f64;
+        while applied < pattern_count {
+            let block: Vec<Vec<bool>> = (0..64.min(pattern_count - applied))
+                .map(|_| lfsr.next_pattern(width))
+                .collect();
+            applied += block.len();
+            let undetected: Vec<usize> = (0..faults.len()).filter(|&i| !detected[i]).collect();
+            let targets: Vec<Fault> = undetected.iter().map(|&i| faults[i]).collect();
+            let masks = fsim.detection_masks(&block, &targets).unwrap();
+            for (k, m) in masks.into_iter().enumerate() {
+                if m != 0 {
+                    detected[undetected[k]] = true;
+                }
+            }
+            let (good, _) = fsim.good_values(&block).unwrap();
+            for slot in 0..block.len() {
+                let response: Vec<bool> = circuit
+                    .outputs()
+                    .iter()
+                    .map(|o| good[o.index()] & (1 << slot) != 0)
+                    .collect();
+                misr.absorb(&response);
+            }
+            ramp.push(coverage(&detected));
+        }
+        BistOutcome {
+            patterns: applied,
+            coverage: coverage(&detected),
+            good_signature: misr.signature(),
+            ramp,
+        }
+    }
+
+    fn c17() -> Circuit {
+        parse_bench(
+            "c17",
+            "
+INPUT(g1)\nINPUT(g2)\nINPUT(g3)\nINPUT(g6)\nINPUT(g7)
+OUTPUT(g22)\nOUTPUT(g23)
+g10 = NAND(g1, g3)
+g11 = NAND(g3, g6)
+g16 = NAND(g2, g11)
+g19 = NAND(g11, g7)
+g22 = NAND(g10, g16)
+g23 = NAND(g16, g19)
+",
+        )
+        .unwrap()
+    }
+
+    /// The blocked evaluator vs the narrow reference: identical outcome
+    /// (per-64 ramp, coverage, signature) across block tails. And the
+    /// hybrid flow's `BistPatterns` counter, which its narrow replay
+    /// derives from the same per-64 detection sequence, must equal the
+    /// value the ramp predicts: the replay stops one 64-block after the
+    /// block that reaches full coverage.
+    #[test]
+    fn blocked_bist_matches_narrow_reference() {
+        use modsoc_metrics::{Counter, RecordingSink};
+        let core =
+            modsoc_circuitgen::generate(&modsoc_circuitgen::profile::iscas::s713(11)).unwrap();
+        let generated = core.to_test_model().unwrap().circuit;
+        for circuit in [c17(), generated] {
+            let faults = collapse_faults(&circuit).representatives().to_vec();
+            for count in [1usize, 64, 65, 512, 513, 1100] {
+                let wide = evaluate_bist(&circuit, &faults, Lfsr::standard(5), count).unwrap();
+                let narrow = evaluate_bist_narrow(&circuit, &faults, Lfsr::standard(5), count);
+                assert_eq!(wide, narrow, "{} count={count}", circuit.name());
+                assert_eq!(wide.ramp.len(), count.div_ceil(64));
+
+                let sink = RecordingSink::new();
+                run_hybrid_metered(&circuit, Lfsr::standard(5), count, 200, &sink).unwrap();
+                let full_at = narrow.ramp.iter().position(|&c| c == 1.0);
+                let want = full_at.map_or(count, |k| count.min(64 * (k + 2)));
+                assert_eq!(
+                    sink.snapshot().counter(Counter::BistPatterns),
+                    want as u64,
+                    "{} count={count}",
+                    circuit.name()
+                );
+            }
+        }
+    }
+
     #[test]
     fn lfsr_is_maximal_enough() {
         // A 16-bit maximal polynomial must not repeat within 1000 steps.
@@ -470,20 +536,7 @@ mod tests {
 
     #[test]
     fn bist_coverage_ramps_on_c17() {
-        let c = parse_bench(
-            "c17",
-            "
-INPUT(g1)\nINPUT(g2)\nINPUT(g3)\nINPUT(g6)\nINPUT(g7)
-OUTPUT(g22)\nOUTPUT(g23)
-g10 = NAND(g1, g3)
-g11 = NAND(g3, g6)
-g16 = NAND(g2, g11)
-g19 = NAND(g11, g7)
-g22 = NAND(g10, g16)
-g23 = NAND(g16, g19)
-",
-        )
-        .unwrap();
+        let c = c17();
         let faults = collapse_faults(&c).representatives().to_vec();
         let outcome = evaluate_bist(&c, &faults, Lfsr::standard(7), 256).unwrap();
         assert_eq!(outcome.patterns, 256);
@@ -544,20 +597,7 @@ z = XOR(t1, t2)
 
     #[test]
     fn hybrid_with_zero_bist_equals_pure_deterministic_coverage() {
-        let c = parse_bench(
-            "c17",
-            "
-INPUT(g1)\nINPUT(g2)\nINPUT(g3)\nINPUT(g6)\nINPUT(g7)
-OUTPUT(g22)\nOUTPUT(g23)
-g10 = NAND(g1, g3)
-g11 = NAND(g3, g6)
-g16 = NAND(g2, g11)
-g19 = NAND(g11, g7)
-g22 = NAND(g10, g16)
-g23 = NAND(g16, g19)
-",
-        )
-        .unwrap();
+        let c = c17();
         let hybrid = run_hybrid(&c, Lfsr::standard(1), 0, 200).unwrap();
         assert!((hybrid.coverage - 1.0).abs() < 1e-12);
         assert!(!hybrid.top_up.is_empty());

@@ -18,7 +18,7 @@ use modsoc_netlist::{Circuit, StructuralIndex};
 
 use crate::error::AtpgError;
 use crate::fault::Fault;
-use crate::fault_sim::{block_active_mask, FaultSimulator, BLOCK_BITS};
+use crate::fault_sim::FaultSimulator;
 use crate::pattern::{FillStrategy, TestCube, TestSet};
 
 /// Greedy first-fit merging of compatible cubes.
@@ -97,39 +97,8 @@ pub fn reverse_order_compaction_indexed(
     let mut fsim = FaultSimulator::with_index(circuit, Arc::clone(index))?;
 
     // Detection matrix: per pattern, which fault indices it detects.
-    // Swept with the wide kernel (pattern index = block * BLOCK_BITS +
-    // word * 64 + bit); the narrow fallback preserves the pre-blocked
-    // path for the CI kernel smoke.
     let mut detects: Vec<Vec<u32>> = vec![Vec::new(); patterns.len()];
-    if crate::fault_sim::narrow_forced() {
-        for (chunk_idx, chunk) in filled.chunks(64).enumerate() {
-            let masks = fsim.detection_masks(chunk, faults)?;
-            for (fi, mask) in masks.into_iter().enumerate() {
-                let mut m = mask;
-                while m != 0 {
-                    let bit = m.trailing_zeros() as usize;
-                    detects[chunk_idx * 64 + bit].push(fi as u32);
-                    m &= m - 1;
-                }
-            }
-        }
-    } else {
-        for (blk_idx, chunk) in filled.chunks(BLOCK_BITS).enumerate() {
-            let (good, n) = fsim.good_blocks(chunk)?;
-            let active = block_active_mask(n);
-            for (fi, &fault) in faults.iter().enumerate() {
-                let mask = fsim.block_detection_mask(&good, &active, fault);
-                for (w, &word) in mask.iter().enumerate() {
-                    let mut m = word;
-                    while m != 0 {
-                        let bit = m.trailing_zeros() as usize;
-                        detects[blk_idx * BLOCK_BITS + w * 64 + bit].push(fi as u32);
-                        m &= m - 1;
-                    }
-                }
-            }
-        }
-    }
+    fsim.for_each_detection(&filled, faults, |fi, p| detects[p].push(fi as u32))?;
 
     let mut covered = vec![false; faults.len()];
     let mut keep: Vec<usize> = Vec::new();

@@ -10,7 +10,7 @@ use modsoc_netlist::Circuit;
 
 use crate::error::AtpgError;
 use crate::fault::Fault;
-use crate::fault_sim::{active_mask, block_active_mask, FaultSimulator, BLOCK_BITS};
+use crate::fault_sim::{active_mask, FaultSimulator};
 
 /// The observed behaviour of one applied pattern.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,41 +99,10 @@ pub fn diagnose(
         .map(|o| !o.failing_outputs.is_empty())
         .collect();
 
-    // Predicted failing-pattern masks per candidate, block by block on
-    // the wide kernel (pattern index = block * BLOCK_BITS + word * 64 +
-    // bit, sharing the blocked tail-mask discipline); the narrow
-    // fallback preserves the pre-blocked path for the CI kernel smoke.
+    // Predicted failing-pattern masks per candidate.
     let mut predicted: Vec<Vec<bool>> = vec![vec![false; observations.len()]; candidates.len()];
     let patterns: Vec<Vec<bool>> = observations.iter().map(|o| o.inputs.clone()).collect();
-    if crate::fault_sim::narrow_forced() {
-        for (chunk_idx, chunk) in patterns.chunks(64).enumerate() {
-            let masks = fsim.detection_masks(chunk, candidates)?;
-            for (ci, mask) in masks.into_iter().enumerate() {
-                let mut m = mask;
-                while m != 0 {
-                    let bit = m.trailing_zeros() as usize;
-                    predicted[ci][chunk_idx * 64 + bit] = true;
-                    m &= m - 1;
-                }
-            }
-        }
-    } else {
-        for (blk_idx, chunk) in patterns.chunks(BLOCK_BITS).enumerate() {
-            let (good, n) = fsim.good_blocks(chunk)?;
-            let active = block_active_mask(n);
-            for (ci, &fault) in candidates.iter().enumerate() {
-                let mask = fsim.block_detection_mask(&good, &active, fault);
-                for (w, &word) in mask.iter().enumerate() {
-                    let mut m = word;
-                    while m != 0 {
-                        let bit = m.trailing_zeros() as usize;
-                        predicted[ci][blk_idx * BLOCK_BITS + w * 64 + bit] = true;
-                        m &= m - 1;
-                    }
-                }
-            }
-        }
-    }
+    fsim.for_each_detection(&patterns, candidates, |ci, p| predicted[ci][p] = true)?;
 
     let mut out: Vec<Candidate> = candidates
         .iter()

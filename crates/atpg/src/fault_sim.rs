@@ -12,21 +12,21 @@
 //!   top-up, diagnosis syndromes).
 //! - **[`SimBlock`]** (`[u64; 8]`) — 512 patterns per pass, written so
 //!   the autovectorizer lifts the lane loops to 256/512-bit SIMD. The
-//!   bulk sweeps (`detected_faults*`, `detection_counts*`,
-//!   [`fault_coverage`], compaction/diagnosis matrices, TDF/BIST
-//!   coverage) run on this width by default.
+//!   bulk sweeps ([`FaultSimulator::detected`],
+//!   [`FaultSimulator::detection_counts`], [`fault_coverage`],
+//!   compaction/diagnosis matrices, TDF/BIST coverage) run on this
+//!   width.
 //!
 //! Values are node-major (struct-of-arrays): each node's whole block is
-//! contiguous, so wide gate evaluation streams cache lines. The sharded
-//! entry points combine pattern-parallel and fault-parallel blocking:
+//! contiguous, so wide gate evaluation streams cache lines. The two bulk
+//! sweeps combine pattern-parallel and fault-parallel blocking:
 //! good-value blocks are computed once on the calling thread and shared
 //! read-only by every worker, which then streams its fault shard
 //! against one cache-resident block at a time.
 //!
-//! Both widths produce bit-identical detection verdicts; setting
-//! `MODSOC_FAULT_SIM=narrow` in the environment forces every blocked
-//! sweep back onto the single-word path (the CI kernel smoke diffs the
-//! two full-binary outputs).
+//! Both widths produce bit-identical detection verdicts; the test suite
+//! pins the wide sweeps to per-64 [`FaultSimulator::detection_masks`]
+//! references word for word.
 
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -87,14 +87,6 @@ pub fn block_active_mask(n: usize) -> SimBlock {
         *word = active_mask(n.saturating_sub(w * 64));
     }
     mask
-}
-
-/// Whether `MODSOC_FAULT_SIM=narrow` is set, forcing every blocked
-/// sweep back onto the single-`u64` path. CI uses this to diff the old
-/// and new kernels end-to-end; it is read once per sweep, never in the
-/// hot loop.
-pub(crate) fn narrow_forced() -> bool {
-    std::env::var_os("MODSOC_FAULT_SIM").is_some_and(|v| v == "narrow")
 }
 
 /// Epoch-stamped faulty-value scratch for one packed width.
@@ -277,8 +269,7 @@ impl<W: PackedWord> Scratch<W> {
 /// [`FaultSimulator::block_detection_mask`] per 512-pattern block.
 /// `Clone` is cheap relative to [`FaultSimulator::new`] (the shared
 /// [`StructuralIndex`] is reference-counted, not recomputed), which is
-/// how the sharded entry points hand each worker thread its own
-/// simulator.
+/// how the bulk sweeps hand each worker thread its own simulator.
 #[derive(Debug, Clone)]
 pub struct FaultSimulator<'a> {
     circuit: &'a Circuit,
@@ -447,26 +438,6 @@ impl<'a> FaultSimulator<'a> {
             .collect()
     }
 
-    /// Detection mask restricted to one primary output (by output
-    /// index). Prefer [`FaultSimulator::output_detection_masks`] when
-    /// several outputs are needed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `output` is out of range.
-    pub fn output_detection_mask(
-        &mut self,
-        good: &[u64],
-        active: u64,
-        fault: Fault,
-        output: usize,
-    ) -> u64 {
-        self.narrow
-            .propagate(self.circuit, &self.index, good, fault);
-        let po = self.circuit.outputs()[output];
-        (good[po.index()] ^ self.narrow.value_of(po, good)) & active
-    }
-
     /// Detection masks for a whole fault list against one batch.
     ///
     /// # Errors
@@ -525,45 +496,103 @@ impl<'a> FaultSimulator<'a> {
         Ok((masks, None))
     }
 
-    /// Which faults `patterns` (any count) detect, swept with the wide
-    /// kernel on this simulator's scratch: patterns are consumed in
-    /// [`BLOCK_BITS`] blocks, and a fault detected by an earlier block
-    /// is dropped from later blocks (pure OR-reduction, so the result is
-    /// identical to an undropped sweep). Honors `MODSOC_FAULT_SIM=narrow`.
+    /// Call `hit(fault, pattern)` for every pair of indices where
+    /// `patterns[pattern]` detects `faults[fault]`, in block, fault,
+    /// pattern order: the full detection matrix behind reverse
+    /// compaction and diagnosis, swept on the wide kernel.
     ///
     /// # Errors
     ///
     /// Propagates pattern width errors.
-    pub fn detected_over(
+    pub(crate) fn for_each_detection(
         &mut self,
         patterns: &[Vec<bool>],
         faults: &[Fault],
-    ) -> Result<Vec<bool>, AtpgError> {
-        let mut detected = vec![false; faults.len()];
-        if narrow_forced() {
-            for chunk in patterns.chunks(64) {
-                let masks = self.detection_masks(chunk, faults)?;
-                for (d, m) in detected.iter_mut().zip(masks) {
-                    if m != 0 {
-                        *d = true;
+        mut hit: impl FnMut(usize, usize),
+    ) -> Result<(), AtpgError> {
+        for (blk, chunk) in patterns.chunks(BLOCK_BITS).enumerate() {
+            let (good, n) = self.good_blocks(chunk)?;
+            let active = block_active_mask(n);
+            for (fi, &fault) in faults.iter().enumerate() {
+                let mask = self.block_detection_mask(&good, &active, fault);
+                for (w, &word) in mask.iter().enumerate() {
+                    let mut m = word;
+                    while m != 0 {
+                        hit(fi, blk * BLOCK_BITS + w * 64 + m.trailing_zeros() as usize);
+                        m &= m - 1;
                     }
                 }
             }
-            return Ok(detected);
         }
-        for chunk in patterns.chunks(BLOCK_BITS) {
-            let (good, n) = self.good_blocks(chunk)?;
-            let active = block_active_mask(n);
-            for (d, &f) in detected.iter_mut().zip(faults) {
-                if *d {
-                    continue;
-                }
-                if !self.block_detection_mask(&good, &active, f).is_zero() {
-                    *d = true;
+        Ok(())
+    }
+
+    /// Which faults `patterns` (any count) detect: `detected[i]` ⇔ some
+    /// pattern flips some primary output under `faults[i]`. This is the
+    /// engine's final-accounting primitive.
+    ///
+    /// Good values are computed once per [`BLOCK_BITS`] block on this
+    /// simulator; the fault list is then swept blocks outer, faults
+    /// inner, and a fault detected by an earlier block is dropped from
+    /// later ones (an OR-reduction, so the result is identical with or
+    /// without the drop). At `jobs == 1` the sweep runs on this
+    /// simulator's scratch; above that the faults are sharded across
+    /// `jobs` threads, each on a clone of this simulator, and merged in
+    /// fault order, so the result is identical at any `jobs`. `sink`
+    /// receives one worker-utilization row per shard of a threaded
+    /// sweep.
+    ///
+    /// # Errors
+    ///
+    /// Propagates pattern width errors.
+    pub fn detected(
+        &mut self,
+        patterns: &[Vec<bool>],
+        faults: &[Fault],
+        jobs: usize,
+        sink: &dyn MetricsSink,
+    ) -> Result<Vec<bool>, AtpgError> {
+        let blocks = good_block_sweep(self, patterns)?;
+        run_sharded(self, faults, jobs, sink, |fsim, shard| {
+            let mut detected = vec![false; shard.len()];
+            for (good, active) in &blocks {
+                for (d, &f) in detected.iter_mut().zip(shard) {
+                    if !*d {
+                        *d = !fsim.block_detection_mask(good, active, f).is_zero();
+                    }
                 }
             }
-        }
-        Ok(detected)
+            Ok(detected)
+        })
+    }
+
+    /// Per-fault *detection counts* of a pattern set: how many patterns
+    /// detect each fault. The industrial n-detect quality metric —
+    /// faults detected only once are fragile against timing/bridging
+    /// defect behaviour, so production flows often require `n ≥ 3..5`.
+    /// Blocked and sharded exactly like [`FaultSimulator::detected`]
+    /// (without the drop), so the result is identical at any `jobs`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates pattern width errors.
+    pub fn detection_counts(
+        &mut self,
+        patterns: &[Vec<bool>],
+        faults: &[Fault],
+        jobs: usize,
+        sink: &dyn MetricsSink,
+    ) -> Result<Vec<u32>, AtpgError> {
+        let blocks = good_block_sweep(self, patterns)?;
+        run_sharded(self, faults, jobs, sink, |fsim, shard| {
+            let mut counts = vec![0u32; shard.len()];
+            for (good, active) in &blocks {
+                for (c, &f) in counts.iter_mut().zip(shard) {
+                    *c += fsim.block_detection_mask(good, active, f).count_ones();
+                }
+            }
+            Ok(counts)
+        })
     }
 }
 
@@ -581,33 +610,39 @@ pub fn fault_coverage(
     if faults.is_empty() {
         return Ok(1.0);
     }
-    let detected = FaultSimulator::new(circuit)?.detected_over(patterns, faults)?;
+    let detected = FaultSimulator::new(circuit)?.detected(patterns, faults, 1, &NullSink)?;
     Ok(detected.iter().filter(|&&d| d).count() as f64 / faults.len() as f64)
 }
 
 /// Shard `faults` into contiguous runs across `jobs` OS threads, each
-/// worker owning a clone of one prototype simulator, and concatenate the
-/// per-shard results **in fault order**. Because faults are independent,
-/// the merged output is identical to running `per_shard` once over the
-/// whole list — the parallel split is invisible in the results.
+/// worker owning a clone of `proto`, and concatenate the per-shard
+/// results **in fault order**. Because faults are independent, the
+/// merged output is identical to running `per_shard` once over the
+/// whole list — the parallel split is invisible in the results. At
+/// `jobs == 1` `per_shard` runs once on `proto` itself, unmetered.
 ///
 /// A worker panic is re-raised on the calling thread after the scope
 /// joins (payload preserved).
 ///
-/// When `sink` is enabled, each shard reports a worker-utilization row
+/// When `sink` is enabled, each shard of a `jobs > 1` sweep (one shard
+/// when the list is too short to split) reports a worker-utilization row
 /// (shard index, faults claimed, busy wall time; if the elapsed nanos
 /// overflow `u64` the row is flagged saturated rather than inventing a
 /// fake huge value). Rows are scheduling-dependent and excluded from the
 /// determinism contract; the computed results are unaffected.
-fn run_sharded<T: Send>(
-    mut proto: FaultSimulator<'_>,
+fn run_sharded<'a, T: Send>(
+    proto: &mut FaultSimulator<'a>,
     faults: &[Fault],
     jobs: usize,
     sink: &dyn MetricsSink,
-    per_shard: impl Fn(&mut FaultSimulator<'_>, &[Fault]) -> Result<Vec<T>, AtpgError> + Sync,
+    per_shard: impl Fn(&mut FaultSimulator<'a>, &[Fault]) -> Result<Vec<T>, AtpgError> + Sync,
 ) -> Result<Vec<T>, AtpgError> {
+    let jobs = jobs.max(1);
+    if jobs == 1 {
+        return per_shard(proto, faults);
+    }
     let timed = |shard_idx: usize,
-                 fsim: &mut FaultSimulator<'_>,
+                 fsim: &mut FaultSimulator<'a>,
                  shard: &[Fault]|
      -> Result<Vec<T>, AtpgError> {
         let start = sink.enabled().then(Instant::now);
@@ -621,13 +656,12 @@ fn run_sharded<T: Send>(
         }
         out
     };
-    let jobs = jobs.max(1);
-    if jobs == 1 || faults.len() < 2 * jobs {
-        return timed(0, &mut proto, faults);
+    if faults.len() < 2 * jobs {
+        return timed(0, proto, faults);
     }
     let chunk_len = faults.len().div_ceil(jobs);
     let results: Vec<Result<Vec<T>, AtpgError>> = std::thread::scope(|scope| {
-        let proto = &proto;
+        let proto = &*proto;
         let timed = &timed;
         let handles: Vec<_> = faults
             .chunks(chunk_len)
@@ -664,199 +698,6 @@ fn good_block_sweep(
             Ok((good, block_active_mask(n)))
         })
         .collect()
-}
-
-/// Per-fault *detection counts* of a pattern set: how many patterns
-/// detect each fault. The industrial n-detect quality metric — faults
-/// detected only once are fragile against timing/bridging defect
-/// behaviour, so production flows often require `n ≥ 3..5`.
-///
-/// # Errors
-///
-/// Propagates simulator construction and pattern width errors.
-pub fn detection_counts(
-    circuit: &Circuit,
-    patterns: &[Vec<bool>],
-    faults: &[Fault],
-) -> Result<Vec<u32>, AtpgError> {
-    detection_counts_threaded(circuit, patterns, faults, 1)
-}
-
-/// [`detection_counts`] with the collapsed fault list sharded across
-/// `jobs` OS threads (each worker owns a [`FaultSimulator`] clone).
-/// The order-preserving merge makes the result identical to the serial
-/// run at any `jobs` value.
-///
-/// # Errors
-///
-/// Propagates simulator construction and pattern width errors.
-pub fn detection_counts_threaded(
-    circuit: &Circuit,
-    patterns: &[Vec<bool>],
-    faults: &[Fault],
-    jobs: usize,
-) -> Result<Vec<u32>, AtpgError> {
-    let proto = FaultSimulator::new(circuit)?;
-    if narrow_forced() {
-        return run_sharded(proto, faults, jobs, &NullSink, |fsim, shard| {
-            let mut counts = vec![0u32; shard.len()];
-            for chunk in patterns.chunks(64) {
-                let masks = fsim.detection_masks(chunk, shard)?;
-                for (c, m) in counts.iter_mut().zip(masks) {
-                    *c += m.count_ones();
-                }
-            }
-            Ok(counts)
-        });
-    }
-    let blocks = good_block_sweep(&proto, patterns)?;
-    run_sharded(proto, faults, jobs, &NullSink, |fsim, shard| {
-        let mut counts = vec![0u32; shard.len()];
-        for (good, active) in &blocks {
-            for (c, &f) in counts.iter_mut().zip(shard) {
-                *c += fsim.block_detection_mask(good, active, f).count_ones();
-            }
-        }
-        Ok(counts)
-    })
-}
-
-/// Which faults the pattern set detects at all: the boolean reduction of
-/// [`detection_counts_threaded`], sharded the same way. This is the
-/// engine's final-accounting primitive (`detected[i]` ⇔ some pattern
-/// flips some output under fault `i`).
-///
-/// # Errors
-///
-/// Propagates simulator construction and pattern width errors.
-pub fn detected_faults(
-    circuit: &Circuit,
-    patterns: &[Vec<bool>],
-    faults: &[Fault],
-    jobs: usize,
-) -> Result<Vec<bool>, AtpgError> {
-    detected_faults_via(FaultSimulator::new(circuit)?, patterns, faults, jobs)
-}
-
-/// [`detected_faults`] against a prebuilt shared [`StructuralIndex`]:
-/// every worker clone borrows the same index instead of re-deriving the
-/// fanout adjacency and topological order per call.
-///
-/// # Errors
-///
-/// Propagates simulator construction and pattern width errors.
-pub fn detected_faults_indexed(
-    circuit: &Circuit,
-    index: &Arc<StructuralIndex>,
-    patterns: &[Vec<bool>],
-    faults: &[Fault],
-    jobs: usize,
-) -> Result<Vec<bool>, AtpgError> {
-    detected_faults_indexed_metered(circuit, index, patterns, faults, jobs, &NullSink)
-}
-
-/// [`detected_faults_indexed`] reporting per-shard worker-utilization
-/// rows into a [`MetricsSink`] (shard index, faults claimed, busy wall
-/// time). The computed detection results are byte-identical to the
-/// unmetered entry point at any `jobs` value.
-///
-/// # Errors
-///
-/// Propagates simulator construction and pattern width errors.
-pub fn detected_faults_indexed_metered(
-    circuit: &Circuit,
-    index: &Arc<StructuralIndex>,
-    patterns: &[Vec<bool>],
-    faults: &[Fault],
-    jobs: usize,
-    sink: &dyn MetricsSink,
-) -> Result<Vec<bool>, AtpgError> {
-    detected_faults_via_sink(
-        FaultSimulator::with_index(circuit, Arc::clone(index))?,
-        patterns,
-        faults,
-        jobs,
-        sink,
-    )
-}
-
-fn detected_faults_via(
-    proto: FaultSimulator<'_>,
-    patterns: &[Vec<bool>],
-    faults: &[Fault],
-    jobs: usize,
-) -> Result<Vec<bool>, AtpgError> {
-    detected_faults_via_sink(proto, patterns, faults, jobs, &NullSink)
-}
-
-fn detected_faults_via_sink(
-    proto: FaultSimulator<'_>,
-    patterns: &[Vec<bool>],
-    faults: &[Fault],
-    jobs: usize,
-    sink: &dyn MetricsSink,
-) -> Result<Vec<bool>, AtpgError> {
-    if narrow_forced() {
-        return run_sharded(proto, faults, jobs, sink, |fsim, shard| {
-            let mut detected = vec![false; shard.len()];
-            for chunk in patterns.chunks(64) {
-                let masks = fsim.detection_masks(chunk, shard)?;
-                for (d, m) in detected.iter_mut().zip(masks) {
-                    if m != 0 {
-                        *d = true;
-                    }
-                }
-            }
-            Ok(detected)
-        });
-    }
-    let blocks = good_block_sweep(&proto, patterns)?;
-    run_sharded(proto, faults, jobs, sink, |fsim, shard| {
-        let mut detected = vec![false; shard.len()];
-        // Blocks outer, faults inner: each worker streams its fault
-        // shard against one cache-resident good block at a time, and a
-        // fault detected by an earlier block is dropped from later ones
-        // (an OR-reduction, so results are identical with or without
-        // the drop at any shard split).
-        for (good, active) in &blocks {
-            for (d, &f) in detected.iter_mut().zip(shard) {
-                if *d {
-                    continue;
-                }
-                if !fsim.block_detection_mask(good, active, f).is_zero() {
-                    *d = true;
-                }
-            }
-        }
-        Ok(detected)
-    })
-}
-
-/// Detection masks for a whole fault list against one ≤64-pattern batch,
-/// computed on `threads` OS threads (each with its own simulator and
-/// scratch). Results are identical to the serial
-/// [`FaultSimulator::detection_masks`] — faults are independent, so the
-/// split is embarrassingly parallel and fully deterministic.
-///
-/// Worth using from roughly 10k faults × 10k gates upward; below that
-/// the per-thread good-circuit evaluation dominates.
-///
-/// # Errors
-///
-/// Propagates simulator construction and pattern width errors.
-pub fn detection_masks_threaded(
-    circuit: &Circuit,
-    patterns: &[Vec<bool>],
-    faults: &[Fault],
-    threads: usize,
-) -> Result<Vec<u64>, AtpgError> {
-    run_sharded(
-        FaultSimulator::new(circuit)?,
-        faults,
-        threads,
-        &NullSink,
-        |fsim, shard| fsim.detection_masks(patterns, shard),
-    )
 }
 
 #[cfg(test)]
@@ -913,8 +754,8 @@ g23 = NAND(g16, g19)
             .collect()
     }
 
-    /// A bigger layered circuit shared by the threaded and blocked
-    /// differential tests.
+    /// A bigger layered circuit shared by the blocked differential
+    /// tests.
     fn layered_circuit() -> Circuit {
         let mut c = Circuit::new("big");
         let mut prev: Vec<_> = (0..12).map(|i| c.add_input(format!("i{i}"))).collect();
@@ -979,6 +820,22 @@ g23 = NAND(g16, g19)
             }
         }
         (detected, counts)
+    }
+
+    /// [`FaultSimulator::detected`] on a fresh simulator.
+    fn detected(c: &Circuit, patterns: &[Vec<bool>], faults: &[Fault], jobs: usize) -> Vec<bool> {
+        FaultSimulator::new(c)
+            .unwrap()
+            .detected(patterns, faults, jobs, &NullSink)
+            .unwrap()
+    }
+
+    /// [`FaultSimulator::detection_counts`] on a fresh simulator.
+    fn counts(c: &Circuit, patterns: &[Vec<bool>], faults: &[Fault], jobs: usize) -> Vec<u32> {
+        FaultSimulator::new(c)
+            .unwrap()
+            .detection_counts(patterns, faults, jobs, &NullSink)
+            .unwrap()
     }
 
     #[test]
@@ -1076,7 +933,7 @@ g23 = NAND(g16, g19)
         let c = c17();
         let patterns = all_input_patterns(5);
         let faults = enumerate_faults(&c);
-        let counts = detection_counts(&c, &patterns, &faults).unwrap();
+        let counts = counts(&c, &patterns, &faults, 1);
         // Exhaustive patterns: every testable fault has n-detect >= 1,
         // and most well above (c17 is highly random-testable).
         assert!(counts.iter().all(|&n| n >= 1));
@@ -1088,36 +945,6 @@ g23 = NAND(g16, g19)
             manual += fsim.detection_masks(chunk, &faults[..1]).unwrap()[0].count_ones();
         }
         assert_eq!(counts[0], manual);
-    }
-
-    #[test]
-    fn threaded_masks_match_serial() {
-        let c = c17();
-        let patterns = all_input_patterns(5);
-        let faults = enumerate_faults(&c);
-        let serial = FaultSimulator::new(&c)
-            .unwrap()
-            .detection_masks(&patterns[..32], &faults)
-            .unwrap();
-        for threads in [1, 2, 3, 8] {
-            let parallel = detection_masks_threaded(&c, &patterns[..32], &faults, threads).unwrap();
-            assert_eq!(parallel, serial, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn threaded_on_larger_circuit() {
-        let c = layered_circuit();
-        let patterns: Vec<Vec<bool>> = (0..64u64)
-            .map(|k| (0..12).map(|i| (k >> (i % 6)) & 1 == 1).collect())
-            .collect();
-        let faults = enumerate_faults(&c);
-        let serial = FaultSimulator::new(&c)
-            .unwrap()
-            .detection_masks(&patterns, &faults)
-            .unwrap();
-        let parallel = detection_masks_threaded(&c, &patterns, &faults, 4).unwrap();
-        assert_eq!(parallel, serial);
     }
 
     #[test]
@@ -1157,16 +984,16 @@ g23 = NAND(g16, g19)
         let c = c17();
         let patterns = all_input_patterns(5);
         let faults = enumerate_faults(&c);
-        let serial_counts = detection_counts(&c, &patterns, &faults).unwrap();
-        let serial_detected = detected_faults(&c, &patterns, &faults, 1).unwrap();
+        let serial_counts = counts(&c, &patterns, &faults, 1);
+        let serial_detected = detected(&c, &patterns, &faults, 1);
         for jobs in [2, 3, 8] {
             assert_eq!(
-                detection_counts_threaded(&c, &patterns, &faults, jobs).unwrap(),
+                counts(&c, &patterns, &faults, jobs),
                 serial_counts,
                 "{jobs} jobs"
             );
             assert_eq!(
-                detected_faults(&c, &patterns, &faults, jobs).unwrap(),
+                detected(&c, &patterns, &faults, jobs),
                 serial_detected,
                 "{jobs} jobs"
             );
@@ -1210,33 +1037,31 @@ g23 = NAND(g16, g19)
         }
     }
 
-    /// Aggregate blocked entry points vs the narrow reference sweep,
-    /// including multi-block pattern sets and every shard split.
+    /// The blocked sweeps vs the narrow reference sweep, including
+    /// multi-block pattern sets and both the in-place and the sharded
+    /// path. One simulator serves every call, so warm scratch (and
+    /// clones of it) must not leak between sweeps.
     #[test]
     fn blocked_aggregates_match_narrow_reference() {
         let c = layered_circuit();
         let faults = enumerate_faults(&c);
+        let mut fsim = FaultSimulator::new(&c).unwrap();
         for &count in &[65usize, 512, 513, 700] {
             let patterns = cyc_patterns(12, count);
             let (ref_detected, ref_counts) = narrow_reference(&c, &patterns, &faults);
             for jobs in [1, 4] {
                 assert_eq!(
-                    detected_faults(&c, &patterns, &faults, jobs).unwrap(),
+                    fsim.detected(&patterns, &faults, jobs, &NullSink).unwrap(),
                     ref_detected,
                     "count={count} jobs={jobs}"
                 );
                 assert_eq!(
-                    detection_counts_threaded(&c, &patterns, &faults, jobs).unwrap(),
+                    fsim.detection_counts(&patterns, &faults, jobs, &NullSink)
+                        .unwrap(),
                     ref_counts,
                     "count={count} jobs={jobs}"
                 );
             }
-            let mut fsim = FaultSimulator::new(&c).unwrap();
-            assert_eq!(
-                fsim.detected_over(&patterns, &faults).unwrap(),
-                ref_detected,
-                "count={count} detected_over"
-            );
         }
     }
 
@@ -1253,12 +1078,12 @@ g23 = NAND(g16, g19)
         let (ref_detected, ref_counts) = narrow_reference(c, &patterns, &faults);
         for jobs in [1, 4] {
             assert_eq!(
-                detected_faults(c, &patterns, &faults, jobs).unwrap(),
+                detected(c, &patterns, &faults, jobs),
                 ref_detected,
                 "jobs={jobs}"
             );
             assert_eq!(
-                detection_counts_threaded(c, &patterns, &faults, jobs).unwrap(),
+                counts(c, &patterns, &faults, jobs),
                 ref_counts,
                 "jobs={jobs}"
             );

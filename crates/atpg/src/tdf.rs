@@ -23,9 +23,7 @@ use modsoc_netlist::{Circuit, GateKind, NodeId, TestModel, TestPoint};
 
 use crate::error::AtpgError;
 use crate::fault::Fault;
-use crate::fault_sim::{
-    active_mask, block_active_mask, FaultSimulator, PackedWord, SimBlock, BLOCK_BITS,
-};
+use crate::fault_sim::{block_active_mask, FaultSimulator, PackedWord, SimBlock, BLOCK_BITS};
 use crate::pattern::{FillStrategy, TestSet};
 use crate::podem::{Podem, PodemOutcome};
 
@@ -493,25 +491,6 @@ fn run_tdf_over(
     })
 }
 
-/// Whether `patterns` (fully specified, unrolled-input order) detect the
-/// transition fault: the frame-2 stuck-at mask gated by the frame-1
-/// initialization condition.
-fn tdf_detected(
-    fsim: &mut FaultSimulator<'_>,
-    two: &TwoFrame,
-    tf: &TransitionFault,
-    patterns: &[Vec<bool>],
-) -> Result<bool, AtpgError> {
-    for chunk in patterns.chunks(64) {
-        let (good, n) = fsim.good_values(chunk)?;
-        let active = active_mask(n);
-        if tdf_mask(fsim, two, tf, &good, active) != 0 {
-            return Ok(true);
-        }
-    }
-    Ok(false)
-}
-
 /// Per-slot detection mask of one transition fault against a batch whose
 /// good values are already computed: the frame-2 stuck-at mask gated by
 /// the frame-1 initialization word.
@@ -567,18 +546,9 @@ pub fn tdf_coverage(
     let faults = enumerate_transition_faults(&model.circuit);
     let two = unroll_two_frames(model)?;
     let mut fsim = FaultSimulator::new(&two.circuit)?;
-    if crate::fault_sim::narrow_forced() {
-        let mut flags = Vec::with_capacity(faults.len());
-        for tf in &faults {
-            flags.push(tdf_detected(&mut fsim, &two, tf, patterns)?);
-        }
-        return Ok((faults, flags));
-    }
-    // Wide kernel: the two-frame good values are evaluated once per
-    // 512-pattern block and streamed against every still-undetected
-    // fault (blocks outer, faults inner — the same cache blocking as
-    // the stuck-at sweeps; the old path re-simulated the good circuit
-    // per fault per chunk).
+    // The two-frame good values are evaluated once per 512-pattern block
+    // and streamed against every still-undetected fault (blocks outer,
+    // faults inner — the same cache blocking as the stuck-at sweeps).
     let mut flags = vec![false; faults.len()];
     for chunk in patterns.chunks(BLOCK_BITS) {
         let (good, n) = fsim.good_blocks(chunk)?;
@@ -598,7 +568,23 @@ pub fn tdf_coverage(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault_sim::active_mask;
     use modsoc_netlist::bench_format::parse_bench;
+
+    /// Reference: whether `patterns` (fully specified, unrolled-input
+    /// order) detect the transition fault, one 64-pattern chunk at a
+    /// time on the narrow kernel (good values re-simulated per fault).
+    fn tdf_detected(
+        fsim: &mut FaultSimulator<'_>,
+        two: &TwoFrame,
+        tf: &TransitionFault,
+        patterns: &[Vec<bool>],
+    ) -> bool {
+        patterns.chunks(64).any(|chunk| {
+            let (good, n) = fsim.good_values(chunk).unwrap();
+            tdf_mask(fsim, two, tf, &good, active_mask(n)) != 0
+        })
+    }
 
     /// A small sequential circuit with a controllable transition path:
     /// the scan cell drives an AND observed at the output.
@@ -615,6 +601,34 @@ y = AND(f1, b)
 ",
         )
         .unwrap()
+    }
+
+    /// The blocked TDF coverage sweep vs the per-64 narrow reference on
+    /// a generated scan core, across block tails and a multi-block set.
+    #[test]
+    fn blocked_tdf_coverage_matches_narrow_reference() {
+        let core =
+            modsoc_circuitgen::generate(&modsoc_circuitgen::profile::iscas::s713(11)).unwrap();
+        let model = core.to_test_model().unwrap();
+        let two = unroll_two_frames(&model).unwrap();
+        let mut fsim = FaultSimulator::new(&two.circuit).unwrap();
+        let width = two.circuit.input_count();
+        for count in [1usize, 64, 65, 512, 600] {
+            let patterns: Vec<Vec<bool>> = (0..count)
+                .map(|k| {
+                    (0..width)
+                        .map(|i| (k * 31 + i * 7 + (k >> 3)) % 5 < 2)
+                        .collect()
+                })
+                .collect();
+            let (faults, flags) = tdf_coverage(&model, &patterns).unwrap();
+            let want: Vec<bool> = faults
+                .iter()
+                .map(|tf| tdf_detected(&mut fsim, &two, tf, &patterns))
+                .collect();
+            assert_eq!(flags, want, "count={count}");
+            assert!(count < 64 || flags.contains(&true), "count={count}");
+        }
     }
 
     #[test]

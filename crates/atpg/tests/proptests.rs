@@ -264,8 +264,14 @@ proptest! {
         // The word-boundary widths that exercise `active_mask` tail
         // handling: a lone pattern, one short of a full 64-pattern word,
         // exactly one word, and one pattern into a second word.
-        use modsoc_atpg::fault_sim::{detection_counts, detection_counts_threaded};
         let faults: Vec<Fault> = collapse_faults(&circuit).representatives().to_vec();
+        use modsoc_metrics::NullSink;
+        let counts_at = |patterns: &[Vec<bool>], jobs: usize| {
+            FaultSimulator::new(&circuit)
+                .expect("fsim")
+                .detection_counts(patterns, &faults, jobs, &NullSink)
+                .expect("counts")
+        };
         for width in [1usize, 63, 64, 65] {
             let patterns: Vec<Vec<bool>> = (0..width as u64)
                 .map(|k| {
@@ -274,21 +280,19 @@ proptest! {
                         .collect()
                 })
                 .collect();
-            let counts = detection_counts(&circuit, &patterns, &faults).expect("counts");
+            let counts = counts_at(&patterns, 1);
             // Ground truth: one pattern at a time, so every call uses the
             // single-bit active window and no tail can leak.
             let mut per_pattern = vec![0u32; faults.len()];
             for p in &patterns {
-                let single = detection_counts(&circuit, std::slice::from_ref(p), &faults)
-                    .expect("single");
+                let single = counts_at(std::slice::from_ref(p), 1);
                 for (acc, c) in per_pattern.iter_mut().zip(single) {
                     *acc += c;
                 }
             }
             prop_assert_eq!(&counts, &per_pattern, "width {}", width);
             // And the sharded run is identical at any jobs value.
-            let sharded = detection_counts_threaded(&circuit, &patterns, &faults, 3)
-                .expect("sharded");
+            let sharded = counts_at(&patterns, 3);
             prop_assert_eq!(&counts, &sharded, "width {} sharded", width);
         }
     }

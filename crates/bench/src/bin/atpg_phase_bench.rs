@@ -11,7 +11,7 @@
 //! * `--json <path>` writes the measurements as a JSON document so
 //!   successive runs can be diffed; the checked-in `BENCH_pr7.json`
 //!   records the numbers at the time the wide-word fault-sim kernel
-//!   landed (`BENCH_pr3.json` is the older incremental-PODEM baseline).
+//!   landed.
 //! * `--check <baseline.json>` re-runs the benchmark and compares each
 //!   profile's phase times against the baseline document: any phase more
 //!   than `--tolerance` (default 0.25 = +25%) slower, or any drift in
@@ -33,12 +33,12 @@ use std::time::Instant;
 use modsoc_atpg::collapse::collapse_faults_with;
 use modsoc_atpg::engine::{Atpg, AtpgOptions};
 use modsoc_atpg::fault::Fault;
-use modsoc_atpg::fault_sim::{FaultSimulator, PackedWord};
+use modsoc_atpg::fault_sim::FaultSimulator;
 use modsoc_atpg::podem::{Podem, PodemOutcome};
 use modsoc_circuitgen::profile::iscas;
 use modsoc_circuitgen::{generate, CoreProfile};
 use modsoc_metrics::json::JsonValue;
-use modsoc_metrics::{json, Counter, MetricsSink, MetricsSnapshot, RecordingSink};
+use modsoc_metrics::{json, Counter, MetricsSink, MetricsSnapshot, NullSink, RecordingSink};
 use modsoc_netlist::StructuralIndex;
 
 struct PhaseRow {
@@ -108,14 +108,7 @@ fn measure(profile: &CoreProfile) -> Result<PhaseRow, Box<dyn std::error::Error>
     let filled = result.patterns.fill_all(result.fill);
     let mut fsim = FaultSimulator::with_index(&model, Arc::clone(&index))?;
     let t = Instant::now();
-    let mut wide_counts = vec![0u32; reps.len()];
-    for chunk in filled.chunks(modsoc_atpg::fault_sim::BLOCK_BITS) {
-        let (good, n) = fsim.good_blocks(chunk)?;
-        let active = modsoc_atpg::fault_sim::block_active_mask(n);
-        for (c, &f) in wide_counts.iter_mut().zip(&reps) {
-            *c += fsim.block_detection_mask(&good, &active, f).count_ones();
-        }
-    }
+    let wide_counts = fsim.detection_counts(&filled, &reps, 1, &NullSink)?;
     let fault_sim_ms = ms(t);
 
     let t = Instant::now();

@@ -10,7 +10,8 @@
 
 use modsoc_circuitgen::SocNetlist;
 use modsoc_core::analysis::SocTdvAnalysis;
-use modsoc_core::experiment::{run_soc_experiment, ExperimentOptions, SocExperiment};
+use modsoc_core::experiment::{run_soc_experiment_guarded, ExperimentOptions, SocExperiment};
+use modsoc_core::runctl::RunBudget;
 use modsoc_core::tdv::TdvOptions;
 use modsoc_core::AnalysisError;
 
@@ -79,7 +80,8 @@ pub fn run_live_soc_opts(
         "[{label}] running per-core ATPG ({} jobs) + flattened monolithic ATPG ...",
         modsoc_core::parallel::effective_jobs(options.jobs)
     );
-    let exp = run_soc_experiment(netlist, options)?;
+    let exp =
+        run_soc_experiment_guarded(netlist, options, &RunBudget::unlimited())?.into_complete()?;
     println!("== {label}: live regeneration (synthetic ISCAS'89 lookalikes) ==");
     println!(
         "{}",

@@ -26,6 +26,14 @@ pub enum AnalysisError {
         /// What was wrong with the spec.
         message: String,
     },
+    /// A caller that requires every core of a guarded run to complete
+    /// got one that failed or returned budget-partial work.
+    Incomplete {
+        /// The first core (or pseudo-stage) that did not complete.
+        core: String,
+        /// How it ended.
+        outcome: String,
+    },
 }
 
 impl fmt::Display for AnalysisError {
@@ -39,6 +47,9 @@ impl fmt::Display for AnalysisError {
                 "monolithic pattern count {t_mono} is below the equation 2 bound {max_core}"
             ),
             AnalysisError::Campaign { message } => write!(f, "campaign spec error: {message}"),
+            AnalysisError::Incomplete { core, outcome } => {
+                write!(f, "core {core} did not complete: {outcome}")
+            }
         }
     }
 }
@@ -50,7 +61,7 @@ impl std::error::Error for AnalysisError {
             AnalysisError::Netlist(e) => Some(e),
             AnalysisError::Atpg(e) => Some(e),
             AnalysisError::TmonoBelowBound { .. } => None,
-            AnalysisError::Campaign { .. } => None,
+            AnalysisError::Campaign { .. } | AnalysisError::Incomplete { .. } => None,
         }
     }
 }

@@ -26,7 +26,7 @@ use crate::analysis::SocTdvAnalysis;
 use crate::error::AnalysisError;
 use crate::parallel::WorkerPool;
 use crate::runctl::{
-    guard_result, Completion, CoreFailure, CoreOutcome, CoreOutcomeKind, RunBudget,
+    guard_result, BudgetExhausted, Completion, CoreFailure, CoreOutcome, CoreOutcomeKind, RunBudget,
 };
 use crate::tdv::TdvOptions;
 
@@ -157,9 +157,9 @@ impl ExperimentOptions {
 
     /// Run one engine job through the configured store (cache fetch +
     /// write-back), or directly when no store is attached. The single
-    /// seam every experiment entry point funnels engine runs through, so
-    /// `--store` behaves identically for per-core, monolithic, plain,
-    /// guarded, and metered paths.
+    /// seam every stuck-at experiment entry point funnels engine runs
+    /// through, so `--store` behaves identically for per-core and
+    /// monolithic runs on the guarded and metered paths.
     pub(crate) fn run_engine(
         &self,
         engine: &Atpg,
@@ -210,92 +210,6 @@ pub struct SocExperiment {
     pub eq2_strict: bool,
 }
 
-/// Dispatch one ATPG job per core across the pool, preserving core-index
-/// order in the returned vector.
-fn map_cores<T: Send>(
-    netlist: &SocNetlist,
-    jobs: usize,
-    run_core: impl Fn(usize, &Circuit) -> T + Sync,
-) -> Vec<T> {
-    WorkerPool::new(jobs.max(1)).map(netlist.cores(), run_core)
-}
-
-/// Run the full modular-vs-monolithic experiment on a structural SOC.
-///
-/// # Errors
-///
-/// Propagates netlist flattening and ATPG errors (the error of the
-/// lowest-indexed failing core, matching the sequential run).
-pub fn run_soc_experiment(
-    netlist: &SocNetlist,
-    options: &ExperimentOptions,
-) -> Result<SocExperiment, AnalysisError> {
-    let engine = Atpg::new(options.atpg.clone());
-    let budget = RunBudget::unlimited();
-
-    // Modular phase: every core stand-alone, dispatched across the pool.
-    let results = map_cores(netlist, options.jobs, |_, circuit| {
-        options.run_engine(&engine, circuit, &budget)
-    });
-
-    let mut soc = Soc::new(netlist.name());
-    let mut cores = Vec::with_capacity(netlist.cores().len());
-    let mut children = Vec::with_capacity(netlist.cores().len());
-    for (circuit, result) in netlist.cores().iter().zip(results) {
-        let result = result?;
-        let patterns = result.pattern_count() as u64;
-        cores.push(CoreMeasurement {
-            name: circuit.name().to_string(),
-            patterns,
-            fault_coverage: result.fault_coverage(),
-            stats: result.stats,
-        });
-        let id = soc.add_core(CoreSpec::leaf(
-            circuit.name(),
-            circuit.input_count() as u64,
-            circuit.output_count() as u64,
-            0,
-            circuit.dff_count() as u64,
-            patterns,
-        ))?;
-        children.push(id);
-    }
-    soc.add_core(CoreSpec::parent(
-        "top",
-        netlist.chip_input_count() as u64,
-        netlist.chip_output_count() as u64,
-        0,
-        0,
-        options.glue_patterns,
-        children,
-    ))?;
-
-    // Monolithic phase: flatten and re-run ATPG.
-    let max_core = soc.max_core_patterns();
-    let (t_mono_raw, mono_coverage) = if options.monolithic {
-        let flat = netlist.flatten()?;
-        let mono = options.run_engine(&engine, &flat, &budget)?;
-        (mono.pattern_count() as u64, mono.fault_coverage())
-    } else {
-        (max_core, 0.0)
-    };
-    let eq2_strict = t_mono_raw > max_core;
-    // Equation 2 guarantees T_mono ≥ max core count for a *consistent*
-    // compaction; independent ATPG runs can rarely dip below, so clamp
-    // for the accounting (and report the raw value via `t_mono`).
-    let t_mono = t_mono_raw.max(max_core);
-
-    let analysis = SocTdvAnalysis::compute_with_measured_tmono(&soc, &options.tdv, t_mono)?;
-    Ok(SocExperiment {
-        soc,
-        analysis,
-        cores,
-        t_mono: t_mono_raw,
-        mono_coverage,
-        eq2_strict,
-    })
-}
-
 /// Run the modular-vs-monolithic experiment under a [`RunBudget`] with
 /// per-core panic isolation.
 ///
@@ -310,7 +224,8 @@ pub fn run_soc_experiment(
 /// siblings stop at their next poll. The flattened monolithic run is
 /// guarded the same way (pseudo-core `"<monolithic>"`) — when it fails
 /// or is skipped, the accounting falls back to the Equation 2 optimistic
-/// bound `T_mono = max_i T_i`.
+/// bound `T_mono = max_i T_i`. Callers that need every core to complete
+/// use [`Completion::into_complete`].
 ///
 /// # Errors
 ///
@@ -324,46 +239,31 @@ pub fn run_soc_experiment_guarded(
     budget: &RunBudget,
 ) -> Result<Completion<SocExperiment>, AnalysisError> {
     let engine = Atpg::new(options.atpg.clone());
-    run_soc_experiment_guarded_with(netlist, options, budget, |_, circuit| {
-        options.run_engine(&engine, circuit, budget)
-    })
-}
-
-/// [`run_soc_experiment_guarded`] with a caller-supplied per-core ATPG
-/// function — the chaos/fault-injection seam. `run_core(i, circuit)` is
-/// invoked once per core on a pool worker; panics and errors it raises
-/// are contained to that core's [`CoreOutcome`] exactly like engine
-/// failures, which is how the test suite injects deterministic per-core
-/// panics and verifies `jobs=1`/`jobs=4` report equality.
-///
-/// # Errors
-///
-/// As [`run_soc_experiment_guarded`].
-pub fn run_soc_experiment_guarded_with<F>(
-    netlist: &SocNetlist,
-    options: &ExperimentOptions,
-    budget: &RunBudget,
-    run_core: F,
-) -> Result<Completion<SocExperiment>, AnalysisError>
-where
-    F: Fn(usize, &Circuit) -> Result<AtpgResult, AnalysisError> + Sync,
-{
-    let engine = Atpg::new(options.atpg.clone());
-    run_soc_experiment_guarded_full(netlist, options, budget, &NullSink, run_core, |flat| {
-        options.run_engine(&engine, flat, budget)
-    })
+    run_soc_experiment_guarded_full(
+        netlist,
+        options,
+        budget,
+        &NullSink,
+        |_, circuit| options.run_engine(&engine, circuit, budget),
+        |flat| options.run_engine(&engine, flat, budget),
+    )
 }
 
 /// The fully-injectable guarded pipeline behind
-/// [`run_soc_experiment_guarded_with`]: both the per-core and the
-/// monolithic ATPG functions are caller-supplied, and pipeline-level
-/// observability (modular dispatch / flatten / monolithic / TDV analysis
-/// phase timings, pool utilization) reports into `sink`. This is the
-/// seam the metered experiment runner
+/// [`run_soc_experiment_guarded`]: both the per-core and the monolithic
+/// ATPG functions are caller-supplied, and pipeline-level observability
+/// (modular dispatch / flatten / monolithic / TDV analysis phase
+/// timings, pool utilization) reports into `sink`.
+///
+/// `run_core(i, circuit)` is invoked once per core on a pool worker;
+/// panics and errors it (or `run_mono`) raises are contained to that
+/// core's [`CoreOutcome`] exactly like engine failures. This is the
+/// chaos/fault-injection seam the test suite uses to inject per-core
+/// panics, and the seam the metered experiment runner
 /// ([`crate::metrics::run_soc_experiment_metered`]) uses to give every
 /// core its own recording sink while keeping one pipeline sink for the
 /// dispatch phases. Results are byte-identical to
-/// [`run_soc_experiment_guarded_with`] for the same closures.
+/// [`run_soc_experiment_guarded`] for engine-backed closures.
 ///
 /// # Errors
 ///
@@ -404,57 +304,120 @@ where
         });
     drop(dispatch_timer);
 
-    // Order-preserving merge, in core-index order.
-    let mut soc = Soc::new(netlist.name());
-    let mut cores = Vec::with_capacity(netlist.cores().len());
-    let mut children = Vec::with_capacity(netlist.cores().len());
-    for (circuit, core_result) in netlist.cores().iter().zip(results) {
-        let name = circuit.name().to_string();
-        match core_result {
-            Ok(result) => {
-                let patterns = result.pattern_count() as u64;
-                let kind = match &result.exhausted {
-                    Some(e) => {
-                        if exhausted.is_none() {
-                            exhausted = Some(e.clone());
-                        }
-                        CoreOutcomeKind::Partial(e.clone())
-                    }
-                    None => CoreOutcomeKind::Complete,
-                };
-                outcomes.push(CoreOutcome {
-                    core: name.clone(),
-                    kind,
-                    patterns: Some(patterns),
-                    fault_coverage: Some(result.fault_coverage()),
-                });
-                cores.push(CoreMeasurement {
-                    name,
-                    patterns,
-                    fault_coverage: result.fault_coverage(),
-                    stats: result.stats,
-                });
-                let id = soc.add_core(CoreSpec::leaf(
-                    circuit.name(),
-                    circuit.input_count() as u64,
-                    circuit.output_count() as u64,
-                    0,
-                    circuit.dff_count() as u64,
-                    patterns,
-                ))?;
-                children.push(id);
-            }
-            Err(failure) => outcomes.push(CoreOutcome {
-                core: name,
-                kind: CoreOutcomeKind::Failed(failure),
-                patterns: None,
-                fault_coverage: None,
-            }),
-        }
-    }
-    if children.is_empty() {
+    // Order-preserving merge, in core-index order; a failed core
+    // contributes an outcome row but no measurement.
+    let measured: Vec<(&Circuit, CoreMeasurement)> = netlist
+        .cores()
+        .iter()
+        .zip(results)
+        .filter_map(|(circuit, result)| {
+            outcomes.push(outcome_row(circuit.name(), &result, &mut exhausted));
+            let r = result.ok()?;
+            let measurement = CoreMeasurement {
+                name: circuit.name().to_string(),
+                patterns: r.pattern_count() as u64,
+                fault_coverage: r.fault_coverage(),
+                stats: r.stats,
+            };
+            Some((circuit, measurement))
+        })
+        .collect();
+    if measured.is_empty() {
         // Nothing survived; there is no analyzable SOC model.
         return Err(AnalysisError::Soc(modsoc_soc::SocError::Empty));
+    }
+
+    // Monolithic phase, isolated the same way; a failure falls back to
+    // the Equation 2 bound.
+    let experiment = assemble(
+        netlist,
+        netlist.name().to_string(),
+        options,
+        measured.into_iter().map(Ok),
+        || {
+            let mono = guard_result(|| {
+                let flat = {
+                    let _t = PhaseTimer::start(sink, Phase::Flatten);
+                    netlist.flatten()?
+                };
+                let _t = PhaseTimer::start(sink, Phase::MonolithicAtpg);
+                run_mono(&flat)
+            });
+            outcomes.push(outcome_row("<monolithic>", &mono, &mut exhausted));
+            Ok(mono
+                .ok()
+                .map(|r| (r.pattern_count() as u64, r.fault_coverage())))
+        },
+        sink,
+    )?;
+    Ok(Completion {
+        result: experiment,
+        exhausted,
+        per_core_outcomes: outcomes,
+    })
+}
+
+/// The outcome row of one guarded engine run, recording the first budget
+/// trip of the whole run into `exhausted`.
+fn outcome_row(
+    core: &str,
+    result: &Result<AtpgResult, CoreFailure>,
+    exhausted: &mut Option<BudgetExhausted>,
+) -> CoreOutcome {
+    match result {
+        Ok(r) => {
+            let kind = match &r.exhausted {
+                Some(e) => {
+                    exhausted.get_or_insert_with(|| e.clone());
+                    CoreOutcomeKind::Partial(e.clone())
+                }
+                None => CoreOutcomeKind::Complete,
+            };
+            CoreOutcome {
+                core: core.to_string(),
+                kind,
+                patterns: Some(r.pattern_count() as u64),
+                fault_coverage: Some(r.fault_coverage()),
+            }
+        }
+        Err(failure) => CoreOutcome {
+            core: core.to_string(),
+            kind: CoreOutcomeKind::Failed(failure.clone()),
+            patterns: None,
+            fault_coverage: None,
+        },
+    }
+}
+
+/// Assemble the SOC model from per-core measurements and run the
+/// accounting: one leaf per measured core plus the `top` glue parent,
+/// then the monolithic phase, the Equation 2 clamp and the TDV analysis.
+/// `measured` is consumed in core order and its first error is returned
+/// as is. `run_mono` runs only when [`ExperimentOptions::monolithic`] is
+/// set and yields the raw `(T_mono, coverage)`, or `None` to fall back
+/// to the Equation 2 optimistic bound `T_mono = max_i T_i`.
+fn assemble<'n>(
+    netlist: &SocNetlist,
+    soc_name: String,
+    options: &ExperimentOptions,
+    measured: impl IntoIterator<Item = Result<(&'n Circuit, CoreMeasurement), AnalysisError>>,
+    run_mono: impl FnOnce() -> Result<Option<(u64, f64)>, AnalysisError>,
+    sink: &dyn MetricsSink,
+) -> Result<SocExperiment, AnalysisError> {
+    let mut soc = Soc::new(soc_name);
+    let mut cores = Vec::with_capacity(netlist.cores().len());
+    let mut children = Vec::with_capacity(netlist.cores().len());
+    for measurement in measured {
+        let (circuit, measurement) = measurement?;
+        children.push(soc.add_core(CoreSpec::leaf(
+            circuit.name(),
+            circuit.input_count() as u64,
+            circuit.output_count() as u64,
+            0,
+            circuit.dff_count() as u64,
+            measurement.patterns,
+        ))?);
+        cores.push(measurement);
     }
     soc.add_core(CoreSpec::parent(
         "top",
@@ -466,141 +429,23 @@ where
         children,
     ))?;
 
-    // Monolithic phase, isolated the same way.
     let max_core = soc.max_core_patterns();
-    let (t_mono_raw, mono_coverage) = if options.monolithic {
-        let mono = guard_result(|| {
-            let flat = {
-                let _t = PhaseTimer::start(sink, Phase::Flatten);
-                netlist.flatten()?
-            };
-            let _t = PhaseTimer::start(sink, Phase::MonolithicAtpg);
-            run_mono(&flat)
-        });
-        match mono {
-            Ok(result) => {
-                let patterns = result.pattern_count() as u64;
-                let kind = match &result.exhausted {
-                    Some(e) => {
-                        if exhausted.is_none() {
-                            exhausted = Some(e.clone());
-                        }
-                        CoreOutcomeKind::Partial(e.clone())
-                    }
-                    None => CoreOutcomeKind::Complete,
-                };
-                outcomes.push(CoreOutcome {
-                    core: "<monolithic>".to_string(),
-                    kind,
-                    patterns: Some(patterns),
-                    fault_coverage: Some(result.fault_coverage()),
-                });
-                (patterns, result.fault_coverage())
-            }
-            Err(failure) => {
-                outcomes.push(CoreOutcome {
-                    core: "<monolithic>".to_string(),
-                    kind: CoreOutcomeKind::Failed(failure),
-                    patterns: None,
-                    fault_coverage: None,
-                });
-                // Fall back to the Equation 2 optimistic bound.
-                (max_core, 0.0)
-            }
-        }
+    let mono = if options.monolithic {
+        run_mono()?
     } else {
-        (max_core, 0.0)
+        None
     };
+    let (t_mono_raw, mono_coverage) = mono.unwrap_or((max_core, 0.0));
     let eq2_strict = t_mono_raw > max_core;
+    // Equation 2 guarantees T_mono ≥ max core count for a *consistent*
+    // compaction; independent ATPG runs can rarely dip below, so clamp
+    // for the accounting (and report the raw value via `t_mono`).
     let t_mono = t_mono_raw.max(max_core);
 
     let analysis = {
         let _t = PhaseTimer::start(sink, Phase::TdvAnalysis);
         SocTdvAnalysis::compute_with_measured_tmono(&soc, &options.tdv, t_mono)?
     };
-    Ok(Completion {
-        result: SocExperiment {
-            soc,
-            analysis,
-            cores,
-            t_mono: t_mono_raw,
-            mono_coverage,
-            eq2_strict,
-        },
-        exhausted,
-        per_core_outcomes: outcomes,
-    })
-}
-
-/// Run the modular-vs-monolithic experiment with **transition-delay**
-/// (launch-on-capture) pattern counts instead of stuck-at — the at-speed
-/// extension of the paper's Tables 1–2 methodology. Per-core TDF
-/// generation fans out across the pool like the stuck-at path.
-///
-/// # Errors
-///
-/// Propagates netlist flattening and test-generation errors.
-pub fn run_soc_experiment_tdf(
-    netlist: &SocNetlist,
-    backtrack_limit: u32,
-    options: &ExperimentOptions,
-) -> Result<SocExperiment, AnalysisError> {
-    use modsoc_atpg::tdf::run_tdf_atpg;
-
-    let results = map_cores(netlist, options.jobs, |_, circuit| {
-        run_tdf_atpg(circuit, backtrack_limit)
-    });
-
-    let mut soc = Soc::new(format!("{}.atspeed", netlist.name()));
-    let mut cores = Vec::with_capacity(netlist.cores().len());
-    let mut children = Vec::with_capacity(netlist.cores().len());
-    for (circuit, result) in netlist.cores().iter().zip(results) {
-        let result = result?;
-        let patterns = result.patterns.len() as u64;
-        cores.push(CoreMeasurement {
-            name: circuit.name().to_string(),
-            patterns,
-            fault_coverage: result.coverage(),
-            stats: modsoc_atpg::AtpgStats {
-                collapsed_faults: result.total,
-                detected: result.detected,
-                aborted: result.aborted,
-                final_patterns: result.patterns.len(),
-                ..modsoc_atpg::AtpgStats::default()
-            },
-        });
-        let id = soc.add_core(CoreSpec::leaf(
-            circuit.name(),
-            circuit.input_count() as u64,
-            circuit.output_count() as u64,
-            0,
-            circuit.dff_count() as u64,
-            patterns,
-        ))?;
-        children.push(id);
-    }
-    soc.add_core(CoreSpec::parent(
-        "top",
-        netlist.chip_input_count() as u64,
-        netlist.chip_output_count() as u64,
-        0,
-        0,
-        options.glue_patterns,
-        children,
-    ))?;
-
-    let max_core = soc.max_core_patterns();
-    let (t_mono_raw, mono_coverage) = if options.monolithic {
-        let flat = netlist.flatten()?;
-        let mono = run_tdf_atpg(&flat, backtrack_limit)?;
-        (mono.patterns.len() as u64, mono.coverage())
-    } else {
-        (max_core, 0.0)
-    };
-    let eq2_strict = t_mono_raw > max_core;
-    let t_mono = t_mono_raw.max(max_core);
-
-    let analysis = SocTdvAnalysis::compute_with_measured_tmono(&soc, &options.tdv, t_mono)?;
     Ok(SocExperiment {
         soc,
         analysis,
@@ -611,15 +456,90 @@ pub fn run_soc_experiment_tdf(
     })
 }
 
+/// Run the modular-vs-monolithic experiment with **transition-delay**
+/// (launch-on-capture) pattern counts instead of stuck-at — the at-speed
+/// extension of the paper's Tables 1–2 methodology. Per-core TDF
+/// generation fans out across the pool like the stuck-at path.
+///
+/// # Errors
+///
+/// Propagates netlist flattening and test-generation errors (the error
+/// of the lowest-indexed failing core, matching the sequential run).
+pub fn run_soc_experiment_tdf(
+    netlist: &SocNetlist,
+    backtrack_limit: u32,
+    options: &ExperimentOptions,
+) -> Result<SocExperiment, AnalysisError> {
+    use modsoc_atpg::tdf::run_tdf_atpg;
+
+    let results = WorkerPool::new(options.jobs.max(1)).map(netlist.cores(), |_, circuit| {
+        run_tdf_atpg(circuit, backtrack_limit)
+    });
+    let measured = netlist
+        .cores()
+        .iter()
+        .zip(results)
+        .map(|(circuit, result)| {
+            let result = result?;
+            let measurement = CoreMeasurement {
+                name: circuit.name().to_string(),
+                patterns: result.patterns.len() as u64,
+                fault_coverage: result.coverage(),
+                stats: modsoc_atpg::AtpgStats {
+                    collapsed_faults: result.total,
+                    detected: result.detected,
+                    aborted: result.aborted,
+                    final_patterns: result.patterns.len(),
+                    ..modsoc_atpg::AtpgStats::default()
+                },
+            };
+            Ok((circuit, measurement))
+        });
+    assemble(
+        netlist,
+        format!("{}.atspeed", netlist.name()),
+        options,
+        measured,
+        || {
+            let mono = run_tdf_atpg(&netlist.flatten()?, backtrack_limit)?;
+            Ok(Some((mono.patterns.len() as u64, mono.coverage())))
+        },
+        &NullSink,
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use modsoc_circuitgen::soc::mini_soc;
 
+    /// The guarded pipeline with an unlimited budget, failing on any
+    /// outcome that is not complete.
+    fn run(netlist: &SocNetlist, options: &ExperimentOptions) -> SocExperiment {
+        run_soc_experiment_guarded(netlist, options, &RunBudget::unlimited())
+            .unwrap()
+            .into_complete()
+            .unwrap()
+    }
+
+    /// [`run_soc_experiment_guarded_full`] with an injected per-core
+    /// function and the configured engine for the monolithic phase.
+    fn run_injected(
+        netlist: &SocNetlist,
+        options: &ExperimentOptions,
+        budget: &RunBudget,
+        run_core: impl Fn(usize, &Circuit) -> Result<AtpgResult, AnalysisError> + Sync,
+    ) -> Result<Completion<SocExperiment>, AnalysisError> {
+        let engine = Atpg::new(options.atpg.clone());
+        run_soc_experiment_guarded_full(netlist, options, budget, &NullSink, run_core, |flat| {
+            options.run_engine(&engine, flat, budget)
+        })
+    }
+
     #[test]
     fn mini_soc_experiment_end_to_end() {
         let netlist = mini_soc(7).unwrap();
-        let exp = run_soc_experiment(&netlist, &ExperimentOptions::paper_tables_1_2()).unwrap();
+        let exp = run(&netlist, &ExperimentOptions::paper_tables_1_2());
         assert_eq!(exp.cores.len(), 2);
         for c in &exp.cores {
             assert!(c.fault_coverage > 0.9, "{}: {}", c.name, c.fault_coverage);
@@ -637,8 +557,8 @@ mod tests {
     fn experiment_is_deterministic() {
         let netlist = mini_soc(7).unwrap();
         let o = ExperimentOptions::paper_tables_1_2();
-        let a = run_soc_experiment(&netlist, &o).unwrap();
-        let b = run_soc_experiment(&netlist, &o).unwrap();
+        let a = run(&netlist, &o);
+        let b = run(&netlist, &o);
         assert_eq!(a.t_mono, b.t_mono);
         assert_eq!(
             a.cores.iter().map(|c| c.patterns).collect::<Vec<_>>(),
@@ -649,14 +569,12 @@ mod tests {
     #[test]
     fn parallel_experiment_matches_sequential() {
         let netlist = mini_soc(7).unwrap();
-        let sequential =
-            run_soc_experiment(&netlist, &ExperimentOptions::paper_tables_1_2()).unwrap();
+        let sequential = run(&netlist, &ExperimentOptions::paper_tables_1_2());
         for jobs in [0, 2, 4] {
-            let parallel = run_soc_experiment(
+            let parallel = run(
                 &netlist,
                 &ExperimentOptions::paper_tables_1_2().with_jobs(jobs),
-            )
-            .unwrap();
+            );
             assert_eq!(parallel.t_mono, sequential.t_mono, "jobs={jobs}");
             assert_eq!(parallel.eq2_strict, sequential.eq2_strict);
             assert_eq!(
@@ -678,25 +596,21 @@ mod tests {
     #[test]
     fn modular_only_uses_equation_2_bound() {
         let netlist = mini_soc(7).unwrap();
-        let exp = run_soc_experiment(
-            &netlist,
-            &ExperimentOptions::paper_tables_1_2().modular_only(),
-        )
-        .unwrap();
-        assert_eq!(exp.t_mono, exp.soc.max_core_patterns());
-        assert!(!exp.eq2_strict);
-        assert_eq!(exp.mono_coverage, 0.0);
-        // And the guarded path skips the pseudo-stage row entirely.
         let guarded = run_soc_experiment_guarded(
             &netlist,
             &ExperimentOptions::paper_tables_1_2().modular_only(),
             &RunBudget::unlimited(),
         )
         .unwrap();
+        // The pseudo-stage row is skipped entirely.
         assert!(guarded
             .per_core_outcomes
             .iter()
             .all(|o| o.core != "<monolithic>"));
+        let exp = guarded.into_complete().unwrap();
+        assert_eq!(exp.t_mono, exp.soc.max_core_patterns());
+        assert!(!exp.eq2_strict);
+        assert_eq!(exp.mono_coverage, 0.0);
     }
 
     #[test]
@@ -720,7 +634,7 @@ mod tests {
     #[test]
     fn soc_model_mirrors_netlist_interface() {
         let netlist = mini_soc(3).unwrap();
-        let exp = run_soc_experiment(&netlist, &ExperimentOptions::paper_tables_1_2()).unwrap();
+        let exp = run(&netlist, &ExperimentOptions::paper_tables_1_2());
         let top = exp.soc.find("top").unwrap();
         let t = exp.soc.core(top);
         assert_eq!(t.inputs, netlist.chip_input_count() as u64);
@@ -737,20 +651,16 @@ mod tests {
         let engine = Atpg::new(AtpgOptions::default());
         for jobs in [1, 4] {
             let options = ExperimentOptions::paper_tables_1_2().with_jobs(jobs);
-            let completion = run_soc_experiment_guarded_with(
-                &netlist,
-                &options,
-                &RunBudget::unlimited(),
-                |i, circuit| {
+            let completion =
+                run_injected(&netlist, &options, &RunBudget::unlimited(), |i, circuit| {
                     if i == 0 {
                         panic!("injected core panic");
                     }
                     engine
                         .run_budgeted(circuit, &RunBudget::unlimited())
                         .map_err(AnalysisError::from)
-                },
-            )
-            .unwrap();
+                })
+                .unwrap();
             let failed = completion.failed_cores();
             assert_eq!(failed.len(), 1, "jobs={jobs}");
             assert!(matches!(
@@ -758,6 +668,11 @@ mod tests {
                 CoreOutcomeKind::Failed(CoreFailure::Panicked(m)) if m == "injected core panic"
             ));
             assert_eq!(completion.result.cores.len(), 1);
+            let strict = completion.into_complete().unwrap_err();
+            assert!(
+                matches!(&strict, AnalysisError::Incomplete { core, .. } if *core == netlist.cores()[0].name()),
+                "{strict}"
+            );
         }
     }
 
@@ -770,17 +685,16 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = Arc::new(ResultStore::open(&dir).unwrap());
         let netlist = mini_soc(7).unwrap();
-        let baseline =
-            run_soc_experiment(&netlist, &ExperimentOptions::paper_tables_1_2()).unwrap();
+        let baseline = run(&netlist, &ExperimentOptions::paper_tables_1_2());
 
         let options = ExperimentOptions::paper_tables_1_2().with_store(Arc::clone(&store));
-        let cold = run_soc_experiment(&netlist, &options).unwrap();
+        let cold = run(&netlist, &options);
         // Cold: 2 cores + monolithic, all misses, all written.
         assert_eq!((store.hits(), store.misses(), store.writes()), (0, 3, 3));
         assert_eq!(cold.t_mono, baseline.t_mono);
 
         for jobs in [1, 4] {
-            let warm = run_soc_experiment(&netlist, &options.clone().with_jobs(jobs)).unwrap();
+            let warm = run(&netlist, &options.clone().with_jobs(jobs));
             assert_eq!(warm.t_mono, baseline.t_mono, "jobs={jobs}");
             assert_eq!(
                 warm.cores.iter().map(|c| c.patterns).collect::<Vec<_>>(),
@@ -797,8 +711,7 @@ mod tests {
         assert_eq!((store.hits(), store.misses(), store.writes()), (6, 3, 3));
 
         // --no-store-read recomputes (no new hits) but refreshes entries.
-        let refreshed = run_soc_experiment(&netlist, &options.clone().with_store_read(false));
-        assert!(refreshed.is_ok());
+        run(&netlist, &options.clone().with_store_read(false));
         assert_eq!(store.hits(), 6);
         assert_eq!(store.writes(), 6);
         let _ = std::fs::remove_dir_all(&dir);
@@ -811,7 +724,7 @@ mod tests {
             .with_jobs(1)
             .with_fail_fast(true);
         let budget = RunBudget::unlimited();
-        let completion = run_soc_experiment_guarded_with(&netlist, &options, &budget, |i, _| {
+        let completion = run_injected(&netlist, &options, &budget, |i, _| {
             if i == 0 {
                 return Err(AnalysisError::Soc(modsoc_soc::SocError::Empty));
             }

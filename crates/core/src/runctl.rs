@@ -23,6 +23,7 @@ use modsoc_soc::Soc;
 pub use modsoc_atpg::budget::{BudgetExhausted, ExhaustReason, RunBudget};
 
 use crate::analysis::CoreTdvRow;
+use crate::error::AnalysisError;
 use crate::tdv::{core_tdv_checked, isocost_split_checked, TdvOptions};
 
 /// Why a core's slice of the pipeline failed (as opposed to completing
@@ -125,6 +126,33 @@ impl<T> Completion<T> {
             .iter()
             .filter(|o| matches!(o.kind, CoreOutcomeKind::Failed(_)))
             .collect()
+    }
+
+    /// The result, provided every core completed and no budget tripped:
+    /// the strict mode for callers that treat any degradation as a
+    /// failure.
+    ///
+    /// # Errors
+    ///
+    /// [`AnalysisError::Incomplete`] naming the first core that failed or
+    /// returned budget-partial work.
+    pub fn into_complete(self) -> Result<T, AnalysisError> {
+        if self.is_complete() {
+            return Ok(self.result);
+        }
+        let first = self.per_core_outcomes.iter().find_map(|o| {
+            let outcome = match &o.kind {
+                CoreOutcomeKind::Complete => return None,
+                CoreOutcomeKind::Partial(e) => e.to_string(),
+                CoreOutcomeKind::Failed(f) => f.to_string(),
+            };
+            Some((o.core.clone(), outcome))
+        });
+        let (core, outcome) = first.unwrap_or_else(|| {
+            let budget = self.exhausted.map(|e| e.to_string());
+            ("<run>".to_string(), budget.unwrap_or_default())
+        });
+        Err(AnalysisError::Incomplete { core, outcome })
     }
 
     /// Map the result, keeping outcomes and budget state.
@@ -311,6 +339,11 @@ mod tests {
             CoreOutcomeKind::Failed(CoreFailure::Overflow)
         ));
         assert!(!completion.is_complete());
+        let strict = completion.into_complete().unwrap_err();
+        assert_eq!(
+            strict.to_string(),
+            "core poisoned did not complete: parameter overflow in TDV equations"
+        );
     }
 
     #[test]
@@ -321,6 +354,7 @@ mod tests {
         assert!(completion.is_complete());
         assert_eq!(completion.result.len(), 1);
         assert_eq!(completion.per_core_outcomes[0].kind.label(), "ok");
+        assert_eq!(completion.into_complete().unwrap().len(), 1);
     }
 
     #[test]

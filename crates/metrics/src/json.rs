@@ -188,21 +188,20 @@ impl std::error::Error for JsonError {}
 
 /// Parse a complete JSON document (trailing whitespace allowed).
 pub fn parse(src: &str) -> Result<JsonValue, JsonError> {
-    let mut p = Parser {
-        bytes: src.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { src, pos: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != src.len() {
         return Err(p.err("trailing characters after document"));
     }
     Ok(value)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
+    /// Byte offset of the next unread byte; always on a char boundary,
+    /// since every token and escape the parser steps over is ASCII.
     pos: usize,
 }
 
@@ -215,7 +214,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -234,7 +233,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, lit: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.src[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             Ok(value)
         } else {
@@ -330,7 +329,8 @@ impl Parser<'_> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .src
+                                .as_bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
                             let hex = std::str::from_utf8(hex)
@@ -347,13 +347,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run of unescaped text up to the next
+                    // `"` or `\`. Both delimiters are ASCII, so the cut
+                    // falls on a char boundary.
+                    let rest = &self.src[self.pos..];
+                    let run = rest
+                        .bytes()
+                        .position(|b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -382,9 +385,8 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
-        text.parse::<f64>()
+        self.src[start..self.pos]
+            .parse::<f64>()
             .map(JsonValue::Number)
             .map_err(|_| self.err("invalid number"))
     }
@@ -447,6 +449,32 @@ mod tests {
         assert_eq!(value.get("n").and_then(JsonValue::as_u64), None);
         let value = parse("{\"n\":9007199254740992,\"m\":360}").unwrap();
         assert_eq!(value.get("m").and_then(JsonValue::as_u64), Some(360));
+    }
+
+    #[test]
+    fn multibyte_scalars_round_trip_next_to_escapes() {
+        // 2-, 3- and 4-byte scalars next to escapes, at both ends of a
+        // string and right before the end of the buffer.
+        for s in [
+            "é",
+            "€",
+            "😀",
+            "é\n€\\😀\"",
+            "\t😀",
+            "a\u{1}é",
+            "😀€é",
+            "\"😀",
+        ] {
+            let mut out = String::new();
+            write_json_string(s, &mut out);
+            assert_eq!(parse(&out).unwrap().as_str(), Some(s), "{out}");
+            let doc = format!("{{{out}:[{out},\"x\"]}}");
+            assert_eq!(parse(&doc).unwrap().to_compact(), doc);
+        }
+        assert_eq!(parse("\"\\u00e9😀\"").unwrap().as_str(), Some("é😀"));
+        for bad in ["\"é", "\"a😀", "\"😀\\", "\"\\u00é\"", "\"\\u0\""] {
+            assert!(parse(bad).is_err(), "should reject {bad:?}");
+        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //!
 //! Run with: `cargo run --release --example modular_vs_monolithic`
 
-use modsoc::analysis::experiment::{run_soc_experiment, ExperimentOptions};
+use modsoc::analysis::experiment::{run_soc_experiment_guarded, ExperimentOptions};
 use modsoc::analysis::report::render_core_table;
+use modsoc::analysis::RunBudget;
 use modsoc::circuitgen::soc::mini_soc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -25,7 +26,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {core}");
     }
 
-    let experiment = run_soc_experiment(&netlist, &ExperimentOptions::paper_tables_1_2())?;
+    let experiment = run_soc_experiment_guarded(
+        &netlist,
+        &ExperimentOptions::paper_tables_1_2(),
+        &RunBudget::unlimited(),
+    )?
+    .into_complete()?;
     println!("\nper-core ATPG:");
     for m in &experiment.cores {
         println!(

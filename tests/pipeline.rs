@@ -1,14 +1,23 @@
 //! Integration: the full live pipeline across all crates.
 
 use modsoc::analysis::experiment::{
-    run_soc_experiment, run_soc_experiment_guarded, ExperimentOptions,
+    run_soc_experiment_guarded, run_soc_experiment_guarded_full, ExperimentOptions, SocExperiment,
 };
-use modsoc::analysis::RunBudget;
+use modsoc::analysis::{AnalysisError, RunBudget};
 use modsoc::atpg::fault::enumerate_faults;
 use modsoc::atpg::fault_sim::fault_coverage;
 use modsoc::atpg::{Atpg, AtpgOptions};
 use modsoc::circuitgen::soc::mini_soc;
-use modsoc::circuitgen::{generate, CoreProfile};
+use modsoc::circuitgen::{generate, CoreProfile, SocNetlist};
+use modsoc::metrics::NullSink;
+
+/// The guarded pipeline with an unlimited budget, failing on any outcome
+/// that is not complete.
+fn run_complete(netlist: &SocNetlist, options: &ExperimentOptions) -> SocExperiment {
+    run_soc_experiment_guarded(netlist, options, &RunBudget::unlimited())
+        .and_then(|c| c.into_complete())
+        .expect("experiment")
+}
 
 #[test]
 fn generate_atpg_verify_coverage_independently() {
@@ -41,8 +50,7 @@ fn generate_atpg_verify_coverage_independently() {
 #[test]
 fn mini_soc_experiment_reduction_and_identity() {
     let netlist = mini_soc(7).expect("builds");
-    let exp =
-        run_soc_experiment(&netlist, &ExperimentOptions::paper_tables_1_2()).expect("experiment");
+    let exp = run_complete(&netlist, &ExperimentOptions::paper_tables_1_2());
     let a = &exp.analysis;
     // Equation 6 balances exactly with the exact benefit.
     assert_eq!(
@@ -79,10 +87,8 @@ fn flattened_soc_equivalent_to_cores_on_function() {
 
 #[test]
 fn deterministic_across_runs() {
-    let a = run_soc_experiment(&mini_soc(9).expect("builds"), &ExperimentOptions::default())
-        .expect("experiment");
-    let b = run_soc_experiment(&mini_soc(9).expect("builds"), &ExperimentOptions::default())
-        .expect("experiment");
+    let a = run_complete(&mini_soc(9).expect("builds"), &ExperimentOptions::default());
+    let b = run_complete(&mini_soc(9).expect("builds"), &ExperimentOptions::default());
     assert_eq!(a.t_mono, b.t_mono);
     assert_eq!(a.analysis.modular().total(), b.analysis.modular().total());
 }
@@ -111,7 +117,18 @@ fn wrapped_core_tdv_matches_equation_4() {
 fn guarded_experiment_with_unlimited_budget_matches_plain() {
     let netlist = mini_soc(7).expect("builds");
     let options = ExperimentOptions::paper_tables_1_2();
-    let plain = run_soc_experiment(&netlist, &options).expect("plain");
+    // Plain, unbudgeted engine runs through the injection seam.
+    let engine = Atpg::new(options.atpg.clone());
+    let plain = run_soc_experiment_guarded_full(
+        &netlist,
+        &options,
+        &RunBudget::unlimited(),
+        &NullSink,
+        |_, circuit| engine.run(circuit).map_err(AnalysisError::from),
+        |flat| engine.run(flat).map_err(AnalysisError::from),
+    )
+    .and_then(|c| c.into_complete())
+    .expect("plain");
     let guarded =
         run_soc_experiment_guarded(&netlist, &options, &RunBudget::unlimited()).expect("guarded");
     assert!(guarded.is_complete(), "{:?}", guarded.per_core_outcomes);

@@ -146,26 +146,33 @@ proptest! {
     #[test]
     fn guarded_experiment_is_jobs_invariant(seed in 1u64..64, panic_mask in 0u8..4) {
         use modsoc::analysis::experiment::{
-            run_soc_experiment_guarded_with, ExperimentOptions,
+            run_soc_experiment_guarded_full, ExperimentOptions,
         };
         use modsoc::analysis::{AnalysisError, RunBudget};
         use modsoc::atpg::{Atpg, AtpgOptions};
         use modsoc::circuitgen::soc::mini_soc;
+        use modsoc::metrics::NullSink;
 
         let netlist = mini_soc(seed).expect("builds");
         let engine = Atpg::new(AtpgOptions::default());
         let run = |jobs: usize| {
             let options = ExperimentOptions::paper_tables_1_2().with_jobs(jobs);
-            run_soc_experiment_guarded_with(
+            run_soc_experiment_guarded_full(
                 &netlist,
                 &options,
                 &RunBudget::unlimited(),
+                &NullSink,
                 |i, circuit| {
                     if panic_mask & (1 << i) != 0 {
                         panic!("injected panic in core {i}");
                     }
                     engine
                         .run_budgeted(circuit, &RunBudget::unlimited())
+                        .map_err(AnalysisError::from)
+                },
+                |flat| {
+                    engine
+                        .run_budgeted(flat, &RunBudget::unlimited())
                         .map_err(AnalysisError::from)
                 },
             )

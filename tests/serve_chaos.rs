@@ -324,10 +324,14 @@ fn batching_composes_with_coalescing_and_stays_byte_identical() {
         ..ServeConfig::default()
     });
     let mut sequential: Vec<(u64, String)> = Vec::new();
+    let mut hot_runs = 0;
     for seed in std::iter::once(HOT).chain(DISTINCT) {
         let resp = post_experiment(&seq_addr, seed).expect("sequential run");
         assert_eq!(resp.status, 200, "{}", resp.body_text());
         sequential.push((seed, resp.body_text()));
+        if seed == HOT {
+            hot_runs = seq_store.writes();
+        }
     }
     seq_stop();
     let sequential_writes = seq_store.writes();
@@ -370,12 +374,24 @@ fn batching_composes_with_coalescing_and_stays_byte_identical() {
         sequential_writes,
         "batching/coalescing must not duplicate or skip engine work"
     );
-    // The K duplicates coalesced onto one flight.
-    assert_eq!(snap.counter(Counter::ServeCoalesceHits), K as u64 - 1);
-    // Every unique unit went through the batch path exactly once.
+    // The K duplicates cost one engine run. Each of the K-1 followers
+    // either coalesced onto the HOT flight or, arriving after that
+    // flight had finished, led a new flight answered wholly from the
+    // store. Thread timing picks between the two, so only the sum is
+    // pinned.
+    let late = store.hits() / hot_runs;
+    assert_eq!(
+        store.hits(),
+        late * hot_runs,
+        "a late duplicate hits every entry"
+    );
+    let coalesced = snap.counter(Counter::ServeCoalesceHits);
+    assert!(coalesced >= 1, "the stampede never coalesced");
+    assert_eq!(coalesced + late, K as u64 - 1);
+    // Every flight leader went through the batch path exactly once.
     assert_eq!(
         snap.counter(Counter::ServeBatchedUnits),
-        1 + DISTINCT.len() as u64
+        1 + DISTINCT.len() as u64 + late
     );
     assert!(snap.counter(Counter::ServeBatches) >= 1);
     // Byte identity: every response matches its sequential twin.

@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use modsoc::analysis::campaign::{run_campaign, CampaignSpec, UnitStatus};
-use modsoc::analysis::experiment::{run_soc_experiment, ExperimentOptions, SocExperiment};
+use modsoc::analysis::experiment::{run_soc_experiment_guarded, ExperimentOptions, SocExperiment};
 use modsoc::analysis::RunBudget;
 use modsoc::circuitgen::soc::mini_soc;
 use modsoc::circuitgen::SocNetlist;
@@ -75,7 +75,9 @@ fn assert_same_experiment(a: &SocExperiment, b: &SocExperiment) {
 fn warm_store(dir: &Path, netlist: &SocNetlist) -> (Arc<ResultStore>, SocExperiment) {
     let store = Arc::new(ResultStore::open(dir).expect("open store"));
     let options = ExperimentOptions::paper_tables_1_2().with_store(Arc::clone(&store));
-    let exp = run_soc_experiment(netlist, &options).expect("cold run");
+    let exp = run_soc_experiment_guarded(netlist, &options, &RunBudget::unlimited())
+        .and_then(|c| c.into_complete())
+        .expect("cold run");
     (store, exp)
 }
 
@@ -103,7 +105,9 @@ fn truncated_store_entries_are_evicted_and_recomputed() {
 
     // And the refreshed store serves hits again.
     let options = ExperimentOptions::paper_tables_1_2().with_store(Arc::clone(&store));
-    let warm = run_soc_experiment(&netlist, &options).expect("warm run");
+    let warm = run_soc_experiment_guarded(&netlist, &options, &RunBudget::unlimited())
+        .and_then(|c| c.into_complete())
+        .expect("warm run");
     assert_same_experiment(&baseline, &warm);
     assert_eq!(store.hits(), 3);
     let _ = std::fs::remove_dir_all(&dir);

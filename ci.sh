@@ -60,8 +60,11 @@ cargo build -q --release --bin modsoc
 ./target/release/modsoc --version
 ./target/release/modsoc index testdata/soc2.soc
 ./target/release/modsoc experiment soc2 --jobs 4 > "$workdir/soc2_smoke.txt"
-grep -q "monolithic ATPG" "$workdir/soc2_smoke.txt" \
-  || { echo "FAIL: experiment soc2 produced no monolithic summary"; exit 1; }
+# The whole summary line, numbers included: a drift in T_mono, the
+# largest core's count, coverage or Eq. 2 fails here, not just a lost line.
+grep -qxF "monolithic ATPG: T_mono = 686 (max core 410), coverage 100.00%, eq.2 strict: true" \
+  "$workdir/soc2_smoke.txt" \
+  || { echo "FAIL: experiment soc2 monolithic summary drifted"; grep "monolithic" "$workdir/soc2_smoke.txt"; exit 1; }
 ./target/release/modsoc analyze testdata/soc1.soc --exclude-chip-pins --measured-tmono 216 > "$workdir/soc1_smoke.txt"
 grep -q "45,183" "$workdir/soc1_smoke.txt" \
   || { echo "FAIL: soc1.soc analyze lost the Table 1 modular TDV (45,183)"; exit 1; }
@@ -88,6 +91,11 @@ echo "== metrics determinism gate (counters identical at --jobs 1 vs --jobs 4)"
 diff <(grep -vE '"(sched|jobs)": |_ms":|"store_' "$workdir/m1.json") \
      <(grep -vE '"(sched|jobs)": |_ms":|"store_' "$workdir/m4.json") \
   || { echo "FAIL: metrics counters diverge between --jobs 1 and --jobs 4"; exit 1; }
+# The same fields against a committed golden, so counter drift between
+# commits fails too (jobs-invariance alone cannot see it). Re-record the
+# golden only for a change that means to move the counters.
+diff testdata/metrics_mini.golden <(grep -vE '"(sched|jobs)": |_ms":|"store_' "$workdir/m1.json") \
+  || { echo "FAIL: experiment mini metrics drifted from testdata/metrics_mini.golden"; exit 1; }
 
 echo "== tam co-optimizer gate (smoke + --jobs determinism)"
 # The rectangle packer's contract: the full comparison table is a pure

@@ -195,6 +195,13 @@ impl RunBudget {
         self.check()
     }
 
+    /// Return `n` charged backtracks to the pool: the engine refunds
+    /// speculative searches whose outcome it discards, so the total
+    /// counts committed searches only.
+    pub(crate) fn refund_backtracks(&self, n: u64) {
+        self.backtracks_used.fetch_sub(n, Ordering::Relaxed);
+    }
+
     /// Check every limit given `patterns` generated so far.
     #[must_use]
     pub fn check_with_patterns(&self, patterns: usize) -> Option<ExhaustReason> {

@@ -60,6 +60,34 @@ pub struct PodemSearchStats {
     pub backtracks: u64,
 }
 
+impl std::ops::Sub for PodemSearchStats {
+    type Output = PodemSearchStats;
+
+    /// Field-wise difference: the effort between two snapshots of one
+    /// generator's counters.
+    fn sub(self, rhs: PodemSearchStats) -> PodemSearchStats {
+        PodemSearchStats {
+            calls: self.calls - rhs.calls,
+            tests: self.tests - rhs.tests,
+            redundant: self.redundant - rhs.redundant,
+            aborted: self.aborted - rhs.aborted,
+            decisions: self.decisions - rhs.decisions,
+            backtracks: self.backtracks - rhs.backtracks,
+        }
+    }
+}
+
+impl std::ops::AddAssign for PodemSearchStats {
+    fn add_assign(&mut self, rhs: PodemSearchStats) {
+        self.calls += rhs.calls;
+        self.tests += rhs.tests;
+        self.redundant += rhs.redundant;
+        self.aborted += rhs.aborted;
+        self.decisions += rhs.decisions;
+        self.backtracks += rhs.backtracks;
+    }
+}
+
 /// Outcome of a single-fault PODEM run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PodemOutcome {
@@ -200,6 +228,13 @@ impl<'a> Podem<'a> {
     #[must_use]
     pub fn search_stats(&self) -> PodemSearchStats {
         self.stats
+    }
+
+    /// Backtracks that one budgeted search with per-call effort `effort`
+    /// charged to its [`RunBudget`]: all of them except the one that
+    /// crosses the per-fault limit, which aborts before charging.
+    pub(crate) fn budget_charge(&self, effort: PodemSearchStats) -> u64 {
+        effort.backtracks.min(u64::from(self.backtrack_limit))
     }
 
     /// Generate a test for one stuck-at fault.
@@ -1172,6 +1207,23 @@ mod tests {
         c
     }
 
+    fn c17() -> Circuit {
+        modsoc_netlist::bench_format::parse_bench(
+            "c17",
+            "
+INPUT(g1)\nINPUT(g2)\nINPUT(g3)\nINPUT(g6)\nINPUT(g7)
+OUTPUT(g22)\nOUTPUT(g23)
+g10 = NAND(g1, g3)
+g11 = NAND(g3, g6)
+g16 = NAND(g2, g11)
+g19 = NAND(g11, g7)
+g22 = NAND(g10, g16)
+g23 = NAND(g16, g19)
+",
+        )
+        .unwrap()
+    }
+
     #[test]
     fn and_output_sa0_needs_11() {
         let c = and2();
@@ -1269,17 +1321,7 @@ mod tests {
     #[test]
     fn reconvergent_fanout_c17_all_testable() {
         // The classic c17: all 22 collapsed faults are testable.
-        let src = "
-INPUT(g1)\nINPUT(g2)\nINPUT(g3)\nINPUT(g6)\nINPUT(g7)
-OUTPUT(g22)\nOUTPUT(g23)
-g10 = NAND(g1, g3)
-g11 = NAND(g3, g6)
-g16 = NAND(g2, g11)
-g19 = NAND(g11, g7)
-g22 = NAND(g10, g16)
-g23 = NAND(g16, g19)
-";
-        let c = modsoc_netlist::bench_format::parse_bench("c17", src).unwrap();
+        let c = c17();
         let mut p = Podem::new(&c, 1000).unwrap();
         for f in crate::collapse::collapse_faults(&c).representatives() {
             let out = p.generate(*f).unwrap();
@@ -1404,19 +1446,63 @@ y = OR(t3, t2)
         }
     }
 
+    /// What one budgeted search returns and costs: its outcome, its
+    /// per-call effort, and the backtracks it charged to its budget.
+    fn searched(podem: &mut Podem<'_>, f: Fault) -> (PodemOutcome, PodemSearchStats, u64) {
+        let budget = RunBudget::unlimited();
+        let before = podem.search_stats();
+        let outcome = podem.generate_budgeted(f, Some(&budget)).unwrap();
+        (
+            outcome,
+            podem.search_stats() - before,
+            budget.backtracks_used(),
+        )
+    }
+
+    // The engine's windowed fault dropping searches targets it may never
+    // commit and relies on two facts checked here for every collapsed
+    // fault: a search depends only on its fault (not on the searches run
+    // before it on the same generator), and `budget_charge` is exactly
+    // what the search charged to its budget.
+    #[test]
+    fn search_is_a_pure_function_of_the_fault() {
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let c17 = c17();
+        let s953 =
+            modsoc_circuitgen::generate(&modsoc_circuitgen::profile::iscas::s953(3)).unwrap();
+        let s953 = s953.to_test_model().unwrap().circuit;
+        let mut aborted = 0;
+        for circuit in [&c17, &s953] {
+            let index = Arc::new(StructuralIndex::build(circuit).unwrap());
+            let faults = crate::collapse::collapse_faults(circuit)
+                .representatives()
+                .to_vec();
+            // A small limit keeps the Aborted path in play.
+            let limit = 6;
+            let fresh: Vec<_> = faults
+                .iter()
+                .map(|&f| {
+                    let mut podem = Podem::with_index(circuit, Arc::clone(&index), limit).unwrap();
+                    searched(&mut podem, f)
+                })
+                .collect();
+            let mut order: Vec<usize> = (0..faults.len()).collect();
+            order.shuffle(&mut rand::rngs::StdRng::seed_from_u64(953));
+            let mut used = Podem::with_index(circuit, Arc::clone(&index), limit).unwrap();
+            for &k in &order {
+                let again = searched(&mut used, faults[k]);
+                assert_eq!(again, fresh[k], "{}", faults[k].describe(circuit));
+                assert_eq!(used.budget_charge(again.1), again.2);
+                aborted += usize::from(again.0 == PodemOutcome::Aborted);
+            }
+        }
+        assert!(aborted > 0, "no search hit the backtrack limit");
+    }
+
     #[test]
     fn matches_oracle_on_c17_exhaustively() {
-        let src = "
-INPUT(g1)\nINPUT(g2)\nINPUT(g3)\nINPUT(g6)\nINPUT(g7)
-OUTPUT(g22)\nOUTPUT(g23)
-g10 = NAND(g1, g3)
-g11 = NAND(g3, g6)
-g16 = NAND(g2, g11)
-g19 = NAND(g11, g7)
-g22 = NAND(g10, g16)
-g23 = NAND(g16, g19)
-";
-        let c = modsoc_netlist::bench_format::parse_bench("c17", src).unwrap();
+        let c = c17();
         let mut p = Podem::new(&c, 1000).unwrap();
         let reference = oracle::ReferencePodem::new(&c, 1000).unwrap();
         for f in crate::fault::enumerate_faults(&c) {

@@ -65,6 +65,15 @@ cargo build -q --release --bin modsoc
 grep -qxF "monolithic ATPG: T_mono = 686 (max core 410), coverage 100.00%, eq.2 strict: true" \
   "$workdir/soc2_smoke.txt" \
   || { echo "FAIL: experiment soc2 monolithic summary drifted"; grep "monolithic" "$workdir/soc2_smoke.txt"; exit 1; }
+# The whole report and the deterministic metrics fields against committed
+# goldens: only SOC2 has runs above 512 patterns, so only it crosses a
+# fault-sim block boundary. Re-record them only for a change that means
+# to move the engine's output.
+diff testdata/experiment_soc2.golden "$workdir/soc2_smoke.txt" \
+  || { echo "FAIL: experiment soc2 report drifted from testdata/experiment_soc2.golden"; exit 1; }
+./target/release/modsoc experiment soc2 --jobs 1 --metrics "$workdir/m_soc2.json" > /dev/null
+diff testdata/metrics_soc2.golden <(grep -vE '"(sched|jobs)": |_ms":|"store_' "$workdir/m_soc2.json") \
+  || { echo "FAIL: experiment soc2 metrics drifted from testdata/metrics_soc2.golden"; exit 1; }
 ./target/release/modsoc analyze testdata/soc1.soc --exclude-chip-pins --measured-tmono 216 > "$workdir/soc1_smoke.txt"
 grep -q "45,183" "$workdir/soc1_smoke.txt" \
   || { echo "FAIL: soc1.soc analyze lost the Table 1 modular TDV (45,183)"; exit 1; }

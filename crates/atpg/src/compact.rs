@@ -9,12 +9,27 @@
 //!   that refuse to merge — exactly why monolithic pattern counts exceed
 //!   the per-cone maximum.
 //! * **Reverse-order fault simulation** ([`reverse_order_compaction`]):
-//!   re-simulates the final filled patterns from last to first and drops
-//!   any pattern that detects no fault that later-kept patterns miss.
+//!   scans the final filled patterns from last to first and drops any
+//!   pattern that detects no fault the later-kept patterns miss.
+//!
+//! The reverse scan needs no detection matrix. Pattern `p` is kept
+//! exactly when it is the *last* pattern detecting some fault `f`:
+//!
+//! * If `p = last(f)`, no later pattern detects `f`, so `f` is still
+//!   uncovered when the scan reaches `p`, and `p` is kept.
+//! * If `p` is kept for an uncovered `f` but `q = last(f) > p`, then `q`
+//!   was scanned first, kept, and covered `f` — a contradiction.
+//!
+//! So the kept set is the set of distinct last detectors, one
+//! [`FaultSimulator::last_detectors`] sweep. It covers every fault any
+//! pattern detects, and since fills are content-keyed
+//! ([`TestSet::fill_all`]) a kept pattern ships with the fill it was
+//! simulated with: the faults the kept set detects are exactly those
+//! with a last detector. The engine reads its final accounting off the
+//! same sweep.
 
-use std::sync::Arc;
-
-use modsoc_netlist::{Circuit, StructuralIndex};
+use modsoc_metrics::NullSink;
+use modsoc_netlist::Circuit;
 
 use crate::error::AtpgError;
 use crate::fault::Fault;
@@ -53,7 +68,9 @@ pub fn merge_compatible(cubes: &TestSet) -> TestSet {
 /// `faults` is the target list; patterns are filled with `fill` before
 /// simulation (the same strategy the engine uses for its final pattern
 /// set, so what is measured is what ships). Returns the retained set, in
-/// original relative order.
+/// original relative order: the last detector of every detected fault
+/// (see the [module docs](self) for why that is the reverse scan's
+/// result). An empty pattern or fault list comes back unchanged.
 ///
 /// # Errors
 ///
@@ -67,54 +84,29 @@ pub fn reverse_order_compaction(
     if patterns.is_empty() || faults.is_empty() {
         return Ok(patterns.clone());
     }
-    reverse_order_compaction_indexed(
-        circuit,
-        &Arc::new(StructuralIndex::build(circuit)?),
-        patterns,
+    let last = FaultSimulator::new(circuit)?.last_detectors(
+        &patterns.fill_all(fill),
         faults,
-        fill,
-    )
+        1,
+        &NullSink,
+    )?;
+    Ok(keep_last_detectors(patterns, &last))
 }
 
-/// [`reverse_order_compaction`] against a prebuilt shared
-/// [`StructuralIndex`], so the engine's per-run index feeds the
-/// compaction simulator instead of rebuilding the fanout adjacency.
-///
-/// # Errors
-///
-/// Propagates fault-simulator construction and width errors.
-pub fn reverse_order_compaction_indexed(
-    circuit: &Circuit,
-    index: &Arc<StructuralIndex>,
-    patterns: &TestSet,
-    faults: &[Fault],
-    fill: FillStrategy,
-) -> Result<TestSet, AtpgError> {
-    if patterns.is_empty() || faults.is_empty() {
-        return Ok(patterns.clone());
+/// The patterns reverse-order compaction keeps, given each fault's last
+/// detector ([`FaultSimulator::last_detectors`] over `patterns`): the
+/// distinct last detectors, in original order. An empty `last` (no
+/// faults) keeps every pattern.
+pub(crate) fn keep_last_detectors(patterns: &TestSet, last: &[Option<u32>]) -> TestSet {
+    if last.is_empty() {
+        return patterns.clone();
     }
-    let filled = patterns.fill_all(fill);
-    let mut fsim = FaultSimulator::with_index(circuit, Arc::clone(index))?;
-
-    // Detection matrix: per pattern, which fault indices it detects.
-    let mut detects: Vec<Vec<u32>> = vec![Vec::new(); patterns.len()];
-    fsim.for_each_detection(&filled, faults, |fi, p| detects[p].push(fi as u32))?;
-
-    let mut covered = vec![false; faults.len()];
-    let mut keep: Vec<usize> = Vec::new();
-    for i in (0..patterns.len()).rev() {
-        let new = detects[i].iter().any(|&f| !covered[f as usize]);
-        if new {
-            for &f in &detects[i] {
-                covered[f as usize] = true;
-            }
-            keep.push(i);
-        }
-    }
+    let mut keep: Vec<usize> = last.iter().flatten().map(|&p| p as usize).collect();
     keep.sort_unstable();
-    let mut out = patterns.clone();
-    out.retain_indices(&keep);
-    Ok(out)
+    keep.dedup();
+    let mut out = TestSet::new(patterns.width());
+    out.extend(keep.into_iter().map(|p| patterns.cubes()[p].clone()));
+    out
 }
 
 /// Conflict statistics of a cube set — the §3 mechanism made

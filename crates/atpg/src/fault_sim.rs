@@ -13,9 +13,9 @@
 //! - **[`SimBlock`]** (`[u64; 8]`) — 512 patterns per pass, written so
 //!   the autovectorizer lifts the lane loops to 256/512-bit SIMD. The
 //!   bulk sweeps ([`FaultSimulator::detected`],
-//!   [`FaultSimulator::detection_counts`], [`fault_coverage`],
-//!   compaction/diagnosis matrices, TDF/BIST coverage) run on this
-//!   width.
+//!   [`FaultSimulator::detection_counts`], [`fault_coverage`], the
+//!   compaction sweep, the diagnosis matrix, TDF/BIST coverage) run on
+//!   this width.
 //!
 //! Values are node-major (struct-of-arrays): each node's whole block is
 //! contiguous, so wide gate evaluation streams cache lines. The two bulk
@@ -79,7 +79,7 @@ pub fn active_mask(n: usize) -> u64 {
 /// shift special case still has exactly one home. Every
 /// `chunks(BLOCK_BITS)` tail in the blocked sweeps must come through
 /// here — this is the tail-mask contract shared with the
-/// diagnosis/TDF/compaction matrices.
+/// diagnosis/TDF matrices and the compaction sweep.
 #[must_use]
 pub fn block_active_mask(n: usize) -> SimBlock {
     let mut mask = [0u64; BLOCK_WORDS];
@@ -498,8 +498,8 @@ impl<'a> FaultSimulator<'a> {
 
     /// Call `hit(fault, pattern)` for every pair of indices where
     /// `patterns[pattern]` detects `faults[fault]`, in block, fault,
-    /// pattern order: the full detection matrix behind reverse
-    /// compaction and diagnosis, swept on the wide kernel.
+    /// pattern order: the full detection matrix behind diagnosis, swept
+    /// on the wide kernel.
     ///
     /// # Errors
     ///
@@ -563,6 +563,47 @@ impl<'a> FaultSimulator<'a> {
                 }
             }
             Ok(detected)
+        })
+    }
+
+    /// Each fault's *last detector*: `last[i]` is the index of the last
+    /// pattern that detects `faults[i]`, or `None` when no pattern does.
+    /// This is reverse-order compaction's primitive: the kept set is
+    /// exactly the distinct last detectors, and the faults it detects are
+    /// exactly those with one (see [`crate::compact`]).
+    ///
+    /// Blocked and sharded like [`FaultSimulator::detected`], but the
+    /// blocks are walked from last to first, and a fault is dropped at
+    /// its first nonzero block mask, recording the block's base plus its
+    /// highest set slot. The work is about one `detected` sweep, the
+    /// memory one slot per fault, and the result is identical at any
+    /// `jobs`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates pattern width errors.
+    pub(crate) fn last_detectors(
+        &mut self,
+        patterns: &[Vec<bool>],
+        faults: &[Fault],
+        jobs: usize,
+        sink: &dyn MetricsSink,
+    ) -> Result<Vec<Option<u32>>, AtpgError> {
+        let blocks = good_block_sweep(self, patterns)?;
+        run_sharded(self, faults, jobs, sink, |fsim, shard| {
+            let mut last = vec![None; shard.len()];
+            for (blk, (good, active)) in blocks.iter().enumerate().rev() {
+                for (l, &f) in last.iter_mut().zip(shard) {
+                    if l.is_none() {
+                        let mask = fsim.block_detection_mask(good, active, f);
+                        *l = highest_slot(&mask).map(|slot| {
+                            u32::try_from(blk * BLOCK_BITS + slot)
+                                .expect("pattern index fits in u32")
+                        });
+                    }
+                }
+            }
+            Ok(last)
         })
     }
 
@@ -681,6 +722,13 @@ fn run_sharded<'a, T: Send>(
         out.extend(r?);
     }
     Ok(out)
+}
+
+/// The highest set slot of a block mask (`64w + bit`), or `None` when
+/// the mask is zero.
+fn highest_slot(mask: &SimBlock) -> Option<usize> {
+    let w = mask.iter().rposition(|&word| word != 0)?;
+    Some(w * 64 + 63 - mask[w].leading_zeros() as usize)
 }
 
 /// Good-value blocks for a whole pattern set: one `(node-major blocks,

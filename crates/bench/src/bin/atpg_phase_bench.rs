@@ -100,8 +100,9 @@ fn measure(profile: &CoreProfile) -> Result<PhaseRow, Box<dyn std::error::Error>
     // Fault-sim sweep: per-fault n-detect counts of the engine's final
     // filled patterns over every collapsed representative — the
     // full-matrix workload (no fault dropping) behind
-    // `AtpgResult::n_detect_counts` and the compaction/diagnosis
-    // matrices, where the narrow path must re-propagate every fault once
+    // `AtpgResult::n_detect_counts` and the diagnosis matrix (reverse
+    // compaction is a dropping last-detector sweep, and no longer one of
+    // these), where the narrow path must re-propagate every fault once
     // per 64-pattern chunk. Measured once on the wide blocked kernel and
     // once on the narrow reference; the counts must agree exactly, so
     // the bench doubles as a differential oracle on real-sized profiles.

@@ -3,11 +3,12 @@
 use modsoc::analysis::experiment::{
     run_soc_experiment_guarded, run_soc_experiment_guarded_full, ExperimentOptions, SocExperiment,
 };
+use modsoc::analysis::report::{render_core_table, render_outcome_table};
 use modsoc::analysis::{AnalysisError, RunBudget};
 use modsoc::atpg::fault::enumerate_faults;
 use modsoc::atpg::fault_sim::fault_coverage;
 use modsoc::atpg::{Atpg, AtpgOptions};
-use modsoc::circuitgen::soc::mini_soc;
+use modsoc::circuitgen::soc::{mini_soc, soc1};
 use modsoc::circuitgen::{generate, CoreProfile, SocNetlist};
 use modsoc::metrics::NullSink;
 
@@ -61,6 +62,42 @@ fn mini_soc_experiment_reduction_and_identity() {
     assert!(a.t_mono() >= exp.soc.max_core_patterns());
     // Modular wins on this workload.
     assert!(a.reduction_ratio() > 1.0);
+}
+
+#[test]
+fn soc1_live_run_reproduces_the_paper_claims() {
+    // The paper's claims on a live SOC1 run, not on published data:
+    // per-core and monolithic pattern counts, Eq. 2 strict, full
+    // monolithic coverage, and modular TDV beating monolithic TDV, with
+    // reports byte-identical at any job count.
+    let netlist = soc1(1).expect("builds");
+    let mut reports = Vec::new();
+    for jobs in [1, 2] {
+        let options = ExperimentOptions::paper_tables_1_2().with_jobs(jobs);
+        let completion =
+            run_soc_experiment_guarded(&netlist, &options, &RunBudget::unlimited()).expect("runs");
+        assert!(completion.is_complete(), "jobs={jobs}");
+        let exp = &completion.result;
+        let per_core: Vec<u64> = exp.cores.iter().map(|c| c.patterns).collect();
+        assert_eq!(per_core, [45, 77, 52, 54, 49], "jobs={jobs}");
+        assert_eq!(exp.t_mono, 139, "jobs={jobs}");
+        assert!(exp.eq2_strict, "jobs={jobs}");
+        assert_eq!(exp.mono_coverage, 1.0, "jobs={jobs}");
+        let a = &exp.analysis;
+        assert_eq!(a.modular().total(), 38_465, "jobs={jobs}");
+        assert_eq!(a.monolithic().total(), 83_539, "jobs={jobs}");
+        assert!(a.modular().total() < a.monolithic().total());
+        assert!(a.reduction_ratio() > 1.0, "jobs={jobs}");
+        reports.push(format!(
+            "{}\n{}",
+            render_core_table(&exp.soc, a),
+            render_outcome_table(&completion.per_core_outcomes)
+        ));
+    }
+    assert_eq!(
+        reports[0], reports[1],
+        "report differs between jobs 1 and 2"
+    );
 }
 
 #[test]

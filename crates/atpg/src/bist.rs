@@ -20,7 +20,6 @@ use crate::fault_sim::{block_active_mask, FaultSimulator, SimBlock, BLOCK_BITS};
 /// polynomial (e.g. `x^16 + x^14 + x^13 + x^11 + 1` is
 /// `Lfsr::new(16, &[16, 14, 13, 11], seed)`).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Lfsr {
     width: u32,
     tap_mask: u64,
@@ -89,7 +88,6 @@ impl Lfsr {
 /// A multiple-input signature register: compacts per-pattern responses
 /// into one signature word.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Misr {
     width: u32,
     tap_mask: u64,

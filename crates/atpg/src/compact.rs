@@ -114,7 +114,6 @@ pub(crate) fn keep_last_detectors(patterns: &TestSet, last: &[Option<u32>]) -> T
 /// count is wedged between a clique-based lower bound and the greedy
 /// merge result.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConflictStats {
     /// Number of cubes analysed.
     pub cubes: usize,

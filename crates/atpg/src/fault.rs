@@ -12,7 +12,6 @@ use modsoc_netlist::{Circuit, GateKind, NodeId, StructuralIndex};
 
 /// Where a fault sits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FaultSite {
     /// On the output stem of a node (gate, input, or pseudo-input).
     Stem(NodeId),
@@ -39,7 +38,6 @@ impl FaultSite {
 
 /// A single stuck-at fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Fault {
     /// The faulted line.
     pub site: FaultSite,
@@ -100,7 +98,6 @@ impl fmt::Display for Fault {
 
 /// Lifecycle state of a fault during an ATPG run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FaultStatus {
     /// Not yet targeted or detected.
     #[default]

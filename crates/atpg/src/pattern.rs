@@ -13,7 +13,6 @@ use rand::{Rng, SeedableRng};
 
 /// One bit of a test cube.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Bit {
     /// Specified 0.
     Zero,
@@ -75,7 +74,6 @@ impl fmt::Display for Bit {
 
 /// How to fill don't-care bits when a fully-specified pattern is needed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FillStrategy {
     /// Fill X with 0 (minimum-transition style).
     Zeros,
@@ -97,7 +95,6 @@ impl Default for FillStrategy {
 
 /// A test cube: one 0/1/X assignment per circuit input.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TestCube {
     bits: Vec<Bit>,
 }
@@ -274,7 +271,6 @@ impl FromIterator<Bit> for TestCube {
 
 /// An ordered set of test cubes of equal width.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TestSet {
     width: usize,
     cubes: Vec<TestCube>,

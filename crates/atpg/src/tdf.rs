@@ -29,7 +29,6 @@ use crate::podem::{Podem, PodemOutcome};
 
 /// A transition-delay fault on a test-model line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TransitionFault {
     /// The faulted node in the (single-frame) test model.
     pub site: NodeId,
@@ -225,7 +224,6 @@ impl TdfResult {
 
 /// Which launch scheme to generate transition tests for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum LaunchScheme {
     /// Launch-on-capture: frame 2 is the functional image of frame 1.
     #[default]

@@ -8,7 +8,6 @@ use modsoc_netlist::GateKind;
 
 /// Five-valued logic value: 0, 1, X (unassigned), D (1/0), D̄ (0/1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum V5 {
     /// Logic 0 in both circuits.
     Zero,

@@ -25,7 +25,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use modsoc_core::reconstruct::reconstruct_table4;
+use modsoc_core::reconstruct::table4_socs;
 use modsoc_metrics::json::{self, JsonValue};
 use modsoc_soc::itc02;
 use modsoc_soc::Soc;
@@ -58,14 +58,8 @@ fn soc_list() -> Result<Vec<(String, Soc)>, Box<dyn std::error::Error>> {
         ("soc1".to_string(), itc02::soc1()),
         ("soc2".to_string(), itc02::soc2()),
     ];
-    for row in itc02::table4() {
-        let soc = if row.name == "p34392" {
-            itc02::p34392()
-        } else {
-            reconstruct_table4(row).map_err(|e| format!("reconstructing {}: {e}", row.name))?
-        };
-        socs.push((row.name.to_string(), soc));
-    }
+    let table4 = table4_socs().map_err(|e| format!("reconstructing Table 4: {e}"))?;
+    socs.extend(table4.into_iter().map(|soc| (soc.name().to_string(), soc)));
     Ok(socs)
 }
 

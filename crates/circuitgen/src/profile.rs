@@ -3,7 +3,6 @@
 /// A generation profile: the interface is exact, the internal cone
 /// structure is statistical (driven by the seed).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CoreProfile {
     /// Circuit name.
     pub name: String,

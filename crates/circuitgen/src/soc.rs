@@ -14,7 +14,6 @@ use crate::profile::{iscas, CoreProfile};
 
 /// What drives one core input port (or one chip output).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PortSource {
     /// Driven by chip-level primary input `index`.
     ChipInput(usize),

@@ -11,7 +11,6 @@ use crate::tdv::{
 
 /// One per-core line of the analysis (a row of Tables 1–3).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CoreTdvRow {
     /// Which core.
     pub id: CoreId,
@@ -51,7 +50,6 @@ pub struct CoreTdvRow {
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SocTdvAnalysis {
     soc_name: String,
     options: TdvOptions,

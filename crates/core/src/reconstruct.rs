@@ -19,13 +19,12 @@
 //! std-dev correlation, the g12710/a586710 extremes — then reproduces
 //! the paper's shape by construction.
 
-use modsoc_soc::itc02::Table4Row;
+use modsoc_soc::itc02::{p34392, table4, Table4Row};
 use modsoc_soc::stats::SampleStats;
 use modsoc_soc::{CoreSpec, Soc, SocError};
 
 /// Aggregates to reconstruct a SOC from.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ReconstructionTargets {
     /// SOC name.
     pub name: String,
@@ -255,6 +254,26 @@ fn divisors_near(v: u64, t0: u64) -> Vec<u64> {
 /// ```
 pub fn reconstruct_table4(row: &Table4Row) -> Result<Soc, SocError> {
     reconstruct(&ReconstructionTargets::from(row))
+}
+
+/// The ten SOCs of the paper's Table 4, in table order: p34392 from its
+/// exact per-core data (Table 3), the other nine reconstructed with
+/// [`reconstruct_table4`]. Each SOC is named after its table row.
+///
+/// # Errors
+///
+/// Propagates a reconstruction failure.
+pub fn table4_socs() -> Result<Vec<Soc>, SocError> {
+    table4()
+        .iter()
+        .map(|row| {
+            if row.name == "p34392" {
+                Ok(p34392())
+            } else {
+                reconstruct_table4(row)
+            }
+        })
+        .collect()
 }
 
 /// Fit the relative pattern profile `r_i = e^(−α·i/N)` (so `r_0 = 1`) by

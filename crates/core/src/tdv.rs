@@ -15,7 +15,6 @@ use modsoc_soc::{CoreId, Soc};
 /// exclude them — chip pins are ATE-accessible and need no wrapper
 /// cells there. Both conventions are legitimate; pick per analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ChipPinPolicy {
     /// Count chip pins in the top-level core's `ISOCOST` (Equation 5
     /// verbatim; matches Table 3).
@@ -28,7 +27,6 @@ pub enum ChipPinPolicy {
 
 /// Options shared by every TDV computation.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TdvOptions {
     /// Chip-pin handling for top-level cores.
     pub chip_pin_policy: ChipPinPolicy,
@@ -82,7 +80,6 @@ impl TdvOptions {
 
 /// A test data volume split into stimulus and response bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TdvVolume {
     /// Bits shifted/driven into the design.
     pub stimulus: u64,

@@ -1,6 +1,6 @@
 //! Minimal hand-rolled JSON reader/writer.
 //!
-//! The workspace has no serde_json (vendored-only policy), but the
+//! The workspace has no JSON crate (vendored-only policy), but the
 //! metrics layer needs to *emit* run reports and *parse* checked-in
 //! bench baselines. This module covers exactly that: objects (with
 //! **preserved key order**, so reports serialize with a stable field

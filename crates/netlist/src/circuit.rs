@@ -11,7 +11,6 @@ use crate::gate::GateKind;
 /// Node ids are dense indices assigned in creation order; they are only
 /// meaningful relative to the circuit that created them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(pub(crate) u32);
 
 impl NodeId {
@@ -39,7 +38,6 @@ impl fmt::Display for NodeId {
 
 /// Direction of a port on a circuit treated as a module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PortDirection {
     /// Primary input.
     Input,
@@ -49,7 +47,6 @@ pub enum PortDirection {
 
 /// One node of the circuit graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Node {
     /// Gate kind.
     pub kind: GateKind,
@@ -68,14 +65,12 @@ pub struct Node {
 /// Primary outputs are *references* to driver nodes: a node can be both an
 /// internal net and a primary output, exactly as in `.bench` files.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Circuit {
     name: String,
     nodes: Vec<Node>,
     inputs: Vec<NodeId>,
     outputs: Vec<NodeId>,
     dffs: Vec<NodeId>,
-    #[cfg_attr(feature = "serde", serde(skip))]
     by_name: HashMap<String, NodeId>,
 }
 
@@ -437,18 +432,6 @@ impl Circuit {
     #[must_use]
     pub fn is_combinational(&self) -> bool {
         self.dffs.is_empty()
-    }
-
-    /// Rebuild the name index. Needed after deserializing a circuit with
-    /// the `serde` feature, since the index is skipped during
-    /// serialization.
-    pub fn rebuild_name_index(&mut self) {
-        self.by_name = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.name.clone(), NodeId::from_index(i)))
-            .collect();
     }
 }
 

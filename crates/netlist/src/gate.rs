@@ -14,7 +14,6 @@ use crate::wide::PackedWord;
 /// [`crate::scan`]) its output behaves as a controllable pseudo primary
 /// input and its data input as an observable pseudo primary output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum GateKind {
     /// Primary input (no fanin).
     Input,

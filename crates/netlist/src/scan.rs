@@ -17,7 +17,6 @@ use crate::error::NetlistError;
 
 /// Where a test-model input or output comes from in the original circuit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TestPoint {
     /// A real chip-level primary input or output.
     Primary(NodeId),

@@ -22,7 +22,6 @@ use crate::gate::GateKind;
 /// `k` of the shifted-in vector lands in element `k` after exactly
 /// `len` shift cycles — see [`ScanSimulator::apply_pattern`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ScanChains {
     chains: Vec<Vec<NodeId>>,
 }

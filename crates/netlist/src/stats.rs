@@ -6,7 +6,6 @@ use crate::gate::GateKind;
 
 /// Summary statistics of a circuit.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CircuitStats {
     /// Circuit name.
     pub name: String,

@@ -5,7 +5,6 @@ use std::fmt;
 /// Identifier of a core within a [`crate::Soc`], assigned in insertion
 /// order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CoreId(pub(crate) u32);
 
 impl CoreId {
@@ -32,7 +31,6 @@ impl fmt::Display for CoreId {
 /// The test-relevant description of one core: exactly the parameters the
 /// paper's Equations 1–8 consume.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CoreSpec {
     /// Core name (unique within its SOC).
     pub name: String,

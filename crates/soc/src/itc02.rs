@@ -151,7 +151,6 @@ pub const P34392_TDV_MODULAR: u64 = 28_538_030;
 
 /// One row of the paper's Table 4.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Table4Row {
     /// ITC'02 SOC name.
     pub name: &'static str,

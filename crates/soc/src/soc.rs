@@ -12,7 +12,6 @@ use crate::error::SocError;
 /// `children` list references existing [`CoreId`]s). Cores not embedded
 /// anywhere are *top-level*; their terminals are the chip pins.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Soc {
     name: String,
     cores: Vec<CoreSpec>,

@@ -11,7 +11,6 @@ use crate::soc::Soc;
 
 /// Summary statistics of a sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SampleStats {
     /// Number of observations.
     pub n: usize,

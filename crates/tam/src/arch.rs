@@ -16,7 +16,6 @@ use crate::wrapper::{design_wrapper, WrapperCore};
 
 /// Which TAM architecture to evaluate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TamArchitecture {
     /// All cores on one full-width TAM, tested sequentially.
     Multiplexing,
@@ -29,7 +28,6 @@ pub enum TamArchitecture {
 
 /// Per-core outcome of an SOC-level TAM evaluation.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CoreTamAssignment {
     /// Core name.
     pub name: String,
@@ -41,7 +39,6 @@ pub struct CoreTamAssignment {
 
 /// SOC-level TAM evaluation result.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TamEvaluation {
     /// The architecture evaluated.
     pub architecture: TamArchitecture,

@@ -52,7 +52,6 @@ use crate::wrapper::{design_wrapper, WrapperCore};
 /// One Pareto-optimal wrapper configuration of a core: a rectangle of
 /// `width` TAM wires by `time` cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RectCandidate {
     /// Wrapper chain count / TAM wires consumed.
     pub width: usize,
@@ -62,7 +61,6 @@ pub struct RectCandidate {
 
 /// The Pareto rectangle set of one core.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CoreRectangles {
     /// Index of the core in the input slice (the deterministic
     /// tie-break key).
@@ -105,7 +103,6 @@ pub fn pareto_candidates(core: &WrapperCore, max_width: usize) -> Vec<RectCandid
 /// One packed rectangle: a core's chosen wrapper configuration mapped to
 /// a start time and a concrete set of TAM wires.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Placement {
     /// Index of the core in the input slice.
     pub core: usize,
@@ -126,7 +123,6 @@ pub struct Placement {
 
 /// A complete packed SOC test schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PackedSchedule {
     /// Total TAM width budget of the strip.
     pub width: usize,

@@ -13,7 +13,6 @@ use crate::wrapper::WrapperCore;
 
 /// One point of a width sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SweepPoint {
     /// TAM width.
     pub width: usize,
@@ -23,7 +22,6 @@ pub struct SweepPoint {
 
 /// The sweep of one architecture over a width range.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WidthSweep {
     /// The architecture swept (`None` = flexible rectangles).
     pub architecture: Option<TamArchitecture>,
@@ -113,7 +111,6 @@ pub fn sweep_rectangles(cores: &[WrapperCore], max_width: usize) -> Result<Width
 
 /// The best configuration found across all architectures at one width.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BestConfiguration {
     /// Winning architecture (`None` = flexible rectangles).
     pub architecture: Option<TamArchitecture>,

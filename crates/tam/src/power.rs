@@ -13,7 +13,6 @@ use crate::wrapper::{design_wrapper, WrapperCore};
 /// A core plus its test power rating (arbitrary consistent units, e.g.
 /// milliwatts of scan switching power).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PowerCore {
     /// The wrapper-design view of the core.
     pub core: WrapperCore,

@@ -6,7 +6,6 @@ use crate::wrapper::{design_wrapper, WrapperCore};
 
 /// One scheduled core test.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ScheduleEntry {
     /// Core name.
     pub name: String,
@@ -20,7 +19,6 @@ pub struct ScheduleEntry {
 
 /// A complete SOC test schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Schedule {
     /// Scheduled core tests, by start time.
     pub entries: Vec<ScheduleEntry>,

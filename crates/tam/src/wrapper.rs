@@ -12,7 +12,6 @@ use modsoc_soc::CoreSpec;
 /// The wrapper-design view of a core: terminal counts plus internal scan
 /// chain lengths.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WrapperCore {
     /// Core name.
     pub name: String,
@@ -85,7 +84,6 @@ impl WrapperCore {
 
 /// One wrapper chain of a design.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WrapperChain {
     /// Indices of the internal scan chains assigned here.
     pub scan_chain_indices: Vec<usize>,
@@ -115,7 +113,6 @@ impl WrapperChain {
 
 /// A wrapper design: the core's cells distributed over `w` chains.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WrapperDesign {
     chains: Vec<WrapperChain>,
     patterns: u64,

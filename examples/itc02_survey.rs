@@ -4,24 +4,18 @@
 //!
 //! Run with: `cargo run --example itc02_survey`
 
-use modsoc::analysis::reconstruct::reconstruct_table4;
+use modsoc::analysis::reconstruct::table4_socs;
 use modsoc::analysis::report::render_survey;
 use modsoc::analysis::{SocTdvAnalysis, TdvOptions};
-use modsoc::soc::itc02::{p34392, table4};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let opts = TdvOptions::tables_3_4();
-    let mut analyses = Vec::new();
-    for row in table4() {
-        // p34392's per-core data is published (Table 3); the other nine
-        // are reconstructed from the paper's aggregates.
-        let soc = if row.name == "p34392" {
-            p34392()
-        } else {
-            reconstruct_table4(row)?
-        };
-        analyses.push(SocTdvAnalysis::compute(&soc, &opts)?);
-    }
+    // p34392's per-core data is published (Table 3); the other nine are
+    // reconstructed from the paper's aggregates.
+    let analyses = table4_socs()?
+        .iter()
+        .map(|soc| SocTdvAnalysis::compute(soc, &opts))
+        .collect::<Result<Vec<_>, _>>()?;
     println!("{}", render_survey(&analyses));
 
     // The paper's two extremes, explained by the data itself:

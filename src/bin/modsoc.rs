@@ -18,7 +18,7 @@
 //! modsoc generate --inputs N --outputs N --scan N [--seed S] [--bench-out FILE] [--verilog-out FILE]
 //! modsoc cones <file.bench>
 //! modsoc tdf <file.bench> [--timeout-ms N] [--max-backtracks N]
-//! modsoc demo <soc1|soc2|p34392|table4>
+//! modsoc demo <MODE>         (MODE: one of modsoc::demo::MODES)
 //! modsoc tam [SOC] [--width N] [--chains N] [--power-ceiling P] [--jobs N] [--json FILE] [--metrics FILE]
 //! ```
 //!
@@ -54,7 +54,6 @@ use modsoc::analysis::metrics::{
 use modsoc::analysis::remote::HttpBackend;
 use modsoc::analysis::report::{
     fmt_u64, render_analyze_report, render_core_table, render_metrics_table, render_outcome_table,
-    render_survey,
 };
 use modsoc::analysis::runctl::analyze_soc_guarded_jobs_metered;
 use modsoc::analysis::serve::{http_request, HttpClient, HttpResponse, ServeConfig, Server};
@@ -88,6 +87,7 @@ fn main() -> ExitCode {
             eprintln!("error: {message}");
             eprintln!();
             eprintln!("{USAGE}");
+            eprintln!("demo MODE: {}", modsoc::demo::mode_list());
             ExitCode::FAILURE
         }
     }
@@ -121,7 +121,7 @@ const USAGE: &str = "usage:
   modsoc cones <file.bench>
   modsoc index <file.bench|file.soc>
   modsoc tdf <file.bench> [--timeout-ms N] [--max-backtracks N]
-  modsoc demo <soc1|soc2|p34392|table4>
+  modsoc demo <MODE>
   modsoc tam [SOC] [--width N] [--chains N] [--power-ceiling P] [--jobs N] [--json FILE]
              [--metrics FILE]
 
@@ -1646,54 +1646,9 @@ fn cmd_tdf(args: &[String]) -> Result<RunStatus, String> {
 
 fn cmd_demo(args: &[String]) -> Result<RunStatus, String> {
     check_flags(args, &[], &[])?;
-    match positional(args) {
-        Some("soc1") => {
-            let soc = itc02::soc1();
-            let a = SocTdvAnalysis::compute_with_measured_tmono(
-                &soc,
-                &TdvOptions::tables_1_2(),
-                itc02::SOC1_MEASURED_TMONO,
-            )
-            .map_err(|e| e.to_string())?;
-            println!("{}", render_core_table(&soc, &a));
-        }
-        Some("soc2") => {
-            let soc = itc02::soc2();
-            let a = SocTdvAnalysis::compute_with_measured_tmono(
-                &soc,
-                &TdvOptions::tables_1_2(),
-                itc02::SOC2_MEASURED_TMONO,
-            )
-            .map_err(|e| e.to_string())?;
-            println!("{}", render_core_table(&soc, &a));
-        }
-        Some("p34392") => {
-            let soc = itc02::p34392();
-            let a = SocTdvAnalysis::compute(&soc, &TdvOptions::tables_3_4())
-                .map_err(|e| e.to_string())?;
-            println!("{}", render_core_table(&soc, &a));
-            println!("modular TDV: {}", fmt_u64(a.modular().total()));
-        }
-        Some("table4") => {
-            let opts = TdvOptions::tables_3_4();
-            let mut analyses = Vec::new();
-            for row in itc02::table4() {
-                let soc = if row.name == "p34392" {
-                    itc02::p34392()
-                } else {
-                    modsoc::analysis::reconstruct::reconstruct_table4(row)
-                        .map_err(|e| e.to_string())?
-                };
-                analyses.push(SocTdvAnalysis::compute(&soc, &opts).map_err(|e| e.to_string())?);
-            }
-            println!("{}", render_survey(&analyses));
-        }
-        other => {
-            return Err(format!(
-                "demo needs one of soc1|soc2|p34392|table4, got {other:?}"
-            ))
-        }
-    }
+    let text =
+        modsoc::demo::run(positional(args).unwrap_or_default()).map_err(|e| e.to_string())?;
+    print!("{text}");
     Ok(RunStatus::Complete)
 }
 
@@ -1730,15 +1685,9 @@ fn tam_soc_list(only: Option<&str>) -> Result<Vec<(String, modsoc::soc::Soc)>, S
         ("soc1".to_string(), itc02::soc1()),
         ("soc2".to_string(), itc02::soc2()),
     ];
-    for row in itc02::table4() {
-        let soc = if row.name == "p34392" {
-            itc02::p34392()
-        } else {
-            modsoc::analysis::reconstruct::reconstruct_table4(row)
-                .map_err(|e| format!("reconstructing {}: {e}", row.name))?
-        };
-        socs.push((row.name.to_string(), soc));
-    }
+    let table4 = modsoc::analysis::reconstruct::table4_socs()
+        .map_err(|e| format!("reconstructing Table 4: {e}"))?;
+    socs.extend(table4.into_iter().map(|soc| (soc.name().to_string(), soc)));
     match only {
         None => Ok(socs),
         Some(name) => {

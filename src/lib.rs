@@ -22,6 +22,9 @@
 //! * [`store`] — content-addressed on-disk result store and campaign
 //!   journals (`--store`, `modsoc campaign`).
 //!
+//! [`demo`] regenerates every table and figure of the paper as report
+//! text; it backs `modsoc demo <mode>`.
+//!
 //! # Quickstart
 //!
 //! Compute the paper's Figure 1/2 worked example (three cones, 25%
@@ -44,6 +47,8 @@
 //! ```
 
 #![forbid(unsafe_code)]
+
+pub mod demo;
 
 pub use modsoc_atpg as atpg;
 pub use modsoc_circuitgen as circuitgen;

@@ -34,6 +34,18 @@ fn demo_soc1_prints_paper_numbers() {
 }
 
 #[test]
+fn demo_unknown_mode_exits_1_and_lists_every_mode() {
+    let out = modsoc(&["demo", "table5"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    let first = err.lines().next().unwrap_or_default();
+    assert!(first.contains("\"table5\""), "{err}");
+    for (mode, _) in modsoc::demo::MODES {
+        assert!(first.contains(mode), "{mode} missing from {first:?}");
+    }
+}
+
+#[test]
 fn demo_table4_prints_all_socs() {
     let out = modsoc(&["demo", "table4"]);
     assert!(out.status.success());

@@ -1,10 +1,15 @@
 //! Integration: every published table regenerates through the facade.
 
-use modsoc::analysis::reconstruct::reconstruct_table4;
+use modsoc::analysis::reconstruct::table4_socs;
 use modsoc::analysis::report::render_survey;
 use modsoc::analysis::{SocTdvAnalysis, TdvOptions};
+use modsoc::demo;
 use modsoc::soc::itc02;
 use modsoc::soc::stats::pattern_count_stats;
+
+fn demo_text(mode: &str) -> String {
+    demo::run(mode).unwrap_or_else(|e| panic!("demo {mode}: {e}"))
+}
 
 #[test]
 fn table1_soc1_headline() {
@@ -49,13 +54,9 @@ fn table3_p34392_bit_exact() {
 #[test]
 fn table4_all_rows_within_tolerance() {
     let opts = TdvOptions::tables_3_4();
-    for row in itc02::table4() {
-        let soc = if row.name == "p34392" {
-            itc02::p34392()
-        } else {
-            reconstruct_table4(row).expect("reconstruction")
-        };
-        let a = SocTdvAnalysis::compute(&soc, &opts).expect("analysis");
+    let socs = table4_socs().expect("reconstruction");
+    for (soc, row) in socs.iter().zip(itc02::table4()) {
+        let a = SocTdvAnalysis::compute(soc, &opts).expect("analysis");
         let mono = a.monolithic_optimistic().total();
         assert!(
             (mono as f64 - row.tdv_opt_mono as f64).abs() / (row.tdv_opt_mono as f64) < 1e-3,
@@ -74,12 +75,7 @@ fn table4_all_rows_within_tolerance() {
 fn table4_correlation_negative() {
     let opts = TdvOptions::tables_3_4();
     let mut pairs = Vec::new();
-    for row in itc02::table4() {
-        let soc = if row.name == "p34392" {
-            itc02::p34392()
-        } else {
-            reconstruct_table4(row).expect("reconstruction")
-        };
+    for soc in table4_socs().expect("reconstruction") {
         let a = SocTdvAnalysis::compute(&soc, &opts).expect("analysis");
         pairs.push((
             pattern_count_stats(&soc).normalized_stdev(),
@@ -101,16 +97,10 @@ fn table4_correlation_negative() {
 #[test]
 fn survey_renders_all_ten() {
     let opts = TdvOptions::tables_3_4();
-    let analyses: Vec<_> = itc02::table4()
+    let analyses: Vec<_> = table4_socs()
+        .expect("reconstruction")
         .iter()
-        .map(|row| {
-            let soc = if row.name == "p34392" {
-                itc02::p34392()
-            } else {
-                reconstruct_table4(row).expect("reconstruction")
-            };
-            SocTdvAnalysis::compute(&soc, &opts).expect("analysis")
-        })
+        .map(|soc| SocTdvAnalysis::compute(soc, &opts).expect("analysis"))
         .collect();
     let text = render_survey(&analyses);
     for row in itc02::table4() {
@@ -129,4 +119,60 @@ fn figure_1_2_worked_example() {
     let a = SocTdvAnalysis::compute(&soc, &TdvOptions::default()).expect("analysis");
     assert_eq!(a.monolithic_optimistic().stimulus, 20_000);
     assert_eq!(a.modular().stimulus, 15_000);
+}
+
+#[test]
+fn demo_soc1_and_soc2_print_the_published_summaries() {
+    let text = demo_text("soc1");
+    assert!(text.contains("45,183"), "{text}");
+    assert!(text.contains("129,816"));
+    assert!(text.contains(
+        "paper's own summary: ratio 2.87, pessimistic 1.13, pessimism 2.5x; \
+         ours from its data: 2.87 / 1.13 / 2.5x"
+    ));
+    let text = demo_text("soc2");
+    assert!(text.contains("1,344,585"), "{text}");
+    assert!(text.contains("2,986,200"));
+    assert!(text.contains(
+        "paper's own summary: ratio 2.22, pessimistic 1.06, pessimism 2.1x; \
+         ours from its data: 2.22 / 1.06 / 2.1x"
+    ));
+}
+
+#[test]
+fn demo_p34392_is_bit_exact() {
+    let text = demo_text("p34392");
+    assert!(text.contains("28,538,030"), "{text}");
+    assert!(text.contains("bit-exact match: yes"));
+    assert!(text.contains("522,738,000"));
+    assert!(text.contains("Table 4 cross-check"));
+}
+
+#[test]
+fn demo_table4_covers_all_socs_and_the_correlation() {
+    let text = demo_text("table4");
+    for row in itc02::table4() {
+        assert!(text.contains(row.name), "{} missing", row.name);
+    }
+    assert!(text.contains("correlation"));
+    // The two extremes keep their signs.
+    assert!(text.contains("+38.6%"), "{text}");
+    assert!(text.contains("-99.3%"));
+}
+
+#[test]
+fn demo_fig1_reproduces_the_worked_example() {
+    let text = demo_text("fig1");
+    assert!(text.contains("monolithic stimulus bits: 20000"), "{text}");
+    assert!(text.contains("modular stimulus bits:    15000"));
+    assert!(text.contains("25.0%"));
+}
+
+#[test]
+fn demo_ablation_reports_all_sweeps() {
+    let text = demo_text("ablation");
+    for section in ["Ablation 1", "Ablation 2", "Ablation 3", "Ablation 4"] {
+        assert!(text.contains(section), "{section} missing: {text}");
+    }
+    assert!(text.contains("crossover observed: true"));
 }

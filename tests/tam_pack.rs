@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 
-use modsoc::analysis::reconstruct::reconstruct_table4;
+use modsoc::analysis::reconstruct::table4_socs;
 use modsoc::circuitgen::profile::iscas;
 use modsoc::soc::itc02;
 use modsoc::tam::arch::{soc_test_time, TamArchitecture};
@@ -179,14 +179,8 @@ fn itc02_socs() -> Vec<(String, modsoc::soc::Soc)> {
         ("soc1".to_string(), itc02::soc1()),
         ("soc2".to_string(), itc02::soc2()),
     ];
-    for row in itc02::table4() {
-        let soc = if row.name == "p34392" {
-            itc02::p34392()
-        } else {
-            reconstruct_table4(row).expect("table 4 reconstructs")
-        };
-        socs.push((row.name.to_string(), soc));
-    }
+    let table4 = table4_socs().expect("table 4 reconstructs");
+    socs.extend(table4.into_iter().map(|soc| (soc.name().to_string(), soc)));
     socs
 }
 

@@ -1,40 +1,8 @@
 //! The `modsoc` command-line tool.
 //!
-//! ```text
-//! modsoc analyze <file.soc> [--measured-tmono N] [--exclude-chip-pins] [--reuse F] [--keep-going]
-//!                           [--jobs N] [--metrics FILE]
-//! modsoc experiment <mini|soc1|soc2> [--seed S] [--jobs N] [--fail-fast] [--skip-monolithic]
-//!                                    [--timeout-ms N] [--max-patterns N] [--max-backtracks N]
-//!                                    [--metrics FILE] [--store DIR] [--no-store-read]
-//! modsoc campaign <spec.json> (--store DIR | --store-url URL) [--jobs N] [--keep-going]
-//!                             [--no-store-read] [--owner NAME] [--claim-lease-ms N]
-//!                             [--claim-wait-ms N] [--timeout-ms N] [--max-patterns N]
-//!                             [--max-backtracks N]
-//! modsoc store <gc|verify> <DIR> [--max-bytes N]
-//! modsoc serve [--addr HOST:PORT] [--workers N] [--queue N] [--store DIR] [...]
-//! modsoc loadgen --addr HOST:PORT [--requests N] [--concurrency N] [--flood N] [...]
-//! modsoc atpg <file.bench> [--dynamic] [--timeout-ms N] [--max-patterns N] [--max-backtracks N]
-//!                          [--patterns-out FILE] [--verilog-out FILE]
-//! modsoc generate --inputs N --outputs N --scan N [--seed S] [--bench-out FILE] [--verilog-out FILE]
-//! modsoc cones <file.bench>
-//! modsoc tdf <file.bench> [--timeout-ms N] [--max-backtracks N]
-//! modsoc demo <MODE>         (MODE: one of modsoc::demo::MODES)
-//! modsoc tam [SOC] [--width N] [--chains N] [--power-ceiling P] [--jobs N] [--json FILE] [--metrics FILE]
-//! ```
-//!
-//! `--jobs N` fans independent per-core work across `N` pool workers
-//! (`0` = all hardware threads); reports are identical at any value.
-//! `--metrics FILE` writes a structured JSON run report (phase timings,
-//! engine counters, per-core breakdown); every field except wall times,
-//! `jobs` and the `sched` objects is identical at any `--jobs` value.
-//! `--store DIR` caches every engine result content-addressed on disk:
-//! a warm run fetches instead of recomputing (the report stays
-//! byte-identical) and `modsoc campaign` journals per-unit completion
-//! there, so an interrupted campaign resumes where it stopped.
-//! `--no-store-read` skips lookups and recomputes (refreshing entries).
-//!
-//! Exit codes: `0` complete, `2` partial result on a tripped run budget
-//! or a degraded (`--keep-going`) analysis, `1` error.
+//! `usage()` below is the one description of the subcommands, their
+//! flags, the `--jobs`/`--metrics`/`--store` conventions and the exit
+//! codes; the tool prints it after every argument error.
 //!
 //! Arguments are deliberately hand-parsed — the workspace's dependency
 //! policy keeps the tree to the approved offline crates.
@@ -86,14 +54,17 @@ fn main() -> ExitCode {
         Err(message) => {
             eprintln!("error: {message}");
             eprintln!();
-            eprintln!("{USAGE}");
-            eprintln!("demo MODE: {}", modsoc::demo::mode_list());
+            eprintln!("{}", usage());
             ExitCode::FAILURE
         }
     }
 }
 
-const USAGE: &str = "usage:
+/// The usage text: every subcommand with its flags, the demo modes
+/// included.
+fn usage() -> String {
+    format!(
+        "usage:
   modsoc analyze <file.soc> [--measured-tmono N] [--exclude-chip-pins] [--reuse F] [--keep-going]
                             [--jobs N] [--metrics FILE]
   modsoc experiment <mini|soc1|soc2> [--seed S] [--jobs N] [--fail-fast] [--skip-monolithic]
@@ -112,16 +83,15 @@ const USAGE: &str = "usage:
                [--batch-max N] [--batch-window-ms N] [--lane-weights L:H]
                [--store DIR] [--no-store-read]
   modsoc loadgen --addr HOST:PORT [--requests N] [--concurrency N] [--seed S]
-                 [--keep-alive] [--bodies-out FILE] [--json FILE] [--check FILE]
-                 [--label NAME] [--tolerance F]
-                 [--flood N] [--analyze-file FILE.soc] [--shutdown] [--dump-metrics]
+                 [--keep-alive] [--bodies-out FILE] [--flood N] [--analyze-file FILE.soc]
+                 [--shutdown] [--dump-metrics]
   modsoc atpg <file.bench> [--dynamic] [--timeout-ms N] [--max-patterns N] [--max-backtracks N]
                            [--patterns-out FILE] [--verilog-out FILE]
   modsoc generate --inputs N --outputs N --scan N [--seed S] [--bench-out FILE] [--verilog-out FILE]
   modsoc cones <file.bench>
   modsoc index <file.bench|file.soc>
-  modsoc tdf <file.bench> [--timeout-ms N] [--max-backtracks N]
-  modsoc demo <MODE>
+  modsoc tdf <file.bench> [--timeout-ms N] [--max-backtracks N] [--patterns-out FILE]
+  modsoc demo <{demo_modes}>
   modsoc tam [SOC] [--width N] [--chains N] [--power-ceiling P] [--jobs N] [--json FILE]
              [--metrics FILE]
 
@@ -138,7 +108,10 @@ the daemon so each unit's engine work runs exactly once.
 modsoc store gc/verify sweep a local store directory: gc evicts
 least-recently-used objects until the store fits --max-bytes, verify
 reports corrupt entries (exit 1 when any are found).
-exit codes: 0 complete, 2 partial (budget tripped / degraded cores), 1 error";
+exit codes: 0 complete, 2 partial (budget tripped / degraded cores), 1 error",
+        demo_modes = modsoc::demo::mode_list()
+    )
+}
 
 fn run(args: &[String]) -> Result<RunStatus, String> {
     match args.first().map(String::as_str) {
@@ -851,10 +824,6 @@ fn cmd_loadgen(args: &[String]) -> Result<RunStatus, String> {
             "--flood",
             "--analyze-file",
             "--bodies-out",
-            "--json",
-            "--label",
-            "--check",
-            "--tolerance",
         ],
     )?;
     let addr = flag_value(args, "--addr")
@@ -1075,43 +1044,6 @@ fn cmd_loadgen(args: &[String]) -> Result<RunStatus, String> {
         }
         std::fs::write(path, lines).map_err(|e| format!("writing {path}: {e}"))?;
     }
-    let req_per_s = outcomes.len() as f64 / wall.max(1e-9);
-    let label =
-        flag_value(args, "--label").unwrap_or(if keep_alive { "keepalive" } else { "baseline" });
-    if let Some(path) = flag_value(args, "--json") {
-        write_serve_bench(
-            path,
-            label,
-            requests,
-            concurrency,
-            seed,
-            req_per_s,
-            p50,
-            p99,
-            analyze_p99,
-        )?;
-        println!("bench: wrote entry \"{label}\" to {path}");
-    }
-    let mut gate_failures = Vec::new();
-    if let Some(path) = flag_value(args, "--check") {
-        let tolerance: f64 = match flag_value(args, "--tolerance") {
-            Some(t) => t.parse().map_err(|e| format!("--tolerance {t}: {e}"))?,
-            None => 0.5,
-        };
-        gate_failures =
-            check_serve_bench(path, label, tolerance, req_per_s, p50, p99, analyze_p99)?;
-        println!(
-            "bench gate vs \"{label}\" in {path} (tolerance {tolerance}): {}",
-            if gate_failures.is_empty() {
-                "PASS"
-            } else {
-                "FAIL"
-            }
-        );
-        for f in &gate_failures {
-            println!("  {f}");
-        }
-    }
     // Invariants behind the corruption check:
     //  * every identical "hot" request answered 200 with identical
     //    bytes (one engine result fanned out, never a torn mix);
@@ -1144,125 +1076,7 @@ fn cmd_loadgen(args: &[String]) -> Result<RunStatus, String> {
              oversized 413: {oversized_ok}, sheds tagged: {sheds_tagged}, no io errors: {no_io_errors})"
         ));
     }
-    if !gate_failures.is_empty() {
-        return Err(format!(
-            "serve bench gate failed: {}",
-            gate_failures.join("; ")
-        ));
-    }
     Ok(RunStatus::Complete)
-}
-
-/// Write (or update) one labelled entry in a `BENCH_serve.json`
-/// baseline. Entries under other labels are preserved so the baseline
-/// can hold the keep-alive and close-per-request numbers side by side.
-#[allow(clippy::too_many_arguments)]
-fn write_serve_bench(
-    path: &str,
-    label: &str,
-    requests: usize,
-    concurrency: usize,
-    seed: u64,
-    req_per_s: f64,
-    p50_ms: f64,
-    p99_ms: f64,
-    analyze_p99_ms: f64,
-) -> Result<(), String> {
-    use modsoc::metrics::json::JsonValue;
-    let round = |v: f64| (v * 1000.0).round() / 1000.0;
-    let mut entries: Vec<(String, JsonValue)> = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| modsoc::metrics::json::parse(&text).ok())
-        .and_then(|doc| match doc.get("entries") {
-            Some(JsonValue::Object(pairs)) => Some(pairs.clone()),
-            _ => None,
-        })
-        .unwrap_or_default();
-    let entry = JsonValue::Object(vec![
-        ("req_per_s".to_string(), JsonValue::Number(round(req_per_s))),
-        ("p50_ms".to_string(), JsonValue::Number(round(p50_ms))),
-        ("p99_ms".to_string(), JsonValue::Number(round(p99_ms))),
-        (
-            "analyze_p99_ms".to_string(),
-            JsonValue::Number(round(analyze_p99_ms)),
-        ),
-    ]);
-    match entries.iter_mut().find(|(k, _)| k == label) {
-        Some((_, v)) => *v = entry,
-        None => entries.push((label.to_string(), entry)),
-    }
-    let doc = JsonValue::Object(vec![
-        (
-            "schema".to_string(),
-            JsonValue::String("modsoc-serve-bench/v1".to_string()),
-        ),
-        (
-            "workload".to_string(),
-            JsonValue::Object(vec![
-                ("requests".to_string(), JsonValue::Number(requests as f64)),
-                (
-                    "concurrency".to_string(),
-                    JsonValue::Number(concurrency as f64),
-                ),
-                ("seed".to_string(), JsonValue::Number(seed as f64)),
-            ]),
-        ),
-        ("entries".to_string(), JsonValue::Object(entries)),
-    ]);
-    let mut text = doc.to_compact();
-    text.push('\n');
-    std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))
-}
-
-/// Compare a run against the labelled `BENCH_serve.json` entry.
-/// Throughput may regress at most `tolerance` (fractional); latency
-/// percentiles may exceed baseline by `tolerance` plus a small absolute
-/// slack that keeps millisecond-scale baselines from tripping on
-/// scheduler noise. Returns human-readable failures (empty = pass).
-fn check_serve_bench(
-    path: &str,
-    label: &str,
-    tolerance: f64,
-    req_per_s: f64,
-    p50_ms: f64,
-    p99_ms: f64,
-    analyze_p99_ms: f64,
-) -> Result<Vec<String>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let doc = modsoc::metrics::json::parse(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-    let entry = doc
-        .get("entries")
-        .and_then(|e| e.get(label))
-        .ok_or_else(|| format!("{path} has no entry labelled \"{label}\""))?;
-    let base = |field: &str| -> Result<f64, String> {
-        entry
-            .get(field)
-            .and_then(modsoc::metrics::json::JsonValue::as_f64)
-            .ok_or_else(|| format!("{path} entry \"{label}\" lacks numeric {field}"))
-    };
-    let mut failures = Vec::new();
-    let base_rps = base("req_per_s")?;
-    if req_per_s < base_rps * (1.0 - tolerance) {
-        failures.push(format!(
-            "req/s {req_per_s:.1} fell below baseline {base_rps:.1} - {:.0}%",
-            tolerance * 100.0
-        ));
-    }
-    for (name, now, slack_ms) in [
-        ("p50_ms", p50_ms, 5.0),
-        ("p99_ms", p99_ms, 25.0),
-        ("analyze_p99_ms", analyze_p99_ms, 25.0),
-    ] {
-        let baseline = base(name)?;
-        let cap = baseline * (1.0 + tolerance) + slack_ms;
-        if now > cap {
-            failures.push(format!(
-                "{name} {now:.1} exceeded baseline {baseline:.1} + {:.0}% + {slack_ms}ms slack",
-                tolerance * 100.0
-            ));
-        }
-    }
-    Ok(failures)
 }
 
 /// Run a resumable campaign of SOC experiments from a JSON spec,

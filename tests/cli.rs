@@ -25,6 +25,19 @@ fn unknown_subcommand_rejected() {
 }
 
 #[test]
+fn loadgen_has_no_bench_mode() {
+    // Serving performance is measured by the benchmark, not by loadgen:
+    // its former bench flags are plain unknown flags, rejected before any
+    // connection is made.
+    for flag in ["--json", "--label", "--check", "--tolerance"] {
+        let out = modsoc(&["loadgen", "--addr", "127.0.0.1:9", flag, "x"]);
+        assert_eq!(out.status.code(), Some(1), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
+    }
+}
+
+#[test]
 fn demo_soc1_prints_paper_numbers() {
     let out = modsoc(&["demo", "soc1"]);
     assert!(out.status.success());
@@ -40,8 +53,16 @@ fn demo_unknown_mode_exits_1_and_lists_every_mode() {
     let err = String::from_utf8_lossy(&out.stderr);
     let first = err.lines().next().unwrap_or_default();
     assert!(first.contains("\"table5\""), "{err}");
+    let usage_line = err
+        .lines()
+        .find(|l| l.trim_start().starts_with("modsoc demo "))
+        .unwrap_or_default();
     for (mode, _) in modsoc::demo::MODES {
         assert!(first.contains(mode), "{mode} missing from {first:?}");
+        assert!(
+            usage_line.contains(mode),
+            "{mode} missing from {usage_line:?}"
+        );
     }
 }
 

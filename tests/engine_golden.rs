@@ -123,3 +123,43 @@ fn engine_output_matches_golden() {
         assert_eq!(got, want);
     }
 }
+
+/// Pattern count and collapsed-fault count of one ISCAS'89 lookalike
+/// (seed 1) under the default options: the per-core quantities the
+/// paper's Tables 1–2 are built on.
+fn assert_iscas_profile(
+    profile: &modsoc::circuitgen::CoreProfile,
+    patterns: usize,
+    collapsed: usize,
+) {
+    let circuit = modsoc::circuitgen::generate(profile).expect("profile generates");
+    let result = Atpg::new(AtpgOptions::default())
+        .run(&circuit)
+        .expect("atpg runs");
+    assert_eq!(
+        (result.pattern_count(), result.stats.collapsed_faults),
+        (patterns, collapsed),
+        "{} (patterns, collapsed faults)",
+        profile.name
+    );
+}
+
+#[test]
+fn s713_profile_pattern_count() {
+    assert_iscas_profile(&modsoc::circuitgen::profile::iscas::s713(1), 42, 488);
+}
+
+#[test]
+fn s1423_profile_pattern_count() {
+    assert_iscas_profile(&modsoc::circuitgen::profile::iscas::s1423(1), 59, 757);
+}
+
+#[test]
+fn s13207_profile_pattern_count() {
+    assert_iscas_profile(&modsoc::circuitgen::profile::iscas::s13207(1), 360, 43_354);
+}
+
+#[test]
+fn s15850_profile_pattern_count() {
+    assert_iscas_profile(&modsoc::circuitgen::profile::iscas::s15850(1), 415, 36_316);
+}

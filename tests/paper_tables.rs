@@ -176,3 +176,14 @@ fn demo_ablation_reports_all_sweeps() {
     }
     assert!(text.contains("crossover observed: true"));
 }
+
+#[test]
+fn demo_atspeed_quotes_the_measured_stuck_at_ratio() {
+    // The stuck-at figure is `modsoc experiment soc1`'s reduction ratio,
+    // computed on the same netlist and options, not a quoted constant.
+    let text = demo_text("atspeed");
+    assert!(
+        text.contains("(stuck-at version of this experiment: 2.17)"),
+        "{text}"
+    );
+}

@@ -195,6 +195,9 @@ pub trait StoreBackend: fmt::Debug + Send + Sync {
     fn claim(&self, req: &ClaimRequest<'_>) -> Result<ClaimOutcome, StoreError>;
 }
 
+/// The file whose presence marks a directory as a store.
+const MANIFEST: &str = "manifest.json";
+
 /// The original directory-backed transport. Layout (byte-compatible
 /// with pre-trait stores; `claims/` is created on open and simply
 /// empty for stores that predate it):
@@ -233,7 +236,7 @@ impl LocalBackend {
         ] {
             fs::create_dir_all(&sub).map_err(|e| io_err(&sub, e))?;
         }
-        let manifest = backend.root.join("manifest.json");
+        let manifest = backend.root.join(MANIFEST);
         let mut reset_evictions = 0;
         if !backend.manifest_is_current(&manifest) {
             if manifest.exists() {
@@ -253,6 +256,14 @@ impl LocalBackend {
             atomic_write(&manifest, &doc.to_compact())?;
         }
         Ok((backend, reset_evictions))
+    }
+
+    /// Whether `dir` holds a directory store (a manifest, current or
+    /// not). Unlike [`LocalBackend::open`], this creates nothing, so
+    /// sweeps over an existing store can refuse a mistyped path.
+    #[must_use]
+    pub fn exists_at(dir: &Path) -> bool {
+        dir.join(MANIFEST).is_file()
     }
 
     fn objects_dir(&self) -> PathBuf {

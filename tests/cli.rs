@@ -735,3 +735,79 @@ fn analyze_keep_going_output_is_jobs_invariant() {
     assert_eq!(run("1"), run("4"));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn analyze_keep_going_honours_measured_tmono() {
+    let out = modsoc(&[
+        "analyze",
+        "testdata/soc1.soc",
+        "--exclude-chip-pins",
+        "--measured-tmono",
+        "216",
+        "--keep-going",
+    ]);
+    assert_eq!(out.status.code(), Some(0));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("129,816"), "{text}");
+    assert!(text.contains("reduction ratio = 2.87"), "{text}");
+}
+
+#[test]
+fn stray_positionals_and_repeated_flags_are_errors() {
+    for (args, message) in [
+        (
+            &["analyze", "a.soc", "b.soc"][..],
+            "unexpected argument `b.soc`",
+        ),
+        (
+            &["experiment", "mini", "soc2"][..],
+            "unexpected argument `soc2`",
+        ),
+        (
+            &["experiment", "mini", "--jobs", "2", "--jobs", "4"][..],
+            "--jobs given twice",
+        ),
+    ] {
+        let out = modsoc(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(message), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn store_sweeps_refuse_a_directory_without_a_store() {
+    let dir = std::env::temp_dir().join(format!("modsoc_cli_nostore_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let missing = dir.join("typo");
+    let missing = missing.to_str().expect("utf8 path");
+    for args in [
+        &["store", "verify", missing][..],
+        &["store", "gc", missing, "--max-bytes", "1"][..],
+    ] {
+        let out = modsoc(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("no store at"));
+        assert!(!dir.exists(), "{args:?} created {}", dir.display());
+    }
+    // An existing directory that holds no store stays untouched too.
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let out = modsoc(&["store", "verify", dir.to_str().expect("utf8 path")]);
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(std::fs::read_dir(&dir).expect("readable").count(), 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn closed_stdout_pipe_does_not_panic() {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_modsoc"))
+        .args(["index", "testdata/soc2.soc"])
+        .stdout(writer)
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}

@@ -252,10 +252,11 @@ gates() {
   wait "$serve3_pid" \
     || { echo "FAIL: keep-alive daemon did not exit 0 after POST /shutdown"; exit 1; }
 
-  echo "== distributed campaign gate (two workers, one daemon, kill + resume)"
-  # The remote-store contract: concurrent `campaign --store-url` workers
-  # over one spec partition the units via claims (each unit's engine work
-  # runs exactly once — store write-count parity with a single local run),
+  echo "== distributed campaign gate (two local workers; two workers, one daemon, kill + resume)"
+  # The claim contract: concurrent `campaign` workers over one spec and
+  # one store (`--store DIR` or `--store-url`) partition the units via
+  # claims (each unit's engine work runs exactly once — store write-count
+  # parity with a single local run),
   # a worker killed mid-run loses nothing (its lease expires and peers or
   # a rerun take over), and the merged journal + store sweep clean.
   printf '%s' '{"schema":1,"name":"dist","units":[{"name":"d1","soc":"mini","seed":31},{"name":"d2","soc":"mini","seed":37},{"name":"d3","soc":"mini","seed":41},{"name":"d4","soc":"mini","seed":43}]}' > "$workdir/dist.json"
@@ -266,6 +267,24 @@ gates() {
   base_writes="$(sed -n 's/.*misses, \([0-9]*\) writes.*/\1/p' "$workdir/dist_base_err.txt")"
   [ -n "$base_writes" ] && [ "$base_writes" -gt 0 ] \
     || { echo "FAIL: baseline campaign reported no store writes"; cat "$workdir/dist_base_err.txt"; exit 1; }
+
+  # Two local workers racing over one fresh store directory claim units
+  # through it the same way: between them they write exactly what the
+  # single run wrote.
+  for owner in r1 r2; do
+    ./target/release/modsoc campaign "$workdir/dist.json" --store "$workdir/dist_race" \
+      --owner "$owner" > "$workdir/dist_$owner.txt" 2> "$workdir/dist_${owner}_err.txt" &
+    pids+=("$!")
+  done
+  wait "${pids[-2]}" && wait "${pids[-1]}" \
+    || { echo "FAIL: a local racing worker did not complete"; cat "$workdir"/dist_r?.txt; exit 1; }
+  race_writes=0
+  for owner in r1 r2; do
+    w="$(sed -n 's/.*misses, \([0-9]*\) writes.*/\1/p' "$workdir/dist_${owner}_err.txt")"
+    race_writes=$((race_writes + w))
+  done
+  [ "$race_writes" = "$base_writes" ] \
+    || { echo "FAIL: two local workers wrote $race_writes entries, one run writes $base_writes: duplicated work"; exit 1; }
 
   dist_store="$workdir/dist_store"
   ./target/release/modsoc serve --addr 127.0.0.1:0 --workers 2 --store "$dist_store" \

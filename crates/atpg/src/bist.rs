@@ -258,34 +258,13 @@ pub struct HybridOutcome {
 /// still scales with the per-core pattern counts that drive Equations
 /// 1–8.
 ///
+/// The whole flow is timed into `sink` as one `bist` phase, with the
+/// applied-BIST and top-up pattern counts on the BIST counters.
+///
 /// # Errors
 ///
 /// Propagates fault-simulation and test-generation errors.
 pub fn run_hybrid(
-    circuit: &Circuit,
-    lfsr: Lfsr,
-    bist_patterns: usize,
-    backtrack_limit: u32,
-) -> Result<HybridOutcome, AtpgError> {
-    run_hybrid_metered(
-        circuit,
-        lfsr,
-        bist_patterns,
-        backtrack_limit,
-        &modsoc_metrics::NullSink,
-    )
-}
-
-/// [`run_hybrid`] reporting into a
-/// [`MetricsSink`](modsoc_metrics::MetricsSink): the whole flow is timed
-/// as one `bist` phase, with the applied-BIST and top-up pattern counts
-/// on the BIST counters. Results are identical to the unmetered entry
-/// point.
-///
-/// # Errors
-///
-/// Propagates fault-simulation and test-generation errors.
-pub fn run_hybrid_metered(
     circuit: &Circuit,
     lfsr: Lfsr,
     bist_patterns: usize,
@@ -299,9 +278,10 @@ pub fn run_hybrid_metered(
     let timer = PhaseTimer::start(sink, Phase::Bist);
 
     let sindex = std::sync::Arc::new(modsoc_netlist::StructuralIndex::build(circuit)?);
-    let reps = crate::collapse::collapse_faults_with(circuit, &sindex)
-        .representatives()
-        .to_vec();
+    let reps =
+        crate::collapse::collapse_faults_metered(circuit, &sindex, &modsoc_metrics::NullSink)
+            .representatives()
+            .to_vec();
     let width = circuit.input_count();
     let bist = evaluate_bist(circuit, &reps, lfsr.clone(), bist_patterns)?;
 
@@ -465,7 +445,7 @@ g23 = NAND(g16, g19)
                 assert_eq!(wide.ramp.len(), count.div_ceil(64));
 
                 let sink = RecordingSink::new();
-                run_hybrid_metered(&circuit, Lfsr::standard(5), count, 200, &sink).unwrap();
+                run_hybrid(&circuit, Lfsr::standard(5), count, 200, &sink).unwrap();
                 let full_at = narrow.ramp.iter().position(|&c| c == 1.0);
                 let want = full_at.map_or(count, |k| count.min(64 * (k + 2)));
                 assert_eq!(
@@ -578,7 +558,8 @@ z = XOR(t1, t2)
         let full_det = crate::engine::Atpg::new(crate::engine::AtpgOptions::deterministic_only())
             .run(&c)
             .unwrap();
-        let hybrid = run_hybrid(&c, Lfsr::standard(3), 128, 200).unwrap();
+        let hybrid =
+            run_hybrid(&c, Lfsr::standard(3), 128, 200, &modsoc_metrics::NullSink).unwrap();
         assert!(
             (hybrid.coverage - full_det.fault_coverage()).abs() < 1e-9,
             "hybrid {} vs det {}",
@@ -596,7 +577,7 @@ z = XOR(t1, t2)
     #[test]
     fn hybrid_with_zero_bist_equals_pure_deterministic_coverage() {
         let c = c17();
-        let hybrid = run_hybrid(&c, Lfsr::standard(1), 0, 200).unwrap();
+        let hybrid = run_hybrid(&c, Lfsr::standard(1), 0, 200, &modsoc_metrics::NullSink).unwrap();
         assert!((hybrid.coverage - 1.0).abs() < 1e-12);
         assert!(!hybrid.top_up.is_empty());
         assert_eq!(hybrid.bist.patterns, 0);

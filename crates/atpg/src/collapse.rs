@@ -72,21 +72,15 @@ impl CollapsedFaults {
 pub fn collapse_faults(circuit: &Circuit) -> CollapsedFaults {
     let index = StructuralIndex::build(circuit)
         .expect("fault collapsing requires an indexable (acyclic) circuit");
-    collapse_faults_with(circuit, &index)
+    collapse_faults_metered(circuit, &index, &NullSink)
 }
 
-/// [`collapse_faults`] against a prebuilt [`StructuralIndex`]; the engine
-/// threads its per-run index through here so the fanout adjacency is
-/// computed exactly once per circuit.
-#[must_use]
-pub fn collapse_faults_with(circuit: &Circuit, sidx: &StructuralIndex) -> CollapsedFaults {
-    collapse_faults_metered(circuit, sidx, &NullSink)
-}
-
-/// [`collapse_faults_with`] reporting into a [`MetricsSink`]: enumeration
-/// and collapsing are timed as separate phases, and the universe/class
-/// sizes land on the [`Counter::FaultsUniverse`] /
-/// [`Counter::FaultsCollapsed`] counters.
+/// [`collapse_faults`] against a prebuilt [`StructuralIndex`] (the
+/// engine threads its per-run index through here so the fanout
+/// adjacency is computed exactly once per circuit), reporting into a
+/// [`MetricsSink`]: enumeration and collapsing are timed as separate
+/// phases, and the universe/class sizes land on the
+/// [`Counter::FaultsUniverse`] / [`Counter::FaultsCollapsed`] counters.
 #[must_use]
 pub fn collapse_faults_metered(
     circuit: &Circuit,

@@ -313,8 +313,14 @@ pub fn unroll_los(model: &TestModel) -> Result<TwoFrame, AtpgError> {
     })
 }
 
-/// Generate launch-on-capture tests for every transition fault of a
-/// full-scan circuit (or test model).
+/// Generate transition tests for every transition fault of a full-scan
+/// circuit (or test model) under the chosen launch scheme.
+///
+/// The budget is polled between faults and charged per PODEM
+/// backtrack; on a trip the remaining faults stay untargeted and
+/// [`TdfResult::exhausted`] is set. The whole flow is timed into `sink`
+/// as one `tdf` phase, and the fault/detection/pattern totals land on
+/// the TDF counters.
 ///
 /// # Errors
 ///
@@ -323,7 +329,9 @@ pub fn unroll_los(model: &TestModel) -> Result<TwoFrame, AtpgError> {
 /// # Example
 ///
 /// ```
-/// use modsoc_atpg::tdf::run_tdf_atpg;
+/// use modsoc_atpg::budget::RunBudget;
+/// use modsoc_atpg::tdf::{run_tdf_atpg, LaunchScheme};
+/// use modsoc_metrics::NullSink;
 /// use modsoc_netlist::bench_format::parse_bench;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -333,73 +341,14 @@ pub fn unroll_los(model: &TestModel) -> Result<TwoFrame, AtpgError> {
 /// n1 = AND(a, b)
 /// y = AND(f1, b)
 /// ")?;
-/// let result = run_tdf_atpg(&circuit, 200)?;
+/// let budget = RunBudget::unlimited();
+/// let result = run_tdf_atpg(&circuit, 200, LaunchScheme::Capture, &budget, &NullSink)?;
 /// assert!(result.detected > 0);
 /// assert!(!result.patterns.is_empty());
 /// # Ok(())
 /// # }
 /// ```
-pub fn run_tdf_atpg(circuit: &Circuit, backtrack_limit: u32) -> Result<TdfResult, AtpgError> {
-    run_tdf_atpg_with_scheme(circuit, backtrack_limit, LaunchScheme::Capture)
-}
-
-/// Generate transition tests under the chosen launch scheme.
-///
-/// # Errors
-///
-/// Propagates netlist and test-generation errors.
-pub fn run_tdf_atpg_with_scheme(
-    circuit: &Circuit,
-    backtrack_limit: u32,
-    scheme: LaunchScheme,
-) -> Result<TdfResult, AtpgError> {
-    // Sequential circuits convert to their full-scan model; a purely
-    // combinational design has no launch state, so every TDF comes out
-    // untestable (still well-defined).
-    let model = circuit.to_test_model().map_err(AtpgError::from)?;
-    let two = match scheme {
-        LaunchScheme::Capture => unroll_two_frames(&model)?,
-        LaunchScheme::Shift => unroll_los(&model)?,
-    };
-    run_tdf_over(
-        &model,
-        &two,
-        backtrack_limit,
-        &crate::budget::RunBudget::unlimited(),
-    )
-}
-
-/// [`run_tdf_atpg_with_scheme`] under a [`RunBudget`]: the budget is
-/// polled between faults and charged per PODEM backtrack; on a trip the
-/// remaining faults stay untargeted and
-/// [`TdfResult::exhausted`] is set.
-///
-/// # Errors
-///
-/// Propagates netlist and test-generation errors.
-pub fn run_tdf_atpg_budgeted(
-    circuit: &Circuit,
-    backtrack_limit: u32,
-    scheme: LaunchScheme,
-    budget: &crate::budget::RunBudget,
-) -> Result<TdfResult, AtpgError> {
-    let model = circuit.to_test_model().map_err(AtpgError::from)?;
-    let two = match scheme {
-        LaunchScheme::Capture => unroll_two_frames(&model)?,
-        LaunchScheme::Shift => unroll_los(&model)?,
-    };
-    run_tdf_over(&model, &two, backtrack_limit, budget)
-}
-
-/// [`run_tdf_atpg_budgeted`] reporting into a
-/// [`MetricsSink`](modsoc_metrics::MetricsSink): the whole flow is timed
-/// as one `tdf` phase, and the fault/detection/pattern totals land on the
-/// TDF counters. Results are identical to the unmetered entry point.
-///
-/// # Errors
-///
-/// Propagates netlist and test-generation errors.
-pub fn run_tdf_atpg_metered(
+pub fn run_tdf_atpg(
     circuit: &Circuit,
     backtrack_limit: u32,
     scheme: LaunchScheme,
@@ -409,7 +358,15 @@ pub fn run_tdf_atpg_metered(
     use modsoc_metrics::{Counter, Phase, PhaseTimer};
     let result = {
         let _t = PhaseTimer::start(sink, Phase::Tdf);
-        run_tdf_atpg_budgeted(circuit, backtrack_limit, scheme, budget)?
+        // Sequential circuits convert to their full-scan model; a purely
+        // combinational design has no launch state, so every TDF comes
+        // out untestable (still well-defined).
+        let model = circuit.to_test_model().map_err(AtpgError::from)?;
+        let two = match scheme {
+            LaunchScheme::Capture => unroll_two_frames(&model)?,
+            LaunchScheme::Shift => unroll_los(&model)?,
+        };
+        run_tdf_over(&model, &two, backtrack_limit, budget)?
     };
     sink.add(Counter::TdfFaults, result.total as u64);
     sink.add(Counter::TdfDetected, result.detected as u64);
@@ -569,6 +526,19 @@ mod tests {
     use crate::fault_sim::active_mask;
     use modsoc_netlist::bench_format::parse_bench;
 
+    /// Unbudgeted, unmetered [`run_tdf_atpg`].
+    fn tdf(circuit: &Circuit, backtrack_limit: u32, scheme: LaunchScheme) -> TdfResult {
+        let budget = crate::budget::RunBudget::unlimited();
+        run_tdf_atpg(
+            circuit,
+            backtrack_limit,
+            scheme,
+            &budget,
+            &modsoc_metrics::NullSink,
+        )
+        .unwrap()
+    }
+
     /// Reference: whether `patterns` (fully specified, unrolled-input
     /// order) detect the transition fault, one 64-pattern chunk at a
     /// time on the narrow kernel (good values re-simulated per fault).
@@ -659,7 +629,7 @@ y = AND(f1, b)
 
     #[test]
     fn tdf_atpg_finds_transitions() {
-        let result = run_tdf_atpg(&seq(), 200).unwrap();
+        let result = tdf(&seq(), 200, LaunchScheme::Capture);
         assert!(result.total > 0);
         assert!(result.detected > 0, "some transitions are testable");
         assert_eq!(result.aborted, 0);
@@ -673,7 +643,7 @@ y = AND(f1, b)
         // reported detected count must be reachable by the final set.
         let c = seq();
         let model = c.to_test_model().unwrap();
-        let result = run_tdf_atpg(&c, 200).unwrap();
+        let result = tdf(&c, 200, LaunchScheme::Capture);
         let filled = result.patterns.fill_all(FillStrategy::default());
         let (_, flags) = tdf_coverage(&model, &filled).unwrap();
         let sim_detected = flags.iter().filter(|&&f| f).count();
@@ -689,7 +659,7 @@ y = AND(f1, b)
         // A combinational-only circuit has no launch state: every TDF is
         // untestable under LOC (PIs are held).
         let comb = parse_bench("c", "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n").unwrap();
-        let result = run_tdf_atpg(&comb, 100).unwrap();
+        let result = tdf(&comb, 100, LaunchScheme::Capture);
         assert_eq!(result.detected, 0);
         assert_eq!(result.untestable, result.total);
         assert!((result.coverage() - 1.0).abs() < 1e-12, "0/0 testable");
@@ -726,8 +696,8 @@ n3 = OR(n1, f3)
 y = AND(n3, f1, c)
 ";
         let circuit = parse_bench("los", src).unwrap();
-        let loc = run_tdf_atpg_with_scheme(&circuit, 400, LaunchScheme::Capture).unwrap();
-        let los = run_tdf_atpg_with_scheme(&circuit, 400, LaunchScheme::Shift).unwrap();
+        let loc = tdf(&circuit, 400, LaunchScheme::Capture);
+        let los = tdf(&circuit, 400, LaunchScheme::Shift);
         assert!(
             los.detected >= loc.detected,
             "los {} vs loc {}",
@@ -750,7 +720,7 @@ n3 = OR(n1, c)
 y = AND(n3, f1)
 ";
         let circuit = parse_bench("bigger", src).unwrap();
-        let result = run_tdf_atpg(&circuit, 500).unwrap();
+        let result = tdf(&circuit, 500, LaunchScheme::Capture);
         assert!(result.coverage() > 0.6, "coverage {}", result.coverage());
         assert_eq!(result.aborted, 0);
     }

@@ -19,6 +19,13 @@
 //! cache, a resumed campaign costs little more than the unfinished
 //! work.
 //!
+//! **Concurrent workers.** Every unit is claimed through the store's
+//! lease protocol before it runs ([`run_campaign_with`]), whether the
+//! store is a local directory or a `modsoc serve` daemon, so workers
+//! sharing one store split a spec instead of each running all of it.
+//! A worker killed mid-unit leaves its lease behind: peers and reruns
+//! take the unit over once the lease expires.
+//!
 //! **Failure policy.** A failed unit (panic or typed error) aborts the
 //! campaign by default; with `keep_going` it is reported as a
 //! `FAILED` row and the remaining units still run — mirroring the
@@ -31,7 +38,7 @@ use modsoc_metrics::json::{self, JsonValue};
 use modsoc_metrics::{Counter, MetricsSink};
 use modsoc_store::sha256::Sha256;
 use modsoc_store::{ClaimOutcome, JournalEntry, ResultStore, StoreKey};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 use crate::error::AnalysisError;
@@ -519,126 +526,9 @@ fn report_from_completion(unit: &str, completion: &Completion<SocExperiment>) ->
     }
 }
 
-/// Run a campaign: every unit through the guarded experiment pipeline,
-/// journaling completions to `store` and skipping units the journal
-/// already covers. See the module docs for the resume semantics.
-///
-/// # Errors
-///
-/// Returns an error for spec-level problems (a unit that cannot even be
-/// built) and, when `keep_going` is `false`, for the first failed unit.
-/// Budget exhaustion is never an error — affected units are reported
-/// [`UnitStatus::Partial`] and re-run on resume.
-pub fn run_campaign(
-    spec: &CampaignSpec,
-    options: &ExperimentOptions,
-    budget: &RunBudget,
-    store: &ResultStore,
-    keep_going: bool,
-    sink: &dyn MetricsSink,
-) -> Result<CampaignReport, AnalysisError> {
-    run_campaign_with(
-        spec,
-        options,
-        store,
-        keep_going,
-        sink,
-        |_, netlist, unit_options| run_soc_experiment_guarded(netlist, unit_options, budget),
-    )
-}
-
-/// [`run_campaign`] with a caller-supplied per-unit runner — the
-/// chaos/fault-injection seam. `run_unit(i, netlist, options)` replaces
-/// [`run_soc_experiment_guarded`]; panics it raises are contained to a
-/// `FAILED` row for that unit (or abort the campaign without
-/// `keep_going`), which is how the tests simulate a campaign killed
-/// mid-run and verify that resumption skips the journaled prefix.
-///
-/// # Errors
-///
-/// As [`run_campaign`].
-pub fn run_campaign_with<F>(
-    spec: &CampaignSpec,
-    options: &ExperimentOptions,
-    store: &ResultStore,
-    keep_going: bool,
-    sink: &dyn MetricsSink,
-    mut run_unit: F,
-) -> Result<CampaignReport, AnalysisError>
-where
-    F: FnMut(
-        usize,
-        &SocNetlist,
-        &ExperimentOptions,
-    ) -> Result<Completion<SocExperiment>, AnalysisError>,
-{
-    let mut journal = store.open_journal(&format!("campaign-{}", spec.name), sink);
-    let mut rows = Vec::with_capacity(spec.units.len());
-    for (i, unit) in spec.units.iter().enumerate() {
-        let key = unit_key(unit, options);
-        if let Some(entry) = journal.find(&unit.name, &key.hex()) {
-            rows.push(report_from_summary(&unit.name, &entry.summary));
-            continue;
-        }
-        // Spec-level build failures are hard errors even with
-        // keep_going: re-running a unit that cannot be built will never
-        // help, and silently dropping it would corrupt the campaign.
-        let netlist = build_unit_netlist(unit)?;
-        let mut unit_options = options.clone();
-        if unit.skip_monolithic {
-            unit_options.monolithic = false;
-        }
-        match guard_result(|| run_unit(i, &netlist, &unit_options)) {
-            Ok(completion) => {
-                let row = report_from_completion(&unit.name, &completion);
-                if row.status == UnitStatus::Complete {
-                    let entry = JournalEntry {
-                        unit: unit.name.clone(),
-                        key: key.hex(),
-                        summary: summarize(&completion),
-                    };
-                    if let Err(e) = journal.record(entry, sink) {
-                        eprintln!("store: journal write failed for '{}': {e}", unit.name);
-                    }
-                }
-                let failed = row.status == UnitStatus::Failed;
-                let note = row.note.clone();
-                rows.push(row);
-                if failed && !keep_going {
-                    return Err(spec_err(format!(
-                        "unit '{}' failed ({note}); re-run with --keep-going to continue past it",
-                        unit.name
-                    )));
-                }
-            }
-            Err(failure) => {
-                rows.push(UnitReport {
-                    unit: unit.name.clone(),
-                    status: UnitStatus::Failed,
-                    t_mono: None,
-                    tdv_modular: None,
-                    tdv_monolithic: None,
-                    reduction_ratio: None,
-                    note: failure.to_string(),
-                });
-                if !keep_going {
-                    return Err(spec_err(format!(
-                        "unit '{}' failed ({failure}); re-run with --keep-going to continue past it",
-                        unit.name
-                    )));
-                }
-            }
-        }
-    }
-    Ok(CampaignReport {
-        name: spec.name.clone(),
-        units: rows,
-    })
-}
-
-/// Claim-loop configuration for [`run_campaign_claimed`]: how a worker
-/// identifies itself, how long its unit leases live, and how long it
-/// waits out units held by other workers before reporting them partial.
+/// Claim-loop configuration: how a worker identifies itself, how long
+/// its unit leases live, and how long it waits out units held by other
+/// workers before reporting them partial.
 #[derive(Debug, Clone)]
 pub struct ClaimOptions {
     /// Claim owner tag — must be unique per concurrent worker (the
@@ -665,12 +555,6 @@ impl ClaimOptions {
         }
     }
 
-    /// A per-process default owner tag.
-    #[must_use]
-    pub fn default_owner() -> String {
-        format!("worker-{}", std::process::id())
-    }
-
     /// Replace the lease duration.
     #[must_use]
     pub fn with_lease(mut self, lease: Duration) -> ClaimOptions {
@@ -686,29 +570,21 @@ impl ClaimOptions {
     }
 }
 
-/// [`run_campaign`] for concurrent workers sharing one store: units are
-/// claimed through the store's compare-and-swap lease protocol before
-/// they run, so N workers over the same spec partition the units with
-/// each unit's engine work executed exactly once.
-///
-/// The sweep loop per worker:
-///
-/// 1. Refresh the shared journal; journaled units become `skipped`
-///    rows exactly as in a single-process resume.
-/// 2. Try to claim each unresolved unit. A claim held by a live peer
-///    defers the unit to a later sweep; a stale claim (the holder died
-///    and stopped renewing for longer than the lease) is broken and
-///    re-offered. While a claimed unit runs, a background thread renews
-///    the lease at `lease / 4` cadence so long units stay owned.
-/// 3. When every unit is resolved, or `claims.wait` has elapsed, stop.
-///    Units still held by peers at the deadline are reported
-///    [`UnitStatus::Partial`] — a rerun resumes them from the journal.
+impl Default for ClaimOptions {
+    /// [`ClaimOptions::new`] with a per-process owner tag.
+    fn default() -> ClaimOptions {
+        ClaimOptions::new(format!("worker-{}", std::process::id()))
+    }
+}
+
+/// Run a campaign: every unit through the guarded experiment pipeline
+/// under `budget`. See [`run_campaign_with`] for the claim sweep and
+/// the module docs for the resume semantics.
 ///
 /// # Errors
 ///
-/// As [`run_campaign`], plus claim-protocol transport failures
-/// (e.g. the remote store daemon is unreachable).
-pub fn run_campaign_claimed(
+/// As [`run_campaign_with`].
+pub fn run_campaign(
     spec: &CampaignSpec,
     options: &ExperimentOptions,
     budget: &RunBudget,
@@ -717,8 +593,70 @@ pub fn run_campaign_claimed(
     claims: &ClaimOptions,
     sink: &dyn MetricsSink,
 ) -> Result<CampaignReport, AnalysisError> {
+    run_campaign_with(
+        spec,
+        options,
+        store,
+        keep_going,
+        claims,
+        sink,
+        |_, netlist, unit_options| run_soc_experiment_guarded(netlist, unit_options, budget),
+    )
+}
+
+/// The campaign loop, with a caller-supplied per-unit runner:
+/// `run_unit(i, netlist, options)` runs unit `i` ([`run_campaign`]
+/// passes [`run_soc_experiment_guarded`]; the tests inject panics and
+/// kills through it). Panics it raises are contained to a `FAILED` row
+/// for that unit, or abort the campaign without `keep_going`.
+///
+/// Every unit is claimed through the store's compare-and-swap lease
+/// ([`ResultStore::claim_unit`], local or remote backend) before it
+/// runs, so N workers over the same spec and store partition the units
+/// with each unit's engine work executed exactly once. One sweep:
+///
+/// 1. Journaled units become `skipped` rows, exactly as in a
+///    single-worker resume.
+/// 2. Try to claim each unresolved unit. A claim held by a live peer
+///    defers the unit to a later sweep; a stale claim (the holder died
+///    and stopped renewing for longer than the lease) is broken and
+///    re-offered. While a claimed unit runs, a background thread renews
+///    the lease every `lease / 4`.
+/// 3. When every unit is resolved, or `claims.wait` has elapsed, stop.
+///    Units still held by peers at the deadline are reported
+///    [`UnitStatus::Partial`] — a rerun resumes them from the journal.
+///
+/// A worker killed mid-unit leaves its claim behind, so a rerun waits
+/// out that lease before it re-runs the unit.
+///
+/// # Errors
+///
+/// Returns an error for spec-level problems (a unit that cannot even be
+/// built), claim-protocol transport failures (e.g. the remote store
+/// daemon is unreachable) and, when `keep_going` is `false`, the first
+/// failed unit. Budget exhaustion is never an error — affected units
+/// are reported [`UnitStatus::Partial`] and re-run on resume.
+pub fn run_campaign_with<F>(
+    spec: &CampaignSpec,
+    options: &ExperimentOptions,
+    store: &ResultStore,
+    keep_going: bool,
+    claims: &ClaimOptions,
+    sink: &dyn MetricsSink,
+    mut run_unit: F,
+) -> Result<CampaignReport, AnalysisError>
+where
+    F: FnMut(
+        usize,
+        &SocNetlist,
+        &ExperimentOptions,
+    ) -> Result<Completion<SocExperiment>, AnalysisError>,
+{
     let journal_name = format!("campaign-{}", spec.name);
     let mut journal = store.open_journal(&journal_name, sink);
+    let release = |unit: &CampaignUnit| {
+        let _ = store.release_claim(&journal_name, &unit.name, &claims.owner);
+    };
     let mut rows: Vec<Option<UnitReport>> = vec![None; spec.units.len()];
     let started = Instant::now();
     loop {
@@ -740,22 +678,16 @@ pub fn run_campaign_claimed(
                 &claims.owner,
                 claims.lease,
             ) {
-                Err(e) => {
-                    return Err(spec_err(format!(
-                        "claiming unit '{}' failed: {e}",
-                        unit.name
-                    )))
-                }
-                Ok(ClaimOutcome::Held { owner }) => {
-                    sink.add(Counter::StoreClaimsHeld, 1);
-                    let _ = owner; // defer to a later sweep
-                    continue;
-                }
                 Ok(ClaimOutcome::Acquired { broke_stale }) => {
                     sink.add(Counter::StoreClaimsAcquired, 1);
                     if broke_stale {
                         sink.add(Counter::StoreClaimsExpired, 1);
                     }
+                }
+                Ok(ClaimOutcome::Held { .. }) => {
+                    // A live peer runs it: defer to a later sweep.
+                    sink.add(Counter::StoreClaimsHeld, 1);
+                    continue;
                 }
                 Ok(other) => {
                     return Err(spec_err(format!(
@@ -763,56 +695,37 @@ pub fn run_campaign_claimed(
                         unit.name
                     )))
                 }
+                Err(e) => {
+                    return Err(spec_err(format!(
+                        "claiming unit '{}' failed: {e}",
+                        unit.name
+                    )))
+                }
             }
+            progressed = true;
             // Claim held. Re-check the journal under the claim: a peer
             // may have completed this unit after our sweep-start
             // refresh but before its claim lapsed.
             journal.refresh();
             if let Some(entry) = journal.find(&unit.name, &key.hex()) {
-                let _ = store.release_claim(&journal_name, &unit.name, &claims.owner);
+                release(unit);
                 rows[i] = Some(report_from_summary(&unit.name, &entry.summary));
-                progressed = true;
                 continue;
             }
-            let built = build_unit_netlist(unit);
-            let netlist = match built {
-                Ok(n) => n,
-                Err(e) => {
-                    // Spec-level hard error: release so peers are not
-                    // stuck waiting out the lease on a doomed unit.
-                    let _ = store.release_claim(&journal_name, &unit.name, &claims.owner);
-                    return Err(e);
-                }
-            };
+            // Spec-level build failures are hard errors even with
+            // keep_going: re-running a unit that cannot be built will
+            // never help, and silently dropping it would corrupt the
+            // campaign. Release first so peers do not wait out the
+            // lease on a doomed unit.
+            let netlist = build_unit_netlist(unit).inspect_err(|_| release(unit))?;
             let mut unit_options = options.clone();
             if unit.skip_monolithic {
                 unit_options.monolithic = false;
             }
-            // Run the unit with a renewal heartbeat so the lease
-            // outlives slow engine work; a killed worker stops
-            // renewing, which is exactly what lets peers take over.
-            let stop = AtomicBool::new(false);
-            let outcome = std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    let tick = Duration::from_millis(25);
-                    let cadence = (claims.lease / 4).max(tick);
-                    let mut since = Duration::ZERO;
-                    while !stop.load(Ordering::Relaxed) {
-                        std::thread::sleep(tick);
-                        since += tick;
-                        if since >= cadence {
-                            since = Duration::ZERO;
-                            let _ = store.renew_claim(&journal_name, &unit.name, &claims.owner);
-                        }
-                    }
-                });
-                let outcome =
-                    guard_result(|| run_soc_experiment_guarded(&netlist, &unit_options, budget));
-                stop.store(true, Ordering::Relaxed);
-                outcome
+            let outcome = with_heartbeat(store, &journal_name, &unit.name, claims, || {
+                guard_result(|| run_unit(i, &netlist, &unit_options))
             });
-            progressed = true;
-            match outcome {
+            let row = match outcome {
                 Ok(completion) => {
                     let row = report_from_completion(&unit.name, &completion);
                     if row.status == UnitStatus::Complete {
@@ -825,36 +738,26 @@ pub fn run_campaign_claimed(
                             eprintln!("store: journal write failed for '{}': {e}", unit.name);
                         }
                     }
-                    let _ = store.release_claim(&journal_name, &unit.name, &claims.owner);
-                    let failed = row.status == UnitStatus::Failed;
-                    let note = row.note.clone();
-                    rows[i] = Some(row);
-                    if failed && !keep_going {
-                        return Err(spec_err(format!(
-                            "unit '{}' failed ({note}); re-run with --keep-going to continue past it",
-                            unit.name
-                        )));
-                    }
+                    row
                 }
-                Err(failure) => {
-                    let _ = store.release_claim(&journal_name, &unit.name, &claims.owner);
-                    rows[i] = Some(UnitReport {
-                        unit: unit.name.clone(),
-                        status: UnitStatus::Failed,
-                        t_mono: None,
-                        tdv_modular: None,
-                        tdv_monolithic: None,
-                        reduction_ratio: None,
-                        note: failure.to_string(),
-                    });
-                    if !keep_going {
-                        return Err(spec_err(format!(
-                            "unit '{}' failed ({failure}); re-run with --keep-going to continue past it",
-                            unit.name
-                        )));
-                    }
-                }
+                Err(failure) => UnitReport {
+                    unit: unit.name.clone(),
+                    status: UnitStatus::Failed,
+                    t_mono: None,
+                    tdv_modular: None,
+                    tdv_monolithic: None,
+                    reduction_ratio: None,
+                    note: failure.to_string(),
+                },
+            };
+            release(unit);
+            if row.status == UnitStatus::Failed && !keep_going {
+                return Err(spec_err(format!(
+                    "unit '{}' failed ({}); re-run with --keep-going to continue past it",
+                    unit.name, row.note
+                )));
             }
+            rows[i] = Some(row);
         }
         if rows.iter().all(Option::is_some) {
             break;
@@ -886,6 +789,31 @@ pub fn run_campaign_claimed(
     Ok(CampaignReport {
         name: spec.name.clone(),
         units: rows.into_iter().map(|r| r.expect("all resolved")).collect(),
+    })
+}
+
+/// Run `f` while a background thread renews the claim on `unit` every
+/// quarter lease, so the lease outlives slow engine work; a killed
+/// worker stops renewing, which is exactly what lets peers take over.
+/// The heartbeat wakes and exits the moment `f` returns.
+fn with_heartbeat<T>(
+    store: &ResultStore,
+    journal: &str,
+    unit: &str,
+    claims: &ClaimOptions,
+    f: impl FnOnce() -> T,
+) -> T {
+    let (done, wake) = mpsc::channel::<()>();
+    let cadence = (claims.lease / 4).max(Duration::from_millis(25));
+    std::thread::scope(|scope| {
+        scope.spawn(move || {
+            while let Err(RecvTimeoutError::Timeout) = wake.recv_timeout(cadence) {
+                let _ = store.renew_claim(journal, unit, &claims.owner);
+            }
+        });
+        let out = f();
+        drop(done);
+        out
     })
 }
 
@@ -1000,16 +928,26 @@ mod tests {
         let spec = CampaignSpec::from_json(SPEC).unwrap();
         let options = ExperimentOptions::paper_tables_1_2();
         let budget = RunBudget::unlimited();
-        let first = run_campaign(&spec, &options, &budget, &store, false, &NullSink).unwrap();
+        let claims = ClaimOptions::default();
+        let first =
+            run_campaign(&spec, &options, &budget, &store, false, &claims, &NullSink).unwrap();
         assert!(first.is_complete());
         assert_eq!(first.count(&UnitStatus::Complete), 3);
 
         // Second invocation: everything journaled, nothing re-run.
         let mut invocations = 0usize;
-        let second = run_campaign_with(&spec, &options, &store, false, &NullSink, |_, _, _| {
-            invocations += 1;
-            panic!("no unit may re-run");
-        })
+        let second = run_campaign_with(
+            &spec,
+            &options,
+            &store,
+            false,
+            &claims,
+            &NullSink,
+            |_, _, _| {
+                invocations += 1;
+                panic!("no unit may re-run");
+            },
+        )
         .unwrap();
         assert_eq!(invocations, 0);
         assert!(second.is_complete());
@@ -1028,6 +966,7 @@ mod tests {
         let spec = CampaignSpec::from_json(SPEC).unwrap();
         let options = ExperimentOptions::paper_tables_1_2();
         let budget = RunBudget::unlimited();
+        let claims = ClaimOptions::default();
 
         // First invocation dies on the second unit (simulated kill).
         let aborted = run_campaign_with(
@@ -1035,6 +974,7 @@ mod tests {
             &options,
             &store,
             false,
+            &claims,
             &NullSink,
             |i, netlist, unit_options| {
                 if i == 1 {
@@ -1052,6 +992,7 @@ mod tests {
             &options,
             &store,
             false,
+            &claims,
             &NullSink,
             |i, netlist, unit_options| {
                 ran.push(i);
@@ -1071,11 +1012,13 @@ mod tests {
         let spec = CampaignSpec::from_json(SPEC).unwrap();
         let options = ExperimentOptions::paper_tables_1_2();
         let budget = RunBudget::unlimited();
+        let claims = ClaimOptions::default();
         let report = run_campaign_with(
             &spec,
             &options,
             &store,
             true,
+            &claims,
             &NullSink,
             |i, netlist, unit_options| {
                 if i == 0 {
@@ -1091,7 +1034,8 @@ mod tests {
         assert_eq!(report.count(&UnitStatus::Complete), 2);
 
         // The failed unit is NOT journaled: a plain resume re-runs it.
-        let resumed = run_campaign(&spec, &options, &budget, &store, false, &NullSink).unwrap();
+        let resumed =
+            run_campaign(&spec, &options, &budget, &store, false, &claims, &NullSink).unwrap();
         assert_eq!(resumed.units[0].status, UnitStatus::Complete);
         assert_eq!(resumed.count(&UnitStatus::Skipped), 2);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1104,12 +1048,15 @@ mod tests {
         let options = ExperimentOptions::paper_tables_1_2();
         // A budget that trips immediately: every unit goes partial.
         let budget = RunBudget::unlimited().with_max_patterns(0);
-        let report = run_campaign(&spec, &options, &budget, &store, false, &NullSink).unwrap();
+        let claims = ClaimOptions::default();
+        let report =
+            run_campaign(&spec, &options, &budget, &store, false, &claims, &NullSink).unwrap();
         assert!(!report.is_complete());
         assert_eq!(report.count(&UnitStatus::Partial), 3);
         // Nothing journaled; a healthy resume runs all three.
         let healthy = RunBudget::unlimited();
-        let resumed = run_campaign(&spec, &options, &healthy, &store, false, &NullSink).unwrap();
+        let resumed =
+            run_campaign(&spec, &options, &healthy, &store, false, &claims, &NullSink).unwrap();
         assert!(resumed.is_complete());
         assert_eq!(resumed.count(&UnitStatus::Complete), 3);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1125,7 +1072,8 @@ mod tests {
         .unwrap();
         let options = ExperimentOptions::paper_tables_1_2().with_store(Arc::clone(&store));
         let budget = RunBudget::unlimited();
-        run_campaign(&spec, &options, &budget, &store, false, &NullSink).unwrap();
+        let claims = ClaimOptions::default();
+        run_campaign(&spec, &options, &budget, &store, false, &claims, &NullSink).unwrap();
         assert_eq!(store.hits(), 0);
         let writes = store.writes();
         assert!(writes >= 3, "2 cores + monolithic cached");
@@ -1134,7 +1082,8 @@ mod tests {
         // every engine result comes from the cache.
         std::fs::remove_dir_all(dir.join("journals")).unwrap();
         std::fs::create_dir_all(dir.join("journals")).unwrap();
-        let report = run_campaign(&spec, &options, &budget, &store, false, &NullSink).unwrap();
+        let report =
+            run_campaign(&spec, &options, &budget, &store, false, &claims, &NullSink).unwrap();
         assert!(report.is_complete());
         assert_eq!(report.units[0].status, UnitStatus::Complete);
         assert_eq!(store.hits(), 3, "all engine runs served from cache");

@@ -13,6 +13,7 @@
 //! exactly.
 
 use modsoc_atpg::{Atpg, AtpgOptions};
+use modsoc_metrics::NullSink;
 use modsoc_netlist::bench_format::parse_bench;
 use modsoc_soc::format::parse_soc;
 
@@ -355,7 +356,7 @@ fn soc_chaos_case(base: &str, case: usize, seed: u64, options: &TdvOptions) -> C
         }
         Ok(Ok(soc)) => {
             match guard(|| {
-                let completion = analyze_soc_guarded(&soc, options);
+                let completion = analyze_soc_guarded(&soc, options, 1, &NullSink);
                 // The unguarded analysis must at worst return a typed
                 // error on the same input (saturating equations).
                 let strict = SocTdvAnalysis::compute(&soc, options);
@@ -375,35 +376,23 @@ fn soc_chaos_case(base: &str, case: usize, seed: u64, options: &TdvOptions) -> C
 }
 
 /// Sweep `cases` corrupted variants of a valid `.bench` source through
-/// parse → budgeted ATPG.
+/// parse → budgeted ATPG on `jobs` pool workers (`0` = auto). Per-case
+/// RNG derivation ([`case_rng`]) makes the report identical to the
+/// serial sweep at any job count.
 #[must_use]
-pub fn run_bench_chaos(base: &str, cases: usize, seed: u64) -> ChaosReport {
-    run_bench_chaos_jobs(base, cases, seed, 1)
-}
-
-/// [`run_bench_chaos`] fanned across `jobs` pool workers (`0` = auto).
-/// Per-case RNG derivation ([`case_rng`]) makes the report identical to
-/// the serial sweep at any job count.
-#[must_use]
-pub fn run_bench_chaos_jobs(base: &str, cases: usize, seed: u64, jobs: usize) -> ChaosReport {
-    let classes = crate::parallel::WorkerPool::new(jobs.max(1))
+pub fn run_bench_chaos(base: &str, cases: usize, seed: u64, jobs: usize) -> ChaosReport {
+    let classes = crate::parallel::WorkerPool::new(jobs)
         .map_indices(cases, |case| bench_chaos_case(base, case, seed));
     collect_report(classes)
 }
 
 /// Sweep `cases` corrupted variants of a valid `.soc` source through
-/// parse → guarded per-core TDV analysis.
+/// parse → guarded per-core TDV analysis on `jobs` pool workers
+/// (`0` = auto), with the same report at any job count.
 #[must_use]
-pub fn run_soc_chaos(base: &str, cases: usize, seed: u64) -> ChaosReport {
-    run_soc_chaos_jobs(base, cases, seed, 1)
-}
-
-/// [`run_soc_chaos`] fanned across `jobs` pool workers (`0` = auto),
-/// with the same report at any job count.
-#[must_use]
-pub fn run_soc_chaos_jobs(base: &str, cases: usize, seed: u64, jobs: usize) -> ChaosReport {
+pub fn run_soc_chaos(base: &str, cases: usize, seed: u64, jobs: usize) -> ChaosReport {
     let options = TdvOptions::tables_1_2();
-    let classes = crate::parallel::WorkerPool::new(jobs.max(1))
+    let classes = crate::parallel::WorkerPool::new(jobs)
         .map_indices(cases, |case| soc_chaos_case(base, case, seed, &options));
     collect_report(classes)
 }
@@ -445,7 +434,7 @@ mod tests {
 
     #[test]
     fn small_bench_sweep_never_panics() {
-        let report = run_bench_chaos(BENCH, 50, 0xC0FFEE);
+        let report = run_bench_chaos(BENCH, 50, 0xC0FFEE, 1);
         assert_eq!(report.cases, 50);
         assert!(report.no_panics(), "{:?}", report.panics);
         assert_eq!(
@@ -468,9 +457,9 @@ mod tests {
 
     #[test]
     fn parallel_bench_sweep_matches_serial() {
-        let serial = run_bench_chaos(BENCH, 40, 0xDECADE);
+        let serial = run_bench_chaos(BENCH, 40, 0xDECADE, 1);
         for jobs in [2, 4] {
-            let parallel = run_bench_chaos_jobs(BENCH, 40, 0xDECADE, jobs);
+            let parallel = run_bench_chaos(BENCH, 40, 0xDECADE, jobs);
             assert_eq!(parallel.cases, serial.cases, "jobs={jobs}");
             assert_eq!(parallel.panics, serial.panics, "jobs={jobs}");
             // Parse-level classification never depends on scheduling.
@@ -491,9 +480,9 @@ mod tests {
     #[test]
     fn parallel_soc_sweep_is_identical_to_serial() {
         // No wall-clock budgets in the `.soc` path: exact report equality.
-        let serial = run_soc_chaos(SOC, 60, 0xFEED);
+        let serial = run_soc_chaos(SOC, 60, 0xFEED, 1);
         for jobs in [0, 2, 4] {
-            let parallel = run_soc_chaos_jobs(SOC, 60, 0xFEED, jobs);
+            let parallel = run_soc_chaos(SOC, 60, 0xFEED, jobs);
             assert_eq!(parallel, serial, "jobs={jobs}");
         }
     }

@@ -57,8 +57,8 @@ pub struct ExperimentOptions {
     /// Run the flattened monolithic ATPG phase (default). When `false`,
     /// the accounting falls back to the Equation 2 optimistic bound
     /// `T_mono = max_i T_i` and no `"<monolithic>"` outcome row is
-    /// emitted — the modular-only mode used by the `--jobs` scaling
-    /// bench, where the serial monolithic run would drown the signal.
+    /// emitted — the modular-only mode of `experiment --skip-monolithic`
+    /// and of campaign units marked `skip_monolithic`.
     pub monolithic: bool,
     /// Content-addressed result store (`--store <dir>`): every engine
     /// run — per-core and monolithic — is fetched from the store when a
@@ -288,7 +288,7 @@ where
     // budget's atomics), so the merge below sees exactly what a
     // sequential loop would have seen.
     let dispatch_timer = PhaseTimer::start(sink, Phase::ModularDispatch);
-    let results: Vec<Result<AtpgResult, CoreFailure>> = WorkerPool::new(options.jobs.max(1))
+    let results: Vec<Result<AtpgResult, CoreFailure>> = WorkerPool::new(options.jobs)
         .map_with_sink(netlist.cores(), sink, |i, circuit| {
             let result = guard_result(|| run_core(i, circuit));
             if options.fail_fast {
@@ -470,11 +470,19 @@ pub fn run_soc_experiment_tdf(
     backtrack_limit: u32,
     options: &ExperimentOptions,
 ) -> Result<SocExperiment, AnalysisError> {
-    use modsoc_atpg::tdf::run_tdf_atpg;
+    use modsoc_atpg::tdf::{run_tdf_atpg, LaunchScheme};
 
-    let results = WorkerPool::new(options.jobs.max(1)).map(netlist.cores(), |_, circuit| {
-        run_tdf_atpg(circuit, backtrack_limit)
-    });
+    let budget = RunBudget::unlimited();
+    let tdf = |circuit: &Circuit| {
+        run_tdf_atpg(
+            circuit,
+            backtrack_limit,
+            LaunchScheme::Capture,
+            &budget,
+            &NullSink,
+        )
+    };
+    let results = WorkerPool::new(options.jobs).map(netlist.cores(), |_, circuit| tdf(circuit));
     let measured = netlist
         .cores()
         .iter()
@@ -501,7 +509,7 @@ pub fn run_soc_experiment_tdf(
         options,
         measured,
         || {
-            let mono = run_tdf_atpg(&netlist.flatten()?, backtrack_limit)?;
+            let mono = tdf(&netlist.flatten()?)?;
             Ok(Some((mono.patterns.len() as u64, mono.coverage())))
         },
         &NullSink,

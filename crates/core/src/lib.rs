@@ -89,9 +89,7 @@ pub mod tdv;
 pub mod timecost;
 
 pub use analysis::{CoreTdvRow, SocTdvAnalysis};
-pub use campaign::{
-    run_campaign, run_campaign_claimed, CampaignReport, CampaignSpec, ClaimOptions, UnitStatus,
-};
+pub use campaign::{run_campaign, CampaignReport, CampaignSpec, ClaimOptions, UnitStatus};
 pub use error::AnalysisError;
 pub use parallel::WorkerPool;
 pub use remote::HttpBackend;

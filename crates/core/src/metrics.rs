@@ -515,7 +515,7 @@ pub fn run_soc_experiment_metered(
         schema: RUN_METRICS_SCHEMA,
         command: "experiment".to_string(),
         target: netlist.name().to_string(),
-        jobs: crate::parallel::effective_jobs(options.jobs.max(1)) as u64,
+        jobs: crate::parallel::effective_jobs(options.jobs) as u64,
         wall_ms: start.elapsed().as_secs_f64() * 1e3,
         budget: budget.snapshot(),
         totals,
@@ -554,7 +554,7 @@ pub fn analysis_run_metrics(
         schema: RUN_METRICS_SCHEMA,
         command: command.to_string(),
         target: target.to_string(),
-        jobs: crate::parallel::effective_jobs(jobs.max(1)) as u64,
+        jobs: crate::parallel::effective_jobs(jobs) as u64,
         wall_ms,
         budget: budget.snapshot(),
         totals: pipeline.snapshot(),

@@ -23,7 +23,6 @@
 //! and re-raised on the calling thread after the scope joins, preserving
 //! `catch_unwind` semantics for callers that guard the whole map.
 
-use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -31,24 +30,7 @@ use std::time::Instant;
 
 use modsoc_metrics::{Counter, MetricsSink, NullSink};
 
-/// Number of usable hardware threads (`1` when detection fails).
-#[must_use]
-pub fn available_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// Resolve a `--jobs`-style request: `0` means "auto" (all available
-/// hardware threads); anything else is used as given.
-#[must_use]
-pub fn effective_jobs(requested: usize) -> usize {
-    if requested == 0 {
-        available_jobs()
-    } else {
-        requested
-    }
-}
+pub use modsoc_atpg::fault_sim::effective_jobs;
 
 /// A fixed-width scoped worker pool.
 ///
@@ -69,18 +51,12 @@ impl Default for WorkerPool {
 
 impl WorkerPool {
     /// A pool with `jobs` workers (`0` means auto — all hardware
-    /// threads; clamped to at least 1).
+    /// threads).
     #[must_use]
     pub fn new(jobs: usize) -> WorkerPool {
         WorkerPool {
-            jobs: effective_jobs(jobs).max(1),
+            jobs: effective_jobs(jobs),
         }
-    }
-
-    /// A pool sized to the available hardware parallelism.
-    #[must_use]
-    pub fn auto() -> WorkerPool {
-        WorkerPool::new(0)
     }
 
     /// Worker count.
@@ -283,7 +259,10 @@ mod tests {
     #[test]
     fn zero_means_auto_and_clamps_to_one() {
         assert!(WorkerPool::new(0).jobs() >= 1);
-        assert_eq!(WorkerPool::auto().jobs(), available_jobs());
+        assert_eq!(
+            WorkerPool::new(0).jobs(),
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        );
         assert_eq!(effective_jobs(3), 3);
         assert!(effective_jobs(0) >= 1);
     }

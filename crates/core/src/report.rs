@@ -346,7 +346,12 @@ mod tests {
             .unwrap();
         soc.add_core(CoreSpec::leaf("poisoned", 1, 1, 0, u64::MAX, u64::MAX))
             .unwrap();
-        let completion = analyze_soc_guarded(&soc, &TdvOptions::tables_1_2());
+        let completion = analyze_soc_guarded(
+            &soc,
+            &TdvOptions::tables_1_2(),
+            1,
+            &modsoc_metrics::NullSink,
+        );
         let text = render_outcome_table(&completion.per_core_outcomes);
         assert!(text.contains("healthy"), "{text}");
         assert!(text.contains("ok"), "{text}");

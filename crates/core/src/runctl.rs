@@ -215,30 +215,14 @@ pub fn guard_result<T, E: fmt::Display>(
 /// The returned rows cover exactly the cores whose outcome
 /// [contributed](CoreOutcome::contributed); `per_core_outcomes` covers
 /// every core in SOC order.
+///
+/// Each core's TDV arithmetic is an independent guarded job on `jobs`
+/// pool workers (`0` = auto); the merge is order-preserving, so the
+/// completion is identical to the sequential run at any job count. The
+/// TDV-analysis phase timing and pool utilization are reported into
+/// `sink`.
 #[must_use]
-pub fn analyze_soc_guarded(soc: &Soc, options: &TdvOptions) -> Completion<Vec<CoreTdvRow>> {
-    analyze_soc_guarded_jobs(soc, options, 1)
-}
-
-/// [`analyze_soc_guarded`] fanned across `jobs` pool workers (`0` =
-/// auto). Each core's TDV arithmetic is an independent guarded job; the
-/// merge is order-preserving, so the completion is identical to the
-/// sequential run at any job count.
-#[must_use]
-pub fn analyze_soc_guarded_jobs(
-    soc: &Soc,
-    options: &TdvOptions,
-    jobs: usize,
-) -> Completion<Vec<CoreTdvRow>> {
-    analyze_soc_guarded_jobs_metered(soc, options, jobs, &modsoc_metrics::NullSink)
-}
-
-/// [`analyze_soc_guarded_jobs`] reporting the TDV-analysis phase timing
-/// and pool utilization into a
-/// [`MetricsSink`](modsoc_metrics::MetricsSink). Rows and outcomes are
-/// byte-identical to the unmetered call.
-#[must_use]
-pub fn analyze_soc_guarded_jobs_metered(
+pub fn analyze_soc_guarded(
     soc: &Soc,
     options: &TdvOptions,
     jobs: usize,
@@ -248,7 +232,7 @@ pub fn analyze_soc_guarded_jobs_metered(
         modsoc_metrics::PhaseTimer::start(sink, modsoc_metrics::Phase::TdvAnalysis);
     let ids: Vec<_> = soc.iter().collect();
     let computed =
-        crate::parallel::WorkerPool::new(jobs.max(1)).map_with_sink(&ids, sink, |_, (id, _)| {
+        crate::parallel::WorkerPool::new(jobs).map_with_sink(&ids, sink, |_, (id, _)| {
             guard(|| {
                 let volume = core_tdv_checked(soc, *id, options)?;
                 let (iso_s, iso_r) = isocost_split_checked(soc, *id, options)?;
@@ -298,6 +282,7 @@ pub fn analyze_soc_guarded_jobs_metered(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use modsoc_metrics::NullSink;
     use modsoc_soc::CoreSpec;
 
     #[test]
@@ -326,7 +311,7 @@ mod tests {
             .unwrap();
         soc.add_core(CoreSpec::leaf("good_b", 2, 2, 0, 10, 50))
             .unwrap();
-        let completion = analyze_soc_guarded(&soc, &TdvOptions::tables_3_4());
+        let completion = analyze_soc_guarded(&soc, &TdvOptions::tables_3_4(), 1, &NullSink);
         assert_eq!(completion.per_core_outcomes.len(), 3);
         assert_eq!(completion.result.len(), 2, "healthy cores still get rows");
         assert!(completion.result.iter().any(|r| r.name == "good_a"));
@@ -350,7 +335,7 @@ mod tests {
     fn healthy_soc_is_complete() {
         let mut soc = Soc::new("ok");
         soc.add_core(CoreSpec::leaf("a", 4, 3, 0, 20, 100)).unwrap();
-        let completion = analyze_soc_guarded(&soc, &TdvOptions::tables_1_2());
+        let completion = analyze_soc_guarded(&soc, &TdvOptions::tables_1_2(), 1, &NullSink);
         assert!(completion.is_complete());
         assert_eq!(completion.result.len(), 1);
         assert_eq!(completion.per_core_outcomes[0].kind.label(), "ok");
@@ -366,9 +351,9 @@ mod tests {
             .unwrap();
         soc.add_core(CoreSpec::leaf("good_b", 2, 2, 0, 10, 50))
             .unwrap();
-        let serial = analyze_soc_guarded(&soc, &TdvOptions::tables_3_4());
+        let serial = analyze_soc_guarded(&soc, &TdvOptions::tables_3_4(), 1, &NullSink);
         for jobs in [0, 2, 4] {
-            let parallel = analyze_soc_guarded_jobs(&soc, &TdvOptions::tables_3_4(), jobs);
+            let parallel = analyze_soc_guarded(&soc, &TdvOptions::tables_3_4(), jobs, &NullSink);
             assert_eq!(
                 parallel.per_core_outcomes, serial.per_core_outcomes,
                 "jobs={jobs}"

@@ -43,7 +43,7 @@
 //! ambiguity, so results are byte-stable across runs and `--jobs`
 //! values (the repo-wide determinism contract).
 
-use modsoc_metrics::{Counter, MetricsSink, NullSink};
+use modsoc_metrics::{Counter, MetricsSink};
 
 use crate::error::TamError;
 use crate::schedule::{Schedule, ScheduleEntry};
@@ -169,17 +169,9 @@ impl PackedSchedule {
     }
 }
 
-/// Pack every core's best rectangle under a total TAM width budget.
-///
-/// # Errors
-///
-/// Returns [`TamError::ZeroWidth`] / [`TamError::NoCores`].
-pub fn pack(cores: &[WrapperCore], width: usize) -> Result<PackedSchedule, TamError> {
-    pack_metered(cores, width, &NullSink)
-}
-
-/// [`pack`] with engine counters reported through `sink`
-/// (`tam_pack_cores`, `tam_pack_candidates`, `tam_pack_backfills`).
+/// Pack every core's best rectangle under a total TAM width budget,
+/// with engine counters reported through `sink` (`tam_pack_cores`,
+/// `tam_pack_candidates`, `tam_pack_backfills`).
 ///
 /// # Errors
 ///
@@ -199,8 +191,8 @@ enum Fit {
     Power,
 }
 
-/// The shared packer behind [`pack`] and
-/// [`crate::constraints::pack_constrained`]. `powers`, when present, is
+/// The shared packer behind [`pack_metered`] and
+/// [`crate::constraints::pack_constrained_metered`]. `powers`, when present, is
 /// one per-core power rating parallel to `cores`, and every instant of
 /// the schedule keeps the concurrent power sum at or under `ceiling`.
 pub(crate) fn pack_impl(
@@ -391,7 +383,7 @@ mod tests {
     use crate::arch::soc_test_time;
     use crate::arch::TamArchitecture;
     use crate::optimize::best_at_width;
-    use modsoc_metrics::RecordingSink;
+    use modsoc_metrics::{NullSink, RecordingSink};
 
     fn cores() -> Vec<WrapperCore> {
         vec![
@@ -432,7 +424,7 @@ mod tests {
     fn pack_places_every_core_without_overlap() {
         let cs = cores();
         for width in [1usize, 3, 8, 16] {
-            let s = pack(&cs, width).unwrap();
+            let s = pack_metered(&cs, width, &NullSink).unwrap();
             assert_eq!(s.placements.len(), cs.len(), "width {width}");
             assert_wires_exclusive(&s);
         }
@@ -445,7 +437,7 @@ mod tests {
             let serial = soc_test_time(TamArchitecture::Multiplexing, &cs, width)
                 .unwrap()
                 .total_time;
-            let s = pack(&cs, width).unwrap();
+            let s = pack_metered(&cs, width, &NullSink).unwrap();
             assert!(
                 s.makespan() <= serial,
                 "width {width}: {} > {serial}",
@@ -458,7 +450,7 @@ mod tests {
     fn pack_is_competitive_with_the_architecture_sweep() {
         let cs = cores();
         let best = best_at_width(&cs, 8).unwrap();
-        let s = pack(&cs, 8).unwrap();
+        let s = pack_metered(&cs, 8, &NullSink).unwrap();
         // The diagonal packer must at least match the best rigid/greedy
         // configuration on this workload.
         assert!(
@@ -476,8 +468,8 @@ mod tests {
         let twins: Vec<WrapperCore> = (0..6)
             .map(|i| WrapperCore::new(format!("t{i}"), 4, 4, vec![40, 40]).with_patterns(60))
             .collect();
-        let a = pack(&twins, 7).unwrap();
-        let b = pack(&twins, 7).unwrap();
+        let a = pack_metered(&twins, 7, &NullSink).unwrap();
+        let b = pack_metered(&twins, 7, &NullSink).unwrap();
         assert_eq!(a, b);
         // First-placed identical twin is the lowest core index.
         let first = a.placements.iter().min_by_key(|p| (p.start, p.core));
@@ -494,7 +486,7 @@ mod tests {
             WrapperCore::new("s2", 2, 2, vec![16]).with_patterns(20),
             WrapperCore::new("s3", 2, 2, vec![12]).with_patterns(15),
         ];
-        let s = pack(&cs, 6).unwrap();
+        let s = pack_metered(&cs, 6, &NullSink).unwrap();
         assert!(s.backfills() > 0, "no placement backfilled");
         let sink = RecordingSink::new();
         let metered = pack_metered(&cs, 6, &sink).unwrap();
@@ -510,7 +502,7 @@ mod tests {
 
     #[test]
     fn schedule_view_matches_placements() {
-        let s = pack(&cores(), 8).unwrap();
+        let s = pack_metered(&cores(), 8, &NullSink).unwrap();
         let sched = s.to_schedule();
         assert_eq!(sched.entries.len(), s.placements.len());
         assert_eq!(sched.makespan(), s.makespan());
@@ -519,7 +511,13 @@ mod tests {
 
     #[test]
     fn degenerate_inputs_rejected() {
-        assert!(matches!(pack(&[], 4), Err(TamError::NoCores)));
-        assert!(matches!(pack(&cores(), 0), Err(TamError::ZeroWidth)));
+        assert!(matches!(
+            pack_metered(&[], 4, &NullSink),
+            Err(TamError::NoCores)
+        ));
+        assert!(matches!(
+            pack_metered(&cores(), 0, &NullSink),
+            Err(TamError::ZeroWidth)
+        ));
     }
 }

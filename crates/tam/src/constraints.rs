@@ -16,7 +16,7 @@
 //! wrapper cell count. The units are arbitrary but consistent — ceilings
 //! are expressed on the same scale.
 
-use modsoc_metrics::{MetricsSink, NullSink};
+use modsoc_metrics::MetricsSink;
 
 use crate::binpack::{pack_impl, PackedSchedule};
 use crate::error::TamError;
@@ -40,7 +40,9 @@ pub fn power_cores(cores: &[WrapperCore]) -> Vec<PowerCore> {
         .collect()
 }
 
-/// Pack under both a TAM width budget and a concurrent-power ceiling.
+/// Pack under both a TAM width budget and a concurrent-power ceiling,
+/// with counters reported through `sink` (adds `tam_pack_power_rejects`
+/// to the [`pack_metered`](crate::binpack::pack_metered) set).
 ///
 /// # Errors
 ///
@@ -49,20 +51,6 @@ pub fn power_cores(cores: &[WrapperCore]) -> Vec<PowerCore> {
 /// for which no wrapper configuration fits — in practice a core whose
 /// own rating already exceeds the ceiling, since an empty strip always
 /// has the wires.
-pub fn pack_constrained(
-    cores: &[PowerCore],
-    width: usize,
-    ceiling: u64,
-) -> Result<PackedSchedule, TamError> {
-    pack_constrained_metered(cores, width, ceiling, &NullSink)
-}
-
-/// [`pack_constrained`] with counters reported through `sink`
-/// (adds `tam_pack_power_rejects` to the unconstrained set).
-///
-/// # Errors
-///
-/// As [`pack_constrained`].
 pub fn pack_constrained_metered(
     cores: &[PowerCore],
     width: usize,
@@ -84,8 +72,8 @@ pub fn packed_peak_power(schedule: &PackedSchedule, cores: &[PowerCore]) -> u64 
 mod tests {
     use super::*;
     use crate::arch::{soc_test_time, TamArchitecture};
-    use crate::binpack::pack;
-    use modsoc_metrics::{Counter, RecordingSink};
+    use crate::binpack::pack_metered;
+    use modsoc_metrics::{Counter, NullSink, RecordingSink};
 
     fn cores() -> Vec<PowerCore> {
         vec![
@@ -109,7 +97,7 @@ mod tests {
     fn ceiling_is_never_exceeded() {
         let cs = cores();
         for ceiling in [50u64, 70, 95, 1_000] {
-            let s = pack_constrained(&cs, 8, ceiling).unwrap();
+            let s = pack_constrained_metered(&cs, 8, ceiling, &NullSink).unwrap();
             assert_eq!(s.placements.len(), cs.len());
             assert!(
                 packed_peak_power(&s, &cs) <= ceiling,
@@ -122,8 +110,8 @@ mod tests {
     #[test]
     fn tighter_ceiling_never_packs_faster() {
         let cs = cores();
-        let loose = pack_constrained(&cs, 8, 1_000).unwrap();
-        let tight = pack_constrained(&cs, 8, 55).unwrap();
+        let loose = pack_constrained_metered(&cs, 8, 1_000, &NullSink).unwrap();
+        let tight = pack_constrained_metered(&cs, 8, 55, &NullSink).unwrap();
         assert!(tight.makespan() >= loose.makespan());
         // And even the tight packing stays within the serial bound.
         let wrappers: Vec<WrapperCore> = cs.iter().map(|c| c.core.clone()).collect();
@@ -137,15 +125,15 @@ mod tests {
     fn unconstrained_ceiling_matches_plain_pack() {
         let cs = cores();
         let wrappers: Vec<WrapperCore> = cs.iter().map(|c| c.core.clone()).collect();
-        let constrained = pack_constrained(&cs, 8, u64::MAX).unwrap();
-        let plain = pack(&wrappers, 8).unwrap();
+        let constrained = pack_constrained_metered(&cs, 8, u64::MAX, &NullSink).unwrap();
+        let plain = pack_metered(&wrappers, 8, &NullSink).unwrap();
         assert_eq!(constrained, plain);
     }
 
     #[test]
     fn core_over_ceiling_is_infeasible_with_details() {
         let cs = cores();
-        let err = pack_constrained(&cs, 8, 45).unwrap_err();
+        let err = pack_constrained_metered(&cs, 8, 45, &NullSink).unwrap_err();
         match err {
             TamError::Infeasible {
                 core,
@@ -165,7 +153,7 @@ mod tests {
         let cs = cores();
         let sink = RecordingSink::new();
         let s = pack_constrained_metered(&cs, 8, 55, &sink).unwrap();
-        assert_eq!(s, pack_constrained(&cs, 8, 55).unwrap());
+        assert_eq!(s, pack_constrained_metered(&cs, 8, 55, &NullSink).unwrap());
         // A 55 ceiling forces serialization of the 40/30/50 cores, so
         // the packer must have bounced off the power check.
         assert!(sink.snapshot().counter(Counter::TamPackPowerRejects) > 0);
@@ -181,7 +169,7 @@ mod tests {
 
     #[test]
     fn degenerate_inputs_rejected() {
-        assert!(pack_constrained(&[], 4, 100).is_err());
-        assert!(pack_constrained(&cores(), 0, 100).is_err());
+        assert!(pack_constrained_metered(&[], 4, 100, &NullSink).is_err());
+        assert!(pack_constrained_metered(&cores(), 0, 100, &NullSink).is_err());
     }
 }

@@ -48,7 +48,6 @@ pub mod schedule;
 pub mod wrapper;
 
 pub use arch::{soc_test_time, TamArchitecture};
-pub use binpack::{pack, PackedSchedule};
-pub use constraints::pack_constrained;
+pub use binpack::PackedSchedule;
 pub use error::TamError;
 pub use wrapper::{design_wrapper, WrapperCore, WrapperDesign};

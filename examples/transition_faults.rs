@@ -8,9 +8,11 @@
 //!
 //! Run with: `cargo run --release --example transition_faults`
 
-use modsoc::atpg::tdf::{enumerate_transition_faults, run_tdf_atpg};
+use modsoc::atpg::budget::RunBudget;
+use modsoc::atpg::tdf::{enumerate_transition_faults, run_tdf_atpg, LaunchScheme};
 use modsoc::atpg::{Atpg, AtpgOptions};
 use modsoc::circuitgen::{generate, CoreProfile};
+use modsoc::metrics::NullSink;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let profile = CoreProfile::new("core", 10, 6, 16).with_seed(8);
@@ -30,7 +32,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stuck.fault_coverage() * 100.0
     );
 
-    let tdf = run_tdf_atpg(&circuit, 400)?;
+    let tdf = run_tdf_atpg(
+        &circuit,
+        400,
+        LaunchScheme::Capture,
+        &RunBudget::unlimited(),
+        &NullSink,
+    )?;
     println!(
         "transition flow: {:>4} patterns, {:>6.2}% coverage over LOC-testable \
          ({} detected, {} LOC-untestable, {} aborted of {})",

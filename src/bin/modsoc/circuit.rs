@@ -3,6 +3,7 @@
 use modsoc::analysis::report::fmt_u64;
 use modsoc::atpg::{Atpg, AtpgOptions};
 use modsoc::circuitgen::{generate as generate_circuit, CoreProfile};
+use modsoc::metrics::NullSink;
 use modsoc::netlist::bench_format::{parse_bench, write_bench};
 use modsoc::netlist::cone::extract_cones;
 use modsoc::netlist::verilog::{dff_module, write_verilog};
@@ -163,11 +164,12 @@ pub(crate) fn index(a: &Args) -> Result<RunStatus, String> {
 
 pub(crate) fn tdf(a: &Args) -> Result<RunStatus, String> {
     let circuit = parse_bench("circuit", &read_file(a.operand())?).map_err(|e| e.to_string())?;
-    let result = modsoc::atpg::tdf::run_tdf_atpg_budgeted(
+    let result = modsoc::atpg::tdf::run_tdf_atpg(
         &circuit,
         400,
         modsoc::atpg::tdf::LaunchScheme::Capture,
         &a.budget()?,
+        &NullSink,
     )
     .map_err(|e| e.to_string())?;
     println!(

@@ -124,8 +124,11 @@ wall times, jobs and sched objects is identical at any --jobs value.
 fetch instead of recomputing; reports stay byte-identical) and holds
 campaign journals so interrupted campaigns resume where they stopped.
 --store-url URL points campaign at a `modsoc serve --store` daemon
-instead of a local directory; concurrent workers claim units through
-the daemon so each unit's engine work runs exactly once.
+instead of a local directory. Campaign workers sharing one store (DIR or
+URL) claim each unit before running it (--owner names the worker,
+--claim-lease-ms sets the lease, --claim-wait-ms the patience for units
+peers hold), so each unit's engine work runs exactly once; a rerun after
+a SIGKILL waits out the killed worker's lease (default 30 s).
 modsoc store gc/verify sweep a local store directory: gc evicts
 least-recently-used objects until the store fits --max-bytes, verify
 reports corrupt entries (exit 1 when any are found).

@@ -6,9 +6,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-use modsoc::analysis::campaign::{
-    run_campaign, run_campaign_claimed, CampaignSpec, ClaimOptions, UnitStatus,
-};
+use modsoc::analysis::campaign::{run_campaign, CampaignSpec, ClaimOptions, UnitStatus};
 use modsoc::analysis::experiment::{run_soc_experiment_guarded, ExperimentOptions};
 use modsoc::analysis::metrics::{
     analysis_run_metrics, run_soc_experiment_metered, Phase, PhaseTimer, RecordingSink,
@@ -17,7 +15,7 @@ use modsoc::analysis::remote::HttpBackend;
 use modsoc::analysis::report::{
     fmt_u64, render_analyze_report, render_core_table, render_metrics_table, render_outcome_table,
 };
-use modsoc::analysis::runctl::analyze_soc_guarded_jobs_metered;
+use modsoc::analysis::runctl::analyze_soc_guarded;
 use modsoc::analysis::tdv::core_tdv_checked;
 use modsoc::analysis::{RunBudget, SocTdvAnalysis, TdvOptions};
 use modsoc::metrics::NullSink;
@@ -68,7 +66,7 @@ pub(crate) fn analyze(a: &Args) -> Result<RunStatus, String> {
         // healthy cores still get their rows and the outcome table shows
         // who failed and why. Per-core arithmetic fans across the pool;
         // the output is identical at any --jobs value.
-        let completion = analyze_soc_guarded_jobs_metered(&soc, &options, jobs, &sink);
+        let completion = analyze_soc_guarded(&soc, &options, jobs, &sink);
         // Every core is healthy, so the full analysis is valid too.
         let analysis = completion
             .is_complete()
@@ -264,27 +262,26 @@ pub(crate) fn campaign(a: &Args) -> Result<RunStatus, String> {
         .with_jobs(a.jobs()?)
         .with_store(Arc::clone(&store))
         .with_store_read(!a.has("--no-store-read"));
-    let budget = a.budget()?;
-    let keep_going = a.has("--keep-going");
-    let report = if url.is_some() {
-        // Remote store: claim units through the daemon so concurrent
-        // workers over the same spec partition the work.
-        let owner = a
-            .get("--owner")
-            .map_or_else(ClaimOptions::default_owner, String::from);
-        let mut claims = ClaimOptions::new(owner);
-        if let Some(ms) = a.num("--claim-lease-ms")? {
-            claims = claims.with_lease(Duration::from_millis(ms));
-        }
-        if let Some(ms) = a.num("--claim-wait-ms")? {
-            claims = claims.with_wait(Duration::from_millis(ms));
-        }
-        run_campaign_claimed(
-            &spec, &options, &budget, &store, keep_going, &claims, &NullSink,
-        )
-    } else {
-        run_campaign(&spec, &options, &budget, &store, keep_going, &NullSink)
+    // Units are claimed through the store, so concurrent workers over
+    // one spec and one store partition the work.
+    let mut claims = a
+        .get("--owner")
+        .map_or_else(ClaimOptions::default, ClaimOptions::new);
+    if let Some(ms) = a.num("--claim-lease-ms")? {
+        claims = claims.with_lease(Duration::from_millis(ms));
     }
+    if let Some(ms) = a.num("--claim-wait-ms")? {
+        claims = claims.with_wait(Duration::from_millis(ms));
+    }
+    let report = run_campaign(
+        &spec,
+        &options,
+        &a.budget()?,
+        &store,
+        a.has("--keep-going"),
+        &claims,
+        &NullSink,
+    )
     .map_err(|e| e.to_string())?;
 
     println!("campaign {} ({} units)", report.name, report.units.len());

@@ -1,6 +1,7 @@
 //! `modsoc serve` and `modsoc loadgen`: the long-lived ATPG service
 //! daemon and the seeded load generator that checks it.
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use modsoc::analysis::serve::{http_request, HttpClient, HttpResponse, ServeConfig, Server};
@@ -160,15 +161,14 @@ struct LoadgenOutcome {
     status: u16,
     latency: Duration,
     class: &'static str,
-    /// Response body for `hot` requests — all of these must be
-    /// byte-identical (one engine run fanned out by coalescing/store).
-    hot_body: Option<String>,
     /// Whether a 503 carried the mandatory `Retry-After` header.
     retry_after_ok: bool,
     /// 503 retries spent before this outcome settled.
     retries: u64,
     /// SHA-256 of the response body (`io-error` on transport failure) —
-    /// the keep-alive parity smoke diffs these across transport modes.
+    /// every `hot` 200 must carry the same one (one engine result fanned
+    /// out by coalescing and the store), and the keep-alive parity smoke
+    /// diffs these across transport modes.
     body_sha: String,
 }
 
@@ -283,7 +283,6 @@ fn loadgen_request(transport: &mut Transport, seed: u64, i: usize, salt: u64) ->
             status: r.status,
             latency,
             class,
-            hot_body: (class == "hot" && r.status == 200).then(|| r.body_text()),
             retry_after_ok: r.status != 503 || r.header("retry-after").is_some(),
             retries,
             body_sha: sha(&r.body),
@@ -293,7 +292,6 @@ fn loadgen_request(transport: &mut Transport, seed: u64, i: usize, salt: u64) ->
             status: 0,
             latency,
             class,
-            hot_body: None,
             retry_after_ok: true,
             retries,
             body_sha: "io-error".to_string(),
@@ -461,14 +459,10 @@ pub(crate) fn loadgen(a: &Args) -> Result<RunStatus, String> {
         ka_reused += re;
     }
     outcomes.sort_unstable_by_key(|o| o.index);
-    let mut by_status: Vec<(u16, usize)> = Vec::new();
+    let mut by_status: BTreeMap<u16, usize> = BTreeMap::new();
     for o in &outcomes {
-        match by_status.iter_mut().find(|(s, _)| *s == o.status) {
-            Some((_, c)) => *c += 1,
-            None => by_status.push((o.status, 1)),
-        }
+        *by_status.entry(o.status).or_default() += 1;
     }
-    by_status.sort_unstable();
     let mut latencies: Vec<Duration> = outcomes.iter().map(|o| o.latency).collect();
     latencies.sort_unstable();
     println!(
@@ -528,11 +522,12 @@ pub(crate) fn loadgen(a: &Args) -> Result<RunStatus, String> {
     //  * oversized bodies always 413 (the cap held);
     //  * every 503 carried Retry-After;
     //  * no request ended in an I/O error or hung past its timeout.
-    let hot_bodies: Vec<&String> = outcomes
+    let hot_shas: Vec<&String> = outcomes
         .iter()
-        .filter_map(|o| o.hot_body.as_ref())
+        .filter(|o| o.class == "hot" && o.status == 200)
+        .map(|o| &o.body_sha)
         .collect();
-    let hot_consistent = hot_bodies.windows(2).all(|w| w[0] == w[1]);
+    let hot_consistent = hot_shas.windows(2).all(|w| w[0] == w[1]);
     let hot_all_ok = outcomes
         .iter()
         .filter(|o| o.class == "hot")

@@ -18,6 +18,7 @@ use crate::analysis::{RunBudget, SocTdvAnalysis, TdvOptions};
 use crate::atpg::bist::{run_hybrid, Lfsr};
 use crate::atpg::{Atpg, AtpgOptions};
 use crate::circuitgen::{generate, profile::iscas, CoreProfile};
+use crate::metrics::NullSink;
 use crate::netlist::cone::{cone_subcircuit, extract_cones};
 use crate::soc::{itc02, CoreSpec, Soc};
 use crate::tam::optimize::{best_at_width, sweep_architecture, sweep_rectangles, WidthSweep};
@@ -503,7 +504,7 @@ fn bist() -> DemoResult {
         "bist budget", "bist cov %", "top-up pats", "external bits", "vs pure"
     )?;
     for budget in [0usize, 64, 256, 1024, 4096, 16384] {
-        let hybrid = run_hybrid(&model, Lfsr::standard(0xB157), budget, 200)?;
+        let hybrid = run_hybrid(&model, Lfsr::standard(0xB157), budget, 200, &NullSink)?;
         writeln!(
             out,
             "{budget:>12} {:>11.1}% {:>14} {:>16} {:>9.1}%",

@@ -485,6 +485,33 @@ fn experiment_metrics_report_is_valid_json_and_jobs_invariant() {
 }
 
 #[test]
+fn jobs_zero_runs_one_worker_per_hardware_thread() {
+    use modsoc::analysis::metrics::RunMetrics;
+    let dir = std::env::temp_dir().join(format!("modsoc_cli_jobs0_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let path = dir.join("m.json");
+    let out = modsoc(&[
+        "experiment",
+        "mini",
+        "--jobs",
+        "0",
+        "--metrics",
+        path.to_str().expect("utf8 path"),
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&path).expect("metrics file written");
+    let parsed = RunMetrics::from_json(&text).expect("valid metrics JSON");
+    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    assert_eq!(parsed.jobs, threads as u64, "--jobs 0 means auto");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn analyze_keep_going_partial_failure_still_writes_metrics() {
     use modsoc::analysis::metrics::RunMetrics;
     let dir = std::env::temp_dir().join(format!("modsoc_cli_metkg_{}", std::process::id()));

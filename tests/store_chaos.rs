@@ -7,7 +7,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use modsoc::analysis::campaign::{run_campaign, CampaignSpec, UnitStatus};
+use modsoc::analysis::campaign::{run_campaign, CampaignSpec, ClaimOptions, UnitStatus};
 use modsoc::analysis::experiment::{run_soc_experiment_guarded, ExperimentOptions, SocExperiment};
 use modsoc::analysis::RunBudget;
 use modsoc::circuitgen::soc::mini_soc;
@@ -149,6 +149,7 @@ fn corrupted_campaign_journal_reruns_units_instead_of_crashing() {
     .expect("spec");
     let options = ExperimentOptions::paper_tables_1_2();
     let budget = RunBudget::unlimited();
+    let claims = ClaimOptions::default();
     for (case, corrupt) in [truncate as fn(&Path), |p: &Path| {
         let mut r = Rng(CHAOS_SEED);
         flip_byte(p, &mut r);
@@ -158,7 +159,7 @@ fn corrupted_campaign_journal_reruns_units_instead_of_crashing() {
     {
         let dir = temp_dir(&format!("journal{case}"));
         let store = ResultStore::open(&dir).expect("open store");
-        let first = run_campaign(&spec, &options, &budget, &store, false, &NullSink)
+        let first = run_campaign(&spec, &options, &budget, &store, false, &claims, &NullSink)
             .expect("first campaign run");
         assert!(first.is_complete());
         drop(store);
@@ -171,7 +172,7 @@ fn corrupted_campaign_journal_reruns_units_instead_of_crashing() {
         // eviction), both units re-run to completion, and the journal is
         // rebuilt — no crash, no skipped-but-wrong rows.
         let store = ResultStore::open(&dir).expect("reopen store");
-        let resumed = run_campaign(&spec, &options, &budget, &store, false, &NullSink)
+        let resumed = run_campaign(&spec, &options, &budget, &store, false, &claims, &NullSink)
             .expect("resume over corrupt journal");
         assert!(resumed.is_complete(), "case {case}");
         assert_eq!(resumed.units.len(), 2);
@@ -183,7 +184,7 @@ fn corrupted_campaign_journal_reruns_units_instead_of_crashing() {
         assert_eq!(store.evictions(), 1, "case {case}: corrupt journal evicted");
 
         // Third run: the rebuilt journal skips both units again.
-        let third = run_campaign(&spec, &options, &budget, &store, false, &NullSink)
+        let third = run_campaign(&spec, &options, &budget, &store, false, &claims, &NullSink)
             .expect("third campaign run");
         assert!(third.units.iter().all(|u| u.status == UnitStatus::Skipped));
         let _ = std::fs::remove_dir_all(&dir);

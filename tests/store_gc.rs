@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 
-use modsoc::analysis::campaign::{run_campaign, CampaignSpec};
+use modsoc::analysis::campaign::{run_campaign, CampaignSpec, ClaimOptions};
 use modsoc::analysis::experiment::ExperimentOptions;
 use modsoc::analysis::RunBudget;
 use modsoc::metrics::json::JsonValue;
@@ -91,7 +91,8 @@ fn campaign_after_gc_recomputes_only_the_evicted_entries() {
     .expect("spec");
     let options = ExperimentOptions::paper_tables_1_2().with_store(Arc::clone(&store));
     let budget = RunBudget::unlimited();
-    run_campaign(&spec, &options, &budget, &store, false, &NullSink).expect("cold run");
+    let claims = ClaimOptions::default();
+    run_campaign(&spec, &options, &budget, &store, false, &claims, &NullSink).expect("cold run");
     let cold_writes = store.writes();
     assert!(cold_writes >= 3, "2 cores + monolithic cached");
 
@@ -114,7 +115,8 @@ fn campaign_after_gc_recomputes_only_the_evicted_entries() {
     std::fs::remove_dir_all(dir.join("journals")).expect("drop journal");
     std::fs::create_dir_all(dir.join("journals")).expect("recreate");
     let (hits_before, misses_before) = (store.hits(), store.misses());
-    let report2 = run_campaign(&spec, &options, &budget, &store, false, &NullSink).expect("warm");
+    let report2 =
+        run_campaign(&spec, &options, &budget, &store, false, &claims, &NullSink).expect("warm");
     assert!(report2.is_complete());
     assert_eq!(
         store.misses() - misses_before,

@@ -1,9 +1,15 @@
-//! Cross-process store contention: two `modsoc` processes sharing one
-//! store directory must serialize writes through the advisory locks and
-//! merge journal updates instead of losing them.
+//! Store contention: two `modsoc` processes sharing one store directory
+//! must serialize writes through the advisory locks and merge journal
+//! updates instead of losing them, and two campaign workers over one
+//! local store must split the units through claims.
 
 use std::process::Command;
+use std::sync::Arc;
 
+use modsoc::analysis::campaign::{run_campaign, CampaignSpec, ClaimOptions, UnitStatus};
+use modsoc::analysis::experiment::ExperimentOptions;
+use modsoc::analysis::{CampaignReport, RunBudget};
+use modsoc::metrics::NullSink;
 use modsoc::store::ResultStore;
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -90,6 +96,59 @@ fn two_campaign_processes_share_one_store_without_corruption() {
         locks.is_empty(),
         "locks must be released after clean exits: {locks:?}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One in-process campaign worker over the store at `dir`: its report
+/// and the engine writes its own store handle made.
+fn local_worker(dir: &std::path::Path, owner: &str) -> (CampaignReport, u64) {
+    let spec = CampaignSpec::from_json(campaign_spec()).expect("spec");
+    let store = Arc::new(ResultStore::open(dir).expect("open store"));
+    let options = ExperimentOptions::paper_tables_1_2().with_store(Arc::clone(&store));
+    let report = run_campaign(
+        &spec,
+        &options,
+        &RunBudget::unlimited(),
+        &store,
+        false,
+        &ClaimOptions::new(owner),
+        &NullSink,
+    )
+    .expect("campaign");
+    (report, store.writes())
+}
+
+#[test]
+fn two_local_workers_split_one_campaign_without_duplicate_work() {
+    let single = temp_dir("claims_single");
+    let (_, single_writes) = local_worker(&single, "solo");
+    let dir = temp_dir("claims_shared");
+    let ((ra, wa), (rb, wb)) = std::thread::scope(|s| {
+        let a = s.spawn(|| local_worker(&dir, "w1"));
+        let b = s.spawn(|| local_worker(&dir, "w2"));
+        (a.join().expect("w1"), b.join().expect("w2"))
+    });
+    // Both workers see every unit done, and each unit ran on at most one
+    // of them: the other skipped it from the shared journal.
+    assert!(ra.is_complete() && rb.is_complete(), "{ra:?}\n{rb:?}");
+    for (a, b) in ra.units.iter().zip(&rb.units) {
+        let ran = [a, b]
+            .iter()
+            .filter(|u| u.status == UnitStatus::Complete)
+            .count();
+        assert!(ran <= 1, "unit '{}' ran on both workers", a.unit);
+    }
+    assert_eq!(
+        wa + wb,
+        single_writes,
+        "two workers must write exactly what one run writes"
+    );
+    let claims: Vec<_> = std::fs::read_dir(dir.join("claims"))
+        .expect("claims dir")
+        .flatten()
+        .collect();
+    assert!(claims.is_empty(), "claims must be released: {claims:?}");
+    let _ = std::fs::remove_dir_all(&single);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

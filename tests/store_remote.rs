@@ -10,9 +10,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use modsoc::analysis::campaign::{
-    run_campaign, run_campaign_claimed, CampaignSpec, ClaimOptions, UnitStatus,
-};
+use modsoc::analysis::campaign::{run_campaign, CampaignSpec, ClaimOptions, UnitStatus};
 use modsoc::analysis::experiment::ExperimentOptions;
 use modsoc::analysis::remote::HttpBackend;
 use modsoc::analysis::serve::{ServeConfig, Server};
@@ -287,7 +285,7 @@ fn run_worker(addr: &str, owner: &str) -> modsoc::analysis::CampaignReport {
     let claims = ClaimOptions::new(owner)
         .with_lease(Duration::from_secs(10))
         .with_wait(Duration::from_secs(120));
-    run_campaign_claimed(
+    run_campaign(
         &CampaignSpec::from_json(SPEC).expect("spec"),
         &options,
         &RunBudget::unlimited(),
@@ -313,6 +311,7 @@ fn concurrent_workers_partition_units_with_no_duplicate_work() {
         &RunBudget::unlimited(),
         &local,
         false,
+        &ClaimOptions::default(),
         &NullSink,
     )
     .expect("baseline");

@@ -10,10 +10,11 @@ use proptest::prelude::*;
 
 use modsoc::analysis::reconstruct::table4_socs;
 use modsoc::circuitgen::profile::iscas;
+use modsoc::metrics::NullSink;
 use modsoc::soc::itc02;
 use modsoc::tam::arch::{soc_test_time, TamArchitecture};
-use modsoc::tam::binpack::{pack, PackedSchedule};
-use modsoc::tam::constraints::{pack_constrained, power_cores, scan_power_model};
+use modsoc::tam::binpack::{pack_metered, PackedSchedule};
+use modsoc::tam::constraints::{pack_constrained_metered, power_cores, scan_power_model};
 use modsoc::tam::wrapper::WrapperCore;
 
 /// Every placement's wires are in-budget, distinct, and no wire carries
@@ -100,7 +101,7 @@ proptest! {
         cores in arb_cores(),
         width in 1usize..32,
     ) {
-        let s = pack(&cores, width).unwrap();
+        let s = pack_metered(&cores, width, &NullSink).unwrap();
         prop_assert_eq!(s.placements.len(), cores.len());
         assert_no_overlap(&s);
         prop_assert!(s.makespan() <= serial_time(&cores, width));
@@ -117,7 +118,7 @@ proptest! {
         // Any ceiling at or above the hungriest core is feasible; sweep
         // from barely-feasible (forced serialization) up to no-op.
         let ceiling = powers.iter().copied().max().unwrap() + slack;
-        let s = pack_constrained(&pcs, width, ceiling).unwrap();
+        let s = pack_constrained_metered(&pcs, width, ceiling, &NullSink).unwrap();
         prop_assert_eq!(s.placements.len(), cores.len());
         assert_no_overlap(&s);
         assert_power_within(&s, &powers, ceiling);
@@ -126,7 +127,7 @@ proptest! {
 
     #[test]
     fn packing_is_deterministic(cores in arb_cores(), width in 1usize..32) {
-        prop_assert_eq!(pack(&cores, width).unwrap(), pack(&cores, width).unwrap());
+        prop_assert_eq!(pack_metered(&cores, width, &NullSink).unwrap(), pack_metered(&cores, width, &NullSink).unwrap());
     }
 }
 
@@ -159,7 +160,7 @@ fn circuitgen_cores() -> Vec<WrapperCore> {
 fn circuitgen_profiles_pack_within_bounds() {
     let cores = circuitgen_cores();
     for width in [4usize, 8, 16] {
-        let s = pack(&cores, width).unwrap();
+        let s = pack_metered(&cores, width, &NullSink).unwrap();
         assert_eq!(s.placements.len(), cores.len());
         assert_no_overlap(&s);
         assert!(s.makespan() <= serial_time(&cores, width));
@@ -167,7 +168,7 @@ fn circuitgen_profiles_pack_within_bounds() {
         let pcs = power_cores(&cores);
         let powers: Vec<u64> = cores.iter().map(scan_power_model).collect();
         let ceiling = powers.iter().copied().max().unwrap() + powers.iter().sum::<u64>() / 4;
-        let c = pack_constrained(&pcs, width, ceiling).unwrap();
+        let c = pack_constrained_metered(&pcs, width, ceiling, &NullSink).unwrap();
         assert_no_overlap(&c);
         assert_power_within(&c, &powers, ceiling);
         assert!(c.makespan() >= s.makespan() || c == s);
@@ -193,7 +194,7 @@ fn itc02_sweep_packs_within_bounds_at_every_width() {
             .map(|(_, c)| WrapperCore::from_core_spec(c, 8))
             .collect();
         for width in [8usize, 16, 32] {
-            let s = pack(&cores, width).unwrap();
+            let s = pack_metered(&cores, width, &NullSink).unwrap();
             assert_eq!(s.placements.len(), cores.len(), "{name} at width {width}");
             assert_no_overlap(&s);
             let serial = serial_time(&cores, width);
@@ -204,7 +205,11 @@ fn itc02_sweep_packs_within_bounds_at_every_width() {
             );
             // Byte-identical on a second run: the packer has no hidden
             // state and its tie-breaks are total.
-            assert_eq!(s, pack(&cores, width).unwrap(), "{name} at width {width}");
+            assert_eq!(
+                s,
+                pack_metered(&cores, width, &NullSink).unwrap(),
+                "{name} at width {width}"
+            );
         }
     }
 }
@@ -221,7 +226,8 @@ fn itc02_constrained_sweep_respects_the_ceiling() {
         let powers: Vec<u64> = cores.iter().map(scan_power_model).collect();
         let hungriest = powers.iter().copied().max().unwrap();
         let ceiling = hungriest.max(powers.iter().sum::<u64>() / 2);
-        let s = pack_constrained(&pcs, 16, ceiling).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let s = pack_constrained_metered(&pcs, 16, ceiling, &NullSink)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_no_overlap(&s);
         assert_power_within(&s, &powers, ceiling);
         assert!(s.makespan() <= serial_time(&cores, 16), "{name}");

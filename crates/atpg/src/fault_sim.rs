@@ -18,11 +18,13 @@
 //!   this width.
 //!
 //! Values are node-major (struct-of-arrays): each node's whole block is
-//! contiguous, so wide gate evaluation streams cache lines. The two bulk
-//! sweeps combine pattern-parallel and fault-parallel blocking:
-//! good-value blocks are computed once on the calling thread and shared
-//! read-only by every worker, which then streams its fault shard
-//! against one cache-resident block at a time.
+//! contiguous, so wide gate evaluation streams cache lines. The sweeps
+//! over a fault list (the bulk sweeps above and
+//! [`FaultSimulator::detection_masks_budgeted`]) combine
+//! pattern-parallel and fault-parallel blocking: good values are
+//! computed once on the calling thread and shared read-only by the
+//! workers of a [`WorkerPool`], which claim [`SWEEP_CHUNK`]-fault chunks
+//! and stream each against one block at a time.
 //!
 //! Both widths produce bit-identical detection verdicts; the test suite
 //! pins the wide sweeps to per-64 [`FaultSimulator::detection_masks`]
@@ -30,7 +32,6 @@
 
 use std::collections::BinaryHeap;
 use std::sync::Arc;
-use std::time::Instant;
 
 use modsoc_metrics::{MetricsSink, NullSink};
 use modsoc_netlist::sim::Simulator;
@@ -40,24 +41,14 @@ pub use modsoc_netlist::{PackedWord, SimBlock, BLOCK_BITS, BLOCK_WORDS};
 use crate::budget::{ExhaustReason, RunBudget};
 use crate::error::AtpgError;
 use crate::fault::{Fault, FaultSite};
+use crate::pool::WorkerPool;
 
-/// How many faults a budgeted sweep processes between budget polls
-/// (polling costs an `Instant::now()`; per-fault propagation is usually
-/// far cheaper, so polling every fault would dominate small cones).
-pub const BUDGET_POLL_STRIDE: usize = 256;
-
-/// Resolve a job-count request: `0` means "all available hardware
-/// threads" (1 when detection fails); anything else is used as given.
-#[must_use]
-pub fn effective_jobs(requested: usize) -> usize {
-    if requested == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        requested
-    }
-}
+/// Faults per chunk of a pooled sweep: workers claim chunks of this
+/// many faults from the [`WorkerPool`]'s counter, and a budgeted sweep
+/// polls its budget once per chunk (polling costs an `Instant::now()`;
+/// per-fault propagation is usually far cheaper, so polling every fault
+/// would dominate small cones).
+pub const SWEEP_CHUNK: usize = 512;
 
 /// Mask of the valid pattern slots for a batch of `n` patterns: the low
 /// `n` bits set, saturating at the full word for `n >= 64`.
@@ -438,7 +429,8 @@ impl<'a> FaultSimulator<'a> {
             .collect()
     }
 
-    /// Detection masks for a whole fault list against one batch.
+    /// Detection masks for a whole fault list against one batch, swept
+    /// serially on this simulator.
     ///
     /// # Errors
     ///
@@ -448,22 +440,18 @@ impl<'a> FaultSimulator<'a> {
         patterns: &[Vec<bool>],
         faults: &[Fault],
     ) -> Result<Vec<u64>, AtpgError> {
-        let (good, n) = self.good_values(patterns)?;
-        let active = active_mask(n);
-        Ok(faults
-            .iter()
-            .map(|&f| self.detection_mask(&good, active, f))
-            .collect())
+        Ok(self.mask_sweep(patterns, faults, None, 1, &NullSink)?.0)
     }
 
-    /// [`FaultSimulator::detection_masks`] under a [`RunBudget`]: the
-    /// deadline/cancellation flags are polled every
-    /// [`BUDGET_POLL_STRIDE`] faults. On a trip the sweep stops early and
-    /// the reason is returned alongside the masks; unprocessed faults
-    /// keep an all-zero mask, which downstream fault dropping reads as
-    /// "not detected" — conservative, never unsound. The partially
-    /// accumulated prefix is re-masked with the batch's [`active_mask`]
-    /// on the trip path, so ghost slots beyond the simulated prefix can
+    /// [`FaultSimulator::detection_masks`] under a [`RunBudget`] on a
+    /// `jobs`-wide pool (see [`FaultSimulator::detected`] for the
+    /// chunking): the deadline/cancellation flags are polled once per
+    /// [`SWEEP_CHUNK`]-fault chunk. A chunk that finds the budget
+    /// tripped is not simulated and the reason is returned alongside the
+    /// masks; its faults keep an all-zero mask, which downstream fault
+    /// dropping reads as "not detected" — conservative, never unsound.
+    /// On a trip the masks are re-masked with the batch's
+    /// [`active_mask`], so ghost slots beyond the simulated prefix can
     /// never read as detections regardless of where the trip lands.
     ///
     /// # Errors
@@ -474,26 +462,51 @@ impl<'a> FaultSimulator<'a> {
         patterns: &[Vec<bool>],
         faults: &[Fault],
         budget: &RunBudget,
+        jobs: usize,
+        sink: &dyn MetricsSink,
+    ) -> Result<(Vec<u64>, Option<ExhaustReason>), AtpgError> {
+        self.mask_sweep(patterns, faults, Some(budget), jobs, sink)
+    }
+
+    /// The one 64-slot sweep behind [`FaultSimulator::detection_masks`],
+    /// [`FaultSimulator::detection_masks_budgeted`] and the engine's
+    /// PODEM windows.
+    pub(crate) fn mask_sweep(
+        &mut self,
+        patterns: &[Vec<bool>],
+        faults: &[Fault],
+        budget: Option<&RunBudget>,
+        jobs: usize,
+        sink: &dyn MetricsSink,
     ) -> Result<(Vec<u64>, Option<ExhaustReason>), AtpgError> {
         let (good, n) = self.good_values(patterns)?;
         let active = active_mask(n);
-        let mut masks = vec![0u64; faults.len()];
-        for (i, &f) in faults.iter().enumerate() {
-            if i % BUDGET_POLL_STRIDE == 0 {
-                if let Some(reason) = budget.check() {
-                    // Budget tripped mid-sweep: re-assert the tail
-                    // discipline on the partial prefix before handing it
-                    // back (defense in depth — a mask produced by any
-                    // future accumulation scheme must still obey it).
-                    for m in &mut masks {
-                        *m &= active;
-                    }
-                    return Ok((masks, Some(reason)));
+        let chunks = self.sweep(faults, jobs, sink, |fsim, faults| {
+            let mut masks = Vec::with_capacity(faults.len());
+            for chunk in faults.chunks(SWEEP_CHUNK) {
+                if let Some(reason) = budget.and_then(RunBudget::check) {
+                    masks.resize(faults.len(), 0);
+                    return (masks, Some(reason));
                 }
+                masks.extend(chunk.iter().map(|&f| fsim.detection_mask(&good, active, f)));
             }
-            masks[i] = self.detection_mask(&good, active, f);
+            (masks, None)
+        });
+        let mut masks = Vec::with_capacity(faults.len());
+        let mut tripped = None;
+        for (chunk_masks, reason) in chunks {
+            masks.extend(chunk_masks);
+            tripped = tripped.or(reason);
         }
-        Ok((masks, None))
+        if tripped.is_some() {
+            // Re-assert the tail discipline on the partial result before
+            // handing it back (defense in depth — a mask produced by any
+            // future accumulation scheme must still obey it).
+            for m in &mut masks {
+                *m &= active;
+            }
+        }
+        Ok((masks, tripped))
     }
 
     /// Call `hit(fault, pattern)` for every pair of indices where
@@ -529,18 +542,21 @@ impl<'a> FaultSimulator<'a> {
 
     /// Which faults `patterns` (any count) detect: `detected[i]` ⇔ some
     /// pattern flips some primary output under `faults[i]`. This is the
-    /// engine's final-accounting primitive.
+    /// engine's coverage-verification primitive.
     ///
     /// Good values are computed once per [`BLOCK_BITS`] block on this
-    /// simulator; the fault list is then swept blocks outer, faults
-    /// inner, and a fault detected by an earlier block is dropped from
-    /// later ones (an OR-reduction, so the result is identical with or
-    /// without the drop). At `jobs == 1` the sweep runs on this
-    /// simulator's scratch; above that the faults are sharded across
-    /// `jobs` threads, each on a clone of this simulator, and merged in
-    /// fault order, so the result is identical at any `jobs`. `sink`
-    /// receives one worker-utilization row per shard of a threaded
-    /// sweep.
+    /// simulator. The fault list is then cut into [`SWEEP_CHUNK`]-fault
+    /// chunks that the workers of a `jobs`-wide [`WorkerPool`] claim one
+    /// at a time — the calling thread on this simulator, each spawned
+    /// worker on its own clone of it; each
+    /// chunk is swept blocks outer, faults inner, and a fault detected by
+    /// an earlier block is dropped from later ones (an OR-reduction, so
+    /// the result is identical with or without the drop). The chunks are
+    /// merged in fault order, so the result is identical at any `jobs`.
+    /// A sweep the pool runs sequentially — `jobs == 1`, fewer than two
+    /// chunks, or a call from a pool worker — stays on the calling
+    /// thread. `sink` receives one worker-utilization row per worker of
+    /// a parallel sweep and none for a sequential one.
     ///
     /// # Errors
     ///
@@ -553,17 +569,18 @@ impl<'a> FaultSimulator<'a> {
         sink: &dyn MetricsSink,
     ) -> Result<Vec<bool>, AtpgError> {
         let blocks = good_block_sweep(self, patterns)?;
-        run_sharded(self, faults, jobs, sink, |fsim, shard| {
-            let mut detected = vec![false; shard.len()];
+        let chunks = self.sweep(faults, jobs, sink, |fsim, chunk| {
+            let mut detected = vec![false; chunk.len()];
             for (good, active) in &blocks {
-                for (d, &f) in detected.iter_mut().zip(shard) {
+                for (d, &f) in detected.iter_mut().zip(chunk) {
                     if !*d {
                         *d = !fsim.block_detection_mask(good, active, f).is_zero();
                     }
                 }
             }
-            Ok(detected)
-        })
+            detected
+        });
+        Ok(chunks.concat())
     }
 
     /// Each fault's *last detector*: `last[i]` is the index of the last
@@ -572,7 +589,7 @@ impl<'a> FaultSimulator<'a> {
     /// exactly the distinct last detectors, and the faults it detects are
     /// exactly those with one (see [`crate::compact`]).
     ///
-    /// Blocked and sharded like [`FaultSimulator::detected`], but the
+    /// Blocked and chunked like [`FaultSimulator::detected`], but the
     /// blocks are walked from last to first, and a fault is dropped at
     /// its first nonzero block mask, recording the block's base plus its
     /// highest set slot. The work is about one `detected` sweep, the
@@ -590,10 +607,10 @@ impl<'a> FaultSimulator<'a> {
         sink: &dyn MetricsSink,
     ) -> Result<Vec<Option<u32>>, AtpgError> {
         let blocks = good_block_sweep(self, patterns)?;
-        run_sharded(self, faults, jobs, sink, |fsim, shard| {
-            let mut last = vec![None; shard.len()];
+        let chunks = self.sweep(faults, jobs, sink, |fsim, chunk| {
+            let mut last = vec![None; chunk.len()];
             for (blk, (good, active)) in blocks.iter().enumerate().rev() {
-                for (l, &f) in last.iter_mut().zip(shard) {
+                for (l, &f) in last.iter_mut().zip(chunk) {
                     if l.is_none() {
                         let mask = fsim.block_detection_mask(good, active, f);
                         *l = highest_slot(&mask).map(|slot| {
@@ -603,15 +620,16 @@ impl<'a> FaultSimulator<'a> {
                     }
                 }
             }
-            Ok(last)
-        })
+            last
+        });
+        Ok(chunks.concat())
     }
 
     /// Per-fault *detection counts* of a pattern set: how many patterns
     /// detect each fault. The industrial n-detect quality metric —
     /// faults detected only once are fragile against timing/bridging
     /// defect behaviour, so production flows often require `n ≥ 3..5`.
-    /// Blocked and sharded exactly like [`FaultSimulator::detected`]
+    /// Blocked and chunked exactly like [`FaultSimulator::detected`]
     /// (without the drop), so the result is identical at any `jobs`.
     ///
     /// # Errors
@@ -625,15 +643,41 @@ impl<'a> FaultSimulator<'a> {
         sink: &dyn MetricsSink,
     ) -> Result<Vec<u32>, AtpgError> {
         let blocks = good_block_sweep(self, patterns)?;
-        run_sharded(self, faults, jobs, sink, |fsim, shard| {
-            let mut counts = vec![0u32; shard.len()];
+        let chunks = self.sweep(faults, jobs, sink, |fsim, chunk| {
+            let mut counts = vec![0u32; chunk.len()];
             for (good, active) in &blocks {
-                for (c, &f) in counts.iter_mut().zip(shard) {
+                for (c, &f) in counts.iter_mut().zip(chunk) {
                     *c += fsim.block_detection_mask(good, active, f).count_ones();
                 }
             }
-            Ok(counts)
-        })
+            counts
+        });
+        Ok(chunks.concat())
+    }
+
+    /// Cut `faults` into [`SWEEP_CHUNK`]-fault chunks, run `per_chunk`
+    /// on each from a `jobs`-wide [`WorkerPool`] (the calling thread on
+    /// this simulator, each spawned worker on its own clone of it) and
+    /// return the results in chunk order. Because faults are
+    /// independent, the merged output is identical to one pass over the
+    /// whole list — which is what a sweep the pool would run
+    /// sequentially does: one `per_chunk` call over all of `faults`, so
+    /// a blocked sweep keeps one good-value block hot for every fault.
+    /// The chunks charge no `pool_tasks`: their number is a property of
+    /// the sweep, not of the run.
+    fn sweep<R: Send>(
+        &mut self,
+        faults: &[Fault],
+        jobs: usize,
+        sink: &dyn MetricsSink,
+        per_chunk: impl Fn(&mut FaultSimulator<'a>, &[Fault]) -> R + Sync,
+    ) -> Vec<R> {
+        let chunks: Vec<&[Fault]> = faults.chunks(SWEEP_CHUNK).collect();
+        let pool = WorkerPool::new(jobs);
+        if pool.width(chunks.len()) <= 1 {
+            return vec![per_chunk(self, faults)];
+        }
+        pool.map_with_state(&chunks, self, sink, |fsim, _, chunk| per_chunk(fsim, chunk))
     }
 }
 
@@ -655,75 +699,6 @@ pub fn fault_coverage(
     Ok(detected.iter().filter(|&&d| d).count() as f64 / faults.len() as f64)
 }
 
-/// Shard `faults` into contiguous runs across `jobs` OS threads, each
-/// worker owning a clone of `proto`, and concatenate the per-shard
-/// results **in fault order**. Because faults are independent, the
-/// merged output is identical to running `per_shard` once over the
-/// whole list — the parallel split is invisible in the results. At
-/// `jobs == 1` `per_shard` runs once on `proto` itself, unmetered.
-///
-/// A worker panic is re-raised on the calling thread after the scope
-/// joins (payload preserved).
-///
-/// When `sink` is enabled, each shard of a `jobs > 1` sweep (one shard
-/// when the list is too short to split) reports a worker-utilization row
-/// (shard index, faults claimed, busy wall time; if the elapsed nanos
-/// overflow `u64` the row is flagged saturated rather than inventing a
-/// fake huge value). Rows are scheduling-dependent and excluded from the
-/// determinism contract; the computed results are unaffected.
-fn run_sharded<'a, T: Send>(
-    proto: &mut FaultSimulator<'a>,
-    faults: &[Fault],
-    jobs: usize,
-    sink: &dyn MetricsSink,
-    per_shard: impl Fn(&mut FaultSimulator<'a>, &[Fault]) -> Result<Vec<T>, AtpgError> + Sync,
-) -> Result<Vec<T>, AtpgError> {
-    let jobs = jobs.max(1);
-    if jobs == 1 {
-        return per_shard(proto, faults);
-    }
-    let timed = |shard_idx: usize,
-                 fsim: &mut FaultSimulator<'a>,
-                 shard: &[Fault]|
-     -> Result<Vec<T>, AtpgError> {
-        let start = sink.enabled().then(Instant::now);
-        let out = per_shard(fsim, shard);
-        if let Some(start) = start {
-            let (nanos, saturated) = match u64::try_from(start.elapsed().as_nanos()) {
-                Ok(n) => (n, false),
-                Err(_) => (u64::MAX, true),
-            };
-            sink.worker(shard_idx, shard.len() as u64, nanos, saturated);
-        }
-        out
-    };
-    if faults.len() < 2 * jobs {
-        return timed(0, proto, faults);
-    }
-    let chunk_len = faults.len().div_ceil(jobs);
-    let results: Vec<Result<Vec<T>, AtpgError>> = std::thread::scope(|scope| {
-        let proto = &*proto;
-        let timed = &timed;
-        let handles: Vec<_> = faults
-            .chunks(chunk_len)
-            .enumerate()
-            .map(|(i, chunk)| scope.spawn(move || timed(i, &mut proto.clone(), chunk)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect()
-    });
-    let mut out = Vec::with_capacity(faults.len());
-    for r in results {
-        out.extend(r?);
-    }
-    Ok(out)
-}
-
 /// The highest set slot of a block mask (`64w + bit`), or `None` when
 /// the mask is zero.
 fn highest_slot(mask: &SimBlock) -> Option<usize> {
@@ -733,7 +708,7 @@ fn highest_slot(mask: &SimBlock) -> Option<usize> {
 
 /// Good-value blocks for a whole pattern set: one `(node-major blocks,
 /// tail mask)` entry per [`BLOCK_BITS`] chunk, computed once on the
-/// calling thread so sharded workers can stream them read-only (the
+/// calling thread so pool workers can stream them read-only (the
 /// pattern-parallel half of the cache blocking).
 fn good_block_sweep(
     proto: &FaultSimulator<'_>,
@@ -868,6 +843,13 @@ g23 = NAND(g16, g19)
             }
         }
         (detected, counts)
+    }
+
+    /// `faults` repeated into a list that spans `n` pooled-sweep chunks,
+    /// the last one ragged.
+    fn chunks_of(faults: &[Fault], n: usize) -> Vec<Fault> {
+        let len = (n - 1) * SWEEP_CHUNK + SWEEP_CHUNK / 3;
+        faults.iter().cycle().take(len).copied().collect()
     }
 
     /// [`FaultSimulator::detected`] on a fresh simulator.
@@ -1031,7 +1013,7 @@ g23 = NAND(g16, g19)
     fn sharded_counts_and_detected_match_serial() {
         let c = c17();
         let patterns = all_input_patterns(5);
-        let faults = enumerate_faults(&c);
+        let faults = chunks_of(&enumerate_faults(&c), 3);
         let serial_counts = counts(&c, &patterns, &faults, 1);
         let serial_detected = detected(&c, &patterns, &faults, 1);
         for jobs in [2, 3, 8] {
@@ -1086,13 +1068,13 @@ g23 = NAND(g16, g19)
     }
 
     /// The blocked sweeps vs the narrow reference sweep, including
-    /// multi-block pattern sets and both the in-place and the sharded
+    /// multi-block pattern sets and both the in-place and the pooled
     /// path. One simulator serves every call, so warm scratch (and
     /// clones of it) must not leak between sweeps.
     #[test]
     fn blocked_aggregates_match_narrow_reference() {
         let c = layered_circuit();
-        let faults = enumerate_faults(&c);
+        let faults = chunks_of(&enumerate_faults(&c), 2);
         let mut fsim = FaultSimulator::new(&c).unwrap();
         for &count in &[65usize, 512, 513, 700] {
             let patterns = cyc_patterns(12, count);
@@ -1245,7 +1227,7 @@ g23 = NAND(g16, g19)
         let budget = RunBudget::unlimited();
         budget.cancel();
         let (masks, reason) = fsim
-            .detection_masks_budgeted(&patterns, &faults, &budget)
+            .detection_masks_budgeted(&patterns, &faults, &budget, 1, &NullSink)
             .unwrap();
         assert_eq!(reason, Some(ExhaustReason::Cancelled));
         let active = active_mask(patterns.len());

@@ -11,8 +11,9 @@
 //! * SCOAP-style **testability measures** used as search guidance
 //!   ([`testability`]),
 //! * the **PODEM** test generation algorithm ([`podem`]),
-//! * bit-parallel (64 patterns/pass) **fault simulation** with fault
-//!   dropping ([`fault_sim`]),
+//! * bit-parallel (64 and 512 patterns/pass) **fault simulation** with
+//!   fault dropping ([`fault_sim`]), its sweeps sharded across the
+//!   scoped **worker pool** ([`pool`]),
 //! * test **cubes/pattern sets** with don't-cares, merging and fill
 //!   ([`pattern`]),
 //! * static, dynamic and reverse-order **compaction** ([`compact`],
@@ -70,6 +71,7 @@ pub mod fault;
 pub mod fault_sim;
 pub mod pattern;
 pub mod podem;
+pub mod pool;
 pub mod tdf;
 pub mod testability;
 pub mod value;

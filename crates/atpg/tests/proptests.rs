@@ -304,6 +304,7 @@ proptest! {
         // pattern window, and an untripped budget must change nothing.
         use modsoc_atpg::budget::RunBudget;
         use modsoc_atpg::fault_sim::active_mask;
+        use modsoc_metrics::NullSink;
         let faults: Vec<Fault> = collapse_faults(&circuit).representatives().to_vec();
         for width in [63usize, 64, 65] {
             let patterns: Vec<Vec<bool>> = (0..width as u64)
@@ -320,14 +321,14 @@ proptest! {
                 let plain = fsim.detection_masks(chunk, &faults).expect("plain");
                 let open = RunBudget::unlimited();
                 let (unbudgeted, reason) = fsim
-                    .detection_masks_budgeted(chunk, &faults, &open)
+                    .detection_masks_budgeted(chunk, &faults, &open, 1, &NullSink)
                     .expect("open");
                 prop_assert_eq!(reason, None, "width {}", width);
                 prop_assert_eq!(&unbudgeted, &plain, "width {} untripped", width);
                 let tripped = RunBudget::unlimited();
                 tripped.cancel();
                 let (partial, reason) = fsim
-                    .detection_masks_budgeted(chunk, &faults, &tripped)
+                    .detection_masks_budgeted(chunk, &faults, &tripped, 1, &NullSink)
                     .expect("tripped");
                 prop_assert!(reason.is_some(), "width {} should trip", width);
                 let tail = active_mask(chunk.len());

@@ -9,9 +9,12 @@
 //!
 //! Because the paper's whole point is that the per-core ATPG problems
 //! are *independent*, the modular phase dispatches them across a
-//! [`WorkerPool`] ([`ExperimentOptions::jobs`]) and merges the
-//! [`CoreMeasurement`]s in core-index order — reports are byte-identical
-//! to the sequential run at any job count.
+//! [`WorkerPool`] of [`ExperimentOptions::with_jobs`] workers and merges
+//! the [`CoreMeasurement`]s in core-index order — reports are
+//! byte-identical to the sequential run at any job count. The same
+//! worker count then goes to the monolithic run, which starts once the
+//! pool has drained and shards its fault-simulation sweeps across it;
+//! the per-core engines, running on pool workers, sweep serially.
 
 use std::sync::Arc;
 
@@ -35,17 +38,14 @@ use crate::tdv::TdvOptions;
 pub struct ExperimentOptions {
     /// ATPG engine configuration (same settings for per-core and
     /// monolithic runs, mirroring the paper's "identical parameters").
+    /// Its [`AtpgOptions::jobs`] is the experiment's one worker count:
+    /// the modular phase's pool width and the engines' sweep width.
     pub atpg: AtpgOptions,
     /// TDV accounting options.
     pub tdv: TdvOptions,
     /// Pattern count charged to the top-level glue core's ExTest
     /// (interconnect test). The paper measured 2 for SOC1/SOC2.
     pub glue_patterns: u64,
-    /// Worker threads for the per-core (modular) phase: each core's ATPG
-    /// is an independent job on the pool. `0` means all available
-    /// hardware threads; `1` (the default) runs sequentially. Any value
-    /// produces identical reports — the merge is order-preserving.
-    pub jobs: usize,
     /// In the guarded entry points: as soon as one core fails or trips
     /// the budget, raise the budget's cross-thread cancel flag so
     /// in-flight sibling cores (and the monolithic phase) stop at their
@@ -77,7 +77,6 @@ impl Default for ExperimentOptions {
             atpg: AtpgOptions::default(),
             tdv: TdvOptions::default(),
             glue_patterns: 0,
-            jobs: 1,
             fail_fast: false,
             monolithic: true,
             store: None,
@@ -98,10 +97,15 @@ impl ExperimentOptions {
         }
     }
 
-    /// Set the worker count for the per-core phase (`0` = auto).
+    /// Set the worker count (`0` = auto, all hardware threads; the
+    /// default is 1, sequential) as [`AtpgOptions::jobs`]: each core's
+    /// ATPG is an independent job on a pool this wide, and the
+    /// monolithic run shards its fault-simulation sweeps across as many
+    /// workers. Any value produces identical reports — every merge is
+    /// order-preserving.
     #[must_use]
     pub fn with_jobs(mut self, jobs: usize) -> ExperimentOptions {
-        self.jobs = jobs;
+        self.atpg.jobs = jobs;
         self
     }
 
@@ -141,7 +145,7 @@ impl ExperimentOptions {
     /// reports for the same unit, so work keyed on different content
     /// addresses but equal fingerprints may share one dispatch (the
     /// serve layer's batch-compatibility test). Excluded by
-    /// construction: `jobs` (order-preserving merge), `fail_fast`
+    /// construction: `atpg.jobs` (order-preserving merges), `fail_fast`
     /// (latency-only), and the store fields (caching never changes
     /// bytes).
     #[must_use]
@@ -214,7 +218,7 @@ pub struct SocExperiment {
 /// per-core panic isolation.
 ///
 /// Each core's ATPG runs guarded on the worker pool
-/// ([`ExperimentOptions::jobs`]): a panic or typed error in one core
+/// ([`ExperimentOptions::with_jobs`]): a panic or typed error in one core
 /// becomes a [`CoreOutcome`] diagnostic while the remaining cores still
 /// produce their rows; a tripped budget yields each core's partial
 /// pattern set. Measurements are merged in core-index order, so the
@@ -288,7 +292,7 @@ where
     // budget's atomics), so the merge below sees exactly what a
     // sequential loop would have seen.
     let dispatch_timer = PhaseTimer::start(sink, Phase::ModularDispatch);
-    let results: Vec<Result<AtpgResult, CoreFailure>> = WorkerPool::new(options.jobs)
+    let results: Vec<Result<AtpgResult, CoreFailure>> = WorkerPool::new(options.atpg.jobs)
         .map_with_sink(netlist.cores(), sink, |i, circuit| {
             let result = guard_result(|| run_core(i, circuit));
             if options.fail_fast {
@@ -482,7 +486,8 @@ pub fn run_soc_experiment_tdf(
             &NullSink,
         )
     };
-    let results = WorkerPool::new(options.jobs).map(netlist.cores(), |_, circuit| tdf(circuit));
+    let results =
+        WorkerPool::new(options.atpg.jobs).map(netlist.cores(), |_, circuit| tdf(circuit));
     let measured = netlist
         .cores()
         .iter()

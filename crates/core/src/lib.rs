@@ -26,9 +26,10 @@
 //!   panic isolation, and per-core graceful degradation so one poisoned
 //!   core cannot take down a whole experiment.
 //! * [`parallel`] — a deterministic scoped worker pool
-//!   ([`WorkerPool`]): per-core ATPG jobs, fault-list shards and chaos
-//!   cases fan out across `std::thread` workers with an order-preserving
-//!   merge, so reports are byte-identical at any `--jobs` value.
+//!   ([`WorkerPool`], re-exported from `modsoc_atpg::pool`): per-core
+//!   ATPG jobs, fault-list chunks and chaos cases fan out across
+//!   `std::thread` workers with an order-preserving merge, so reports
+//!   are byte-identical at any `--jobs` value.
 //! * [`chaos`] — a fault-injection harness that corrupts `.bench`/`.soc`
 //!   inputs and injects budget exhaustion, asserting the pipeline always
 //!   terminates with a typed error or partial result.

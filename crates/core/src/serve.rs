@@ -43,8 +43,9 @@
 //!   coalesce leaders for *distinct* experiment keys with the same
 //!   [`ExperimentOptions::fingerprint`] rendezvous for a short window
 //!   ([`ServeConfig::batch_window`]) and run as one [`WorkerPool`]
-//!   dispatch. Each batched unit runs with internal `jobs = 1`, which
-//!   the jobs-invariance contract makes byte-identical to any other
+//!   dispatch. Each batched unit runs serially inside it (a pool map
+//!   called from a pool worker does not spawn), which the
+//!   jobs-invariance contract makes byte-identical to any other
 //!   execution — batch composition can never change response bytes.
 //! * **Observability** — `GET /metrics` serves a live JSON snapshot of
 //!   the [`modsoc_metrics`] sink (queue/lane depth, coalesce hits,
@@ -145,7 +146,10 @@ pub struct ServeConfig {
     pub max_request_ms: u64,
     /// `Retry-After` seconds advertised on shed (503) responses.
     pub retry_after_secs: u64,
-    /// Engine worker threads per request (`ExperimentOptions::jobs`).
+    /// Worker threads per request ([`ExperimentOptions::with_jobs`]):
+    /// the per-core pool, then the monolithic run's fault-simulation
+    /// sweeps. Also the width of a batch's dispatch, whose units then run
+    /// serially inside.
     pub jobs: usize,
     /// Content-addressed result store shared with CLI runs; also the
     /// coalescing key domain.
@@ -1767,9 +1771,10 @@ fn collect_batch(shared: &Shared, mut state: MutexGuard<'_, BatchState>) -> Vec<
 /// Run one formed batch and publish each job's response into its slot.
 /// A singleton batch runs exactly like the unbatched path (full
 /// per-request `jobs`); a real batch fans the units across one
-/// [`WorkerPool`] dispatch with internal `jobs = 1` per unit — the
-/// jobs-invariance contract keeps every response byte-identical to its
-/// solo execution, whatever the batch composition.
+/// [`WorkerPool`] dispatch, inside which each unit runs serially (a map
+/// called from a pool worker does not spawn) — the jobs-invariance
+/// contract keeps every response byte-identical to its solo execution,
+/// whatever the batch composition.
 fn run_batch(shared: &Shared, formed: &[BatchJob]) {
     shared.sink.add(Counter::ServeBatches, 1);
     shared
@@ -1786,9 +1791,13 @@ fn run_batch(shared: &Shared, formed: &[BatchJob]) {
         )]
     } else {
         WorkerPool::new(shared.config.jobs).map(formed, |_, job| {
-            let mut options = job.options.clone();
-            options.jobs = 1;
-            compute_experiment(shared, &job.unit, &options, job.timeout_ms, &job.key_hex)
+            compute_experiment(
+                shared,
+                &job.unit,
+                &job.options,
+                job.timeout_ms,
+                &job.key_hex,
+            )
         })
     };
     for (job, response) in formed.iter().zip(responses) {

@@ -116,7 +116,8 @@ const SPECS: &[Spec] = &[
 
 /// The usage text after the subcommand lines: the shared flag
 /// conventions and the exit codes.
-const CONVENTIONS: &str = "--jobs N runs independent per-core work on N pool workers (0 = auto);
+const CONVENTIONS: &str = "--jobs N runs independent per-core work on N pool workers, then
+shards the monolithic run's fault-sim sweeps across N workers (0 = auto);
 reports are identical at any value.
 --metrics FILE writes a structured JSON run report; everything except
 wall times, jobs and sched objects is identical at any --jobs value.

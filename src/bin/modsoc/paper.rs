@@ -148,7 +148,8 @@ pub(crate) fn analyze(a: &Args) -> Result<RunStatus, String> {
 
 /// Run the live modular-vs-monolithic experiment on one of the built-in
 /// SOC netlist constructions, guarded and budgeted, with the per-core
-/// phase fanned across `--jobs` pool workers.
+/// phase fanned across `--jobs` pool workers and the monolithic run's
+/// fault-sim sweeps sharded across as many.
 pub(crate) fn experiment(a: &Args) -> Result<RunStatus, String> {
     let seed: u64 = a.num_or("--seed", 1)?;
     let netlist = match a.operand() {

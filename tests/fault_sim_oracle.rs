@@ -224,7 +224,7 @@ fn reverse_compaction_matches_the_matrix_scan_across_block_boundaries() {
 
 #[test]
 fn engine_compaction_and_accounting_match_the_matrix_scan_at_any_jobs() {
-    // The engine's phase 5 and final accounting run one sharded
+    // The engine's phase 5 and final accounting run one pooled
     // last-detector sweep: the kept set must be the matrix scan's over
     // the uncompacted run's patterns, and the detected statuses must be
     // what that kept set detects.

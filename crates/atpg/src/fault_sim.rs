@@ -9,13 +9,12 @@
 //! - **`u64`** — 64 patterns per pass. Used wherever a 64-slot batch is
 //!   semantically visible (the engine's random-phase keep/drop
 //!   bookkeeping, single-pattern fault dropping in PODEM/TDF/BIST
-//!   top-up, diagnosis syndromes).
+//!   top-up).
 //! - **[`SimBlock`]** (`[u64; 8]`) — 512 patterns per pass, written so
 //!   the autovectorizer lifts the lane loops to 256/512-bit SIMD. The
 //!   bulk sweeps ([`FaultSimulator::detected`],
 //!   [`FaultSimulator::detection_counts`], [`fault_coverage`], the
-//!   compaction sweep, the diagnosis matrix, TDF/BIST coverage) run on
-//!   this width.
+//!   compaction sweep, TDF/BIST coverage) run on this width.
 //!
 //! Values are node-major (struct-of-arrays): each node's whole block is
 //! contiguous, so wide gate evaluation streams cache lines. The sweeps
@@ -54,7 +53,7 @@ pub const SWEEP_CHUNK: usize = 512;
 /// `n` bits set, saturating at the full word for `n >= 64`.
 ///
 /// This is the *one* place the `n == 64` shift-overflow special case
-/// lives; every `chunks(64)` tail in the fault-sim/diagnosis/TDF paths
+/// lives; every `chunks(64)` tail in the fault-sim/TDF paths
 /// must come through here rather than hand-rolling `(1 << n) - 1`.
 #[must_use]
 pub fn active_mask(n: usize) -> u64 {
@@ -69,8 +68,8 @@ pub fn active_mask(n: usize) -> u64 {
 /// `[64w, 64w + 64)` and is derived through [`active_mask`], so the
 /// shift special case still has exactly one home. Every
 /// `chunks(BLOCK_BITS)` tail in the blocked sweeps must come through
-/// here — this is the tail-mask contract shared with the
-/// diagnosis/TDF matrices and the compaction sweep.
+/// here — this is the tail-mask contract shared with the TDF and
+/// BIST sweeps and the compaction sweep.
 #[must_use]
 pub fn block_active_mask(n: usize) -> SimBlock {
     let mut mask = [0u64; BLOCK_WORDS];
@@ -416,19 +415,6 @@ impl<'a> FaultSimulator<'a> {
             .detection_mask(circuit, index, good, *active, fault)
     }
 
-    /// Per-output detection masks for one fault: element `k` is the
-    /// pattern mask on which primary output `k` mismatches. One faulty
-    /// propagation serves all outputs.
-    pub fn output_detection_masks(&mut self, good: &[u64], active: u64, fault: Fault) -> Vec<u64> {
-        self.narrow
-            .propagate(self.circuit, &self.index, good, fault);
-        self.circuit
-            .outputs()
-            .iter()
-            .map(|&po| (good[po.index()] ^ self.narrow.value_of(po, good)) & active)
-            .collect()
-    }
-
     /// Detection masks for a whole fault list against one batch, swept
     /// serially on this simulator.
     ///
@@ -507,37 +493,6 @@ impl<'a> FaultSimulator<'a> {
             }
         }
         Ok((masks, tripped))
-    }
-
-    /// Call `hit(fault, pattern)` for every pair of indices where
-    /// `patterns[pattern]` detects `faults[fault]`, in block, fault,
-    /// pattern order: the full detection matrix behind diagnosis, swept
-    /// on the wide kernel.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pattern width errors.
-    pub(crate) fn for_each_detection(
-        &mut self,
-        patterns: &[Vec<bool>],
-        faults: &[Fault],
-        mut hit: impl FnMut(usize, usize),
-    ) -> Result<(), AtpgError> {
-        for (blk, chunk) in patterns.chunks(BLOCK_BITS).enumerate() {
-            let (good, n) = self.good_blocks(chunk)?;
-            let active = block_active_mask(n);
-            for (fi, &fault) in faults.iter().enumerate() {
-                let mask = self.block_detection_mask(&good, &active, fault);
-                for (w, &word) in mask.iter().enumerate() {
-                    let mut m = word;
-                    while m != 0 {
-                        hit(fi, blk * BLOCK_BITS + w * 64 + m.trailing_zeros() as usize);
-                        m &= m - 1;
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Which faults `patterns` (any count) detect: `detected[i]` ⇔ some

@@ -20,14 +20,9 @@
 //!   [`engine`]),
 //! * a top-level engine that sequences random-pattern bootstrap,
 //!   deterministic PODEM and compaction ([`engine`]),
-//! * cause-effect **fault diagnosis** from tester syndromes
-//!   ([`diagnose`]),
 //! * logic **BIST** — Galois LFSR/MISR, coverage ramps and a hybrid
-//!   BIST + deterministic top-up flow ([`bist`]),
-//! * EDT-style **test data compression** with a GF(2) cube solver
-//!   ([`compress`]), and
-//! * **transition-delay fault ATPG** under launch-on-capture and
-//!   launch-on-shift ([`tdf`]).
+//!   BIST + deterministic top-up flow ([`bist`]), and
+//! * **transition-delay fault ATPG** under launch-on-capture ([`tdf`]).
 //!
 //! The engine's observable behaviour reproduces the phenomena the paper's
 //! analysis rests on: per-cone pattern counts vary widely, compaction can
@@ -63,8 +58,6 @@ pub mod budget;
 pub mod cache;
 pub mod collapse;
 pub mod compact;
-pub mod compress;
-pub mod diagnose;
 pub mod engine;
 pub mod error;
 pub mod fault;

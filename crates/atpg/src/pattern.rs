@@ -357,12 +357,6 @@ impl TestSet {
         self.cubes.len() as u64 * self.width as u64
     }
 
-    /// Total *specified* stimulus bits (care bits only).
-    #[must_use]
-    pub fn care_bits(&self) -> u64 {
-        self.cubes.iter().map(|c| c.specified_count() as u64).sum()
-    }
-
     /// Fill every cube into fully-specified boolean patterns.
     ///
     /// Random fill derives each cube's stream from the cube's *content*
@@ -509,7 +503,6 @@ mod tests {
         s.push(TestCube::from_bits(vec![Bit::X, Bit::Zero, Bit::One]));
         assert_eq!(s.len(), 2);
         assert_eq!(s.stimulus_bits(), 6);
-        assert_eq!(s.care_bits(), 3);
     }
 
     #[test]

@@ -222,99 +222,8 @@ impl TdfResult {
     }
 }
 
-/// Which launch scheme to generate transition tests for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LaunchScheme {
-    /// Launch-on-capture: frame 2 is the functional image of frame 1.
-    #[default]
-    Capture,
-    /// Launch-on-shift: frame 2 is the scan vector shifted one position
-    /// (single chain, declaration order).
-    Shift,
-}
-
-/// Build the launch-on-shift (LOS) unrolling of a full-scan test model
-/// with a **single scan chain** in flip-flop declaration order.
-///
-/// Under LOS the launch cycle is the last *shift* clock: the frame-2
-/// state is the frame-1 scan vector shifted by one position, with a
-/// fresh `scan_in` bit entering at chain position 0. Both states are
-/// therefore directly controllable (unlike LOC, where frame 2 is the
-/// functional image of frame 1) — which is why LOS typically reaches
-/// higher transition coverage, at the price of a fast scan-enable.
-///
-/// The unrolled circuit's inputs are the model's primary inputs (held),
-/// the frame-1 scan state, plus the extra `scan_in` bit.
-///
-/// # Errors
-///
-/// Propagates circuit construction errors.
-pub fn unroll_los(model: &TestModel) -> Result<TwoFrame, AtpgError> {
-    let m = &model.circuit;
-    let mut out = Circuit::new(format!("{}.los2", m.name()));
-    let order = m.topo_order().map_err(AtpgError::from)?;
-
-    let mut f1: Vec<Option<NodeId>> = vec![None; m.node_count()];
-    let mut f2: Vec<Option<NodeId>> = vec![None; m.node_count()];
-    let mut scan_nodes: Vec<usize> = Vec::new();
-    for (k, &pi) in m.inputs().iter().enumerate() {
-        let name = &m.node(pi).name;
-        let shared = out.add_input(name.to_string());
-        match model.inputs[k] {
-            TestPoint::Primary(_) => {
-                f1[pi.index()] = Some(shared);
-                f2[pi.index()] = Some(shared);
-            }
-            TestPoint::ScanCell(_) => {
-                f1[pi.index()] = Some(shared);
-                scan_nodes.push(pi.index());
-            }
-        }
-    }
-    // The bit shifted in during the launch cycle.
-    let scan_in = out.add_input("scan_in".to_string());
-    // Frame-2 state: chain position j takes frame-1 position j−1;
-    // position 0 takes the fresh scan-in bit.
-    for (j, &node_index) in scan_nodes.iter().enumerate() {
-        f2[node_index] = Some(if j == 0 {
-            scan_in
-        } else {
-            f1[scan_nodes[j - 1]].expect("frame-1 scan input placed")
-        });
-    }
-    for (frame, prefix) in [(&mut f1, "f1"), (&mut f2, "f2")] {
-        for &id in &order {
-            if frame[id.index()].is_some() {
-                continue;
-            }
-            let node = m.node(id);
-            if node.kind == GateKind::Input {
-                unreachable!("input not wired in {prefix}: {}", node.name);
-            }
-            let fanin: Vec<NodeId> = node
-                .fanin
-                .iter()
-                .map(|f| frame[f.index()].expect("fanin placed"))
-                .collect();
-            let nid = out
-                .add_gate(format!("{prefix}.{}", node.name), node.kind, &fanin)
-                .map_err(AtpgError::from)?;
-            frame[id.index()] = Some(nid);
-        }
-    }
-    for &po in m.outputs() {
-        out.mark_output(f2[po.index()].expect("frame-2 output placed"));
-    }
-    out.validate().map_err(AtpgError::from)?;
-    Ok(TwoFrame {
-        circuit: out,
-        frame1: f1.into_iter().map(|x| x.expect("all placed")).collect(),
-        frame2: f2.into_iter().map(|x| x.expect("all placed")).collect(),
-    })
-}
-
 /// Generate transition tests for every transition fault of a full-scan
-/// circuit (or test model) under the chosen launch scheme.
+/// circuit (or test model) under launch-on-capture.
 ///
 /// The budget is polled between faults and charged per PODEM
 /// backtrack; on a trip the remaining faults stay untargeted and
@@ -330,7 +239,7 @@ pub fn unroll_los(model: &TestModel) -> Result<TwoFrame, AtpgError> {
 ///
 /// ```
 /// use modsoc_atpg::budget::RunBudget;
-/// use modsoc_atpg::tdf::{run_tdf_atpg, LaunchScheme};
+/// use modsoc_atpg::tdf::run_tdf_atpg;
 /// use modsoc_metrics::NullSink;
 /// use modsoc_netlist::bench_format::parse_bench;
 ///
@@ -342,7 +251,7 @@ pub fn unroll_los(model: &TestModel) -> Result<TwoFrame, AtpgError> {
 /// y = AND(f1, b)
 /// ")?;
 /// let budget = RunBudget::unlimited();
-/// let result = run_tdf_atpg(&circuit, 200, LaunchScheme::Capture, &budget, &NullSink)?;
+/// let result = run_tdf_atpg(&circuit, 200, &budget, &NullSink)?;
 /// assert!(result.detected > 0);
 /// assert!(!result.patterns.is_empty());
 /// # Ok(())
@@ -351,7 +260,6 @@ pub fn unroll_los(model: &TestModel) -> Result<TwoFrame, AtpgError> {
 pub fn run_tdf_atpg(
     circuit: &Circuit,
     backtrack_limit: u32,
-    scheme: LaunchScheme,
     budget: &crate::budget::RunBudget,
     sink: &dyn modsoc_metrics::MetricsSink,
 ) -> Result<TdfResult, AtpgError> {
@@ -362,10 +270,7 @@ pub fn run_tdf_atpg(
         // combinational design has no launch state, so every TDF comes
         // out untestable (still well-defined).
         let model = circuit.to_test_model().map_err(AtpgError::from)?;
-        let two = match scheme {
-            LaunchScheme::Capture => unroll_two_frames(&model)?,
-            LaunchScheme::Shift => unroll_los(&model)?,
-        };
+        let two = unroll_two_frames(&model)?;
         run_tdf_over(&model, &two, backtrack_limit, budget)?
     };
     sink.add(Counter::TdfFaults, result.total as u64);
@@ -527,16 +432,9 @@ mod tests {
     use modsoc_netlist::bench_format::parse_bench;
 
     /// Unbudgeted, unmetered [`run_tdf_atpg`].
-    fn tdf(circuit: &Circuit, backtrack_limit: u32, scheme: LaunchScheme) -> TdfResult {
+    fn tdf(circuit: &Circuit, backtrack_limit: u32) -> TdfResult {
         let budget = crate::budget::RunBudget::unlimited();
-        run_tdf_atpg(
-            circuit,
-            backtrack_limit,
-            scheme,
-            &budget,
-            &modsoc_metrics::NullSink,
-        )
-        .unwrap()
+        run_tdf_atpg(circuit, backtrack_limit, &budget, &modsoc_metrics::NullSink).unwrap()
     }
 
     /// Reference: whether `patterns` (fully specified, unrolled-input
@@ -629,7 +527,7 @@ y = AND(f1, b)
 
     #[test]
     fn tdf_atpg_finds_transitions() {
-        let result = tdf(&seq(), 200, LaunchScheme::Capture);
+        let result = tdf(&seq(), 200);
         assert!(result.total > 0);
         assert!(result.detected > 0, "some transitions are testable");
         assert_eq!(result.aborted, 0);
@@ -643,7 +541,7 @@ y = AND(f1, b)
         // reported detected count must be reachable by the final set.
         let c = seq();
         let model = c.to_test_model().unwrap();
-        let result = tdf(&c, 200, LaunchScheme::Capture);
+        let result = tdf(&c, 200);
         let filled = result.patterns.fill_all(FillStrategy::default());
         let (_, flags) = tdf_coverage(&model, &filled).unwrap();
         let sim_detected = flags.iter().filter(|&&f| f).count();
@@ -659,52 +557,10 @@ y = AND(f1, b)
         // A combinational-only circuit has no launch state: every TDF is
         // untestable under LOC (PIs are held).
         let comb = parse_bench("c", "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n").unwrap();
-        let result = tdf(&comb, 100, LaunchScheme::Capture);
+        let result = tdf(&comb, 100);
         assert_eq!(result.detected, 0);
         assert_eq!(result.untestable, result.total);
         assert!((result.coverage() - 1.0).abs() < 1e-12, "0/0 testable");
-    }
-
-    #[test]
-    fn los_unrolling_shifts_state() {
-        use modsoc_netlist::sim::simulate_single;
-        let c = seq();
-        let model = c.to_test_model().unwrap();
-        let two = unroll_los(&model).unwrap();
-        // Inputs: a, b, f1-state, scan_in.
-        assert_eq!(two.circuit.input_count(), 4);
-        // With one scan cell, frame-2 state = scan_in directly.
-        // a=0, b=1, f1=0, scan_in=1: frame2 y = AND(1, b=1) = 1.
-        let vals = simulate_single(&two.circuit, &[false, true, false, true]).unwrap();
-        let y2 = two.circuit.outputs()[0];
-        assert!(vals[y2.index()]);
-    }
-
-    #[test]
-    fn los_coverage_at_least_loc() {
-        // LOS controls both frames directly, so it should never detect
-        // fewer transition faults than LOC on the same circuit.
-        let src = "
-INPUT(a)\nINPUT(b)\nINPUT(c)
-OUTPUT(y)
-f1 = DFF(n1)
-f2 = DFF(n2)
-f3 = DFF(n3)
-n1 = XOR(a, f2)
-n2 = NAND(b, f1)
-n3 = OR(n1, f3)
-y = AND(n3, f1, c)
-";
-        let circuit = parse_bench("los", src).unwrap();
-        let loc = tdf(&circuit, 400, LaunchScheme::Capture);
-        let los = tdf(&circuit, 400, LaunchScheme::Shift);
-        assert!(
-            los.detected >= loc.detected,
-            "los {} vs loc {}",
-            los.detected,
-            loc.detected
-        );
-        assert_eq!(los.aborted, 0);
     }
 
     #[test]
@@ -720,7 +576,7 @@ n3 = OR(n1, c)
 y = AND(n3, f1)
 ";
         let circuit = parse_bench("bigger", src).unwrap();
-        let result = tdf(&circuit, 500, LaunchScheme::Capture);
+        let result = tdf(&circuit, 500);
         assert!(result.coverage() > 0.6, "coverage {}", result.coverage());
         assert_eq!(result.aborted, 0);
     }

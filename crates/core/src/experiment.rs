@@ -474,18 +474,10 @@ pub fn run_soc_experiment_tdf(
     backtrack_limit: u32,
     options: &ExperimentOptions,
 ) -> Result<SocExperiment, AnalysisError> {
-    use modsoc_atpg::tdf::{run_tdf_atpg, LaunchScheme};
+    use modsoc_atpg::tdf::run_tdf_atpg;
 
     let budget = RunBudget::unlimited();
-    let tdf = |circuit: &Circuit| {
-        run_tdf_atpg(
-            circuit,
-            backtrack_limit,
-            LaunchScheme::Capture,
-            &budget,
-            &NullSink,
-        )
-    };
+    let tdf = |circuit: &Circuit| run_tdf_atpg(circuit, backtrack_limit, &budget, &NullSink);
     let results =
         WorkerPool::new(options.atpg.jobs).map(netlist.cores(), |_, circuit| tdf(circuit));
     let measured = netlist

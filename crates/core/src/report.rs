@@ -152,73 +152,6 @@ pub fn render_survey(analyses: &[SocTdvAnalysis]) -> String {
     out
 }
 
-/// Render the per-core analysis as CSV (header + one row per core +
-/// summary rows), for spreadsheets and plotting scripts.
-#[must_use]
-pub fn render_core_csv(soc: &Soc, analysis: &SocTdvAnalysis) -> String {
-    let mut out = String::from("core,inputs,outputs,bidirs,scan,patterns,isocost,tdv\n");
-    for ((_, spec), row) in soc.iter().zip(analysis.rows()) {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{},{},{}",
-            spec.name,
-            spec.inputs,
-            spec.outputs,
-            spec.bidirs,
-            spec.scan_cells,
-            spec.patterns,
-            row.isocost,
-            row.volume.total()
-        );
-    }
-    let _ = writeln!(out, "SOC_modular,,,,,,,{}", analysis.modular().total());
-    let _ = writeln!(
-        out,
-        "mono_optimistic,,,,,{},,{}",
-        if analysis.t_mono_is_measured() {
-            String::new()
-        } else {
-            analysis.t_mono().to_string()
-        },
-        analysis.monolithic_optimistic().total()
-    );
-    if analysis.t_mono_is_measured() {
-        let _ = writeln!(
-            out,
-            "mono_measured,,,,,{},,{}",
-            analysis.t_mono(),
-            analysis.monolithic().total()
-        );
-    }
-    out
-}
-
-/// Render the survey as CSV: one row per SOC with the Table 4 columns.
-#[must_use]
-pub fn render_survey_csv(analyses: &[SocTdvAnalysis]) -> String {
-    let mut out = String::from(
-        "soc,cores,norm_stdev,tdv_opt_mono,penalty,penalty_pct,benefit,benefit_pct,tdv_modular,modular_pct\n",
-    );
-    for a in analyses {
-        let st = a.pattern_stats();
-        let _ = writeln!(
-            out,
-            "{},{},{:.4},{},{},{:.2},{},{:.2},{},{:.2}",
-            a.soc_name(),
-            st.n,
-            st.normalized_stdev(),
-            a.monolithic_optimistic().total(),
-            a.penalty(),
-            a.penalty_pct(),
-            a.benefit(),
-            a.benefit_pct(),
-            a.modular().total(),
-            a.modular_change_pct(),
-        );
-    }
-    out
-}
-
 /// Render the per-core outcome column of a guarded run: one row per
 /// core with `ok` / `partial` / `FAILED`, the patterns it contributed,
 /// and the diagnostic for anything that did not complete.
@@ -362,31 +295,5 @@ mod tests {
             failed[0].kind,
             CoreOutcomeKind::Failed(CoreFailure::Overflow)
         ));
-    }
-
-    #[test]
-    fn csv_exports_are_parseable() {
-        let soc = itc02::soc1();
-        let a = SocTdvAnalysis::compute_with_measured_tmono(
-            &soc,
-            &TdvOptions::tables_1_2(),
-            itc02::SOC1_MEASURED_TMONO,
-        )
-        .unwrap();
-        let csv = render_core_csv(&soc, &a);
-        let header_fields = csv.lines().next().unwrap().split(',').count();
-        for line in csv.lines().skip(1) {
-            assert_eq!(line.split(',').count(), header_fields, "{line}");
-        }
-        assert!(csv.contains("core1_s713,35,23,0,19,52,58,4992"));
-        assert!(csv.contains("SOC_modular,,,,,,,45183"));
-        assert!(csv.contains("mono_measured,,,,,216,,129816"));
-
-        let survey = render_survey_csv(&[a]);
-        assert!(survey.lines().nth(1).unwrap().starts_with("SOC1,"));
-        assert_eq!(
-            survey.lines().next().unwrap().split(',').count(),
-            survey.lines().nth(1).unwrap().split(',').count()
-        );
     }
 }

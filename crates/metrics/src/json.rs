@@ -186,9 +186,23 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so an unbounded depth lets a few kilobytes of `[`
+/// overflow the stack; every document the workspace writes stays under
+/// ten levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document (trailing whitespace allowed).
+///
+/// # Errors
+///
+/// Malformed input, or arrays/objects nested more than 128 levels deep.
 pub fn parse(src: &str) -> Result<JsonValue, JsonError> {
-    let mut p = Parser { src, pos: 0 };
+    let mut p = Parser {
+        src,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -203,6 +217,8 @@ struct Parser<'a> {
     /// Byte offset of the next unread byte; always on a char boundary,
     /// since every token and escape the parser steps over is ASCII.
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -243,8 +259,7 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => self.nested(),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -253,6 +268,21 @@ impl Parser<'_> {
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// An array or object, one level deeper.
+    fn nested(&mut self) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = if self.peek() == Some(b'{') {
+            self.object()
+        } else {
+            self.array()
+        };
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<JsonValue, JsonError> {
@@ -430,6 +460,16 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\":}", "tru", "01x", "\"abc", "{}extra"] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |open: &str, close: &str, n: usize| open.repeat(n) + &close.repeat(n);
+        assert!(parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nest("{\"a\":", "}", MAX_DEPTH - 1).replacen(":}", ":1}", 1)).is_ok());
+        let err = parse(&nest("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(parse(&nest("[{\"a\":", "}]", MAX_DEPTH)).is_err());
     }
 
     #[test]

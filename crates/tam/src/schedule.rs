@@ -52,49 +52,6 @@ impl Schedule {
     }
 }
 
-impl Schedule {
-    /// Render an ASCII Gantt chart, `columns` characters wide.
-    ///
-    /// Each row is one core; `█` spans its active interval. Useful for
-    /// eyeballing TAM utilization in terminals and logs.
-    #[must_use]
-    pub fn render_gantt(&self, columns: usize) -> String {
-        use std::fmt::Write as _;
-        let columns = columns.max(10);
-        let makespan = self.makespan().max(1);
-        let name_w = self
-            .entries
-            .iter()
-            .map(|e| e.name.len())
-            .max()
-            .unwrap_or(4)
-            .max(4);
-        let mut out = String::new();
-        for e in &self.entries {
-            let start = (e.start as f64 / makespan as f64 * columns as f64).floor() as usize;
-            let end = ((e.end as f64 / makespan as f64 * columns as f64).ceil() as usize)
-                .clamp(start + 1, columns);
-            let _ = writeln!(
-                out,
-                "{:<name_w$} |{}{}{}| w={}",
-                e.name,
-                " ".repeat(start),
-                "█".repeat(end - start),
-                " ".repeat(columns - end),
-                e.width
-            );
-        }
-        let _ = writeln!(
-            out,
-            "{:<name_w$} 0{:>pad$}",
-            "",
-            makespan,
-            pad = columns + 1
-        );
-        out
-    }
-}
-
 /// Build the schedule an architecture implies.
 ///
 /// Multiplexing/Daisychain serialize at full width; Distribution starts
@@ -252,20 +209,6 @@ mod tests {
         let s = schedule_rectangles(&cores(), 1).unwrap();
         assert_eq!(s.entries.len(), 3);
         assert!(s.utilization() > 0.99);
-    }
-
-    #[test]
-    fn gantt_renders_every_core() {
-        let s = schedule_rectangles(&cores(), 4).unwrap();
-        let text = s.render_gantt(40);
-        for e in &s.entries {
-            assert!(text.contains(&e.name), "{}", e.name);
-        }
-        assert!(text.contains('█'));
-        // Each row fits the requested width (name + 40 cols + metadata).
-        for line in text.lines() {
-            assert!(line.chars().count() < 70, "{line}");
-        }
     }
 
     #[test]

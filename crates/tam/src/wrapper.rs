@@ -160,19 +160,6 @@ impl WrapperDesign {
     pub fn test_time_self(&self) -> u64 {
         self.test_time(self.patterns)
     }
-
-    /// Idle (padding) bits per load: every chain shorter than the
-    /// longest still occupies its TAM wire for the full shift — the
-    /// imbalance cost the paper's "useful bits only" analysis excludes.
-    #[must_use]
-    pub fn idle_bits_per_pattern(&self) -> u64 {
-        let si = self.max_scan_in() as u64;
-        let so = self.max_scan_out() as u64;
-        self.chains
-            .iter()
-            .map(|c| (si - c.scan_in_len() as u64) + (so - c.scan_out_len() as u64))
-            .sum()
-    }
 }
 
 /// Design a wrapper with `width` chains using best-fit-decreasing.
@@ -232,7 +219,6 @@ mod tests {
         assert_eq!(d.chains().len(), 1);
         assert_eq!(d.max_scan_in(), 3 + 15);
         assert_eq!(d.max_scan_out(), 15 + 2);
-        assert_eq!(d.idle_bits_per_pattern(), 0);
     }
 
     #[test]
@@ -297,14 +283,5 @@ mod tests {
         let core = WrapperCore::new("c", 1, 1, vec![4]);
         let d = design_wrapper(&core, 0);
         assert_eq!(d.chains().len(), 1);
-    }
-
-    #[test]
-    fn idle_bits_counted() {
-        // Unbalanceable: one chain of 100 + one of 10 over 2 wires.
-        let core = WrapperCore::new("c", 0, 0, vec![100, 10]);
-        let d = design_wrapper(&core, 2);
-        assert_eq!(d.max_scan_in(), 100);
-        assert_eq!(d.idle_bits_per_pattern(), 2 * 90);
     }
 }

@@ -164,14 +164,8 @@ pub(crate) fn index(a: &Args) -> Result<RunStatus, String> {
 
 pub(crate) fn tdf(a: &Args) -> Result<RunStatus, String> {
     let circuit = parse_bench("circuit", &read_file(a.operand())?).map_err(|e| e.to_string())?;
-    let result = modsoc::atpg::tdf::run_tdf_atpg(
-        &circuit,
-        400,
-        modsoc::atpg::tdf::LaunchScheme::Capture,
-        &a.budget()?,
-        &NullSink,
-    )
-    .map_err(|e| e.to_string())?;
+    let result = modsoc::atpg::tdf::run_tdf_atpg(&circuit, 400, &a.budget()?, &NullSink)
+        .map_err(|e| e.to_string())?;
     println!(
         "transition faults: {} total, {} detected, {} LOC-untestable, {} aborted",
         result.total, result.detected, result.untestable, result.aborted

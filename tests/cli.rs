@@ -744,6 +744,32 @@ fn index_summarizes_soc_files() {
 }
 
 #[test]
+fn index_summarizes_bench_files_and_counts_dead_logic() {
+    // The flip-flop becomes a scan input plus a scan output (n1), so only
+    // `dead` reaches no output of the test model.
+    let dir = std::env::temp_dir().join(format!("modsoc_cli_index_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let bench = dir.join("dead.bench");
+    std::fs::write(
+        &bench,
+        "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nf = DFF(n1)\nn1 = AND(a, f)\ndead = NOT(b)\ny = OR(n1, b)\n",
+    )
+    .expect("write bench");
+    let out = modsoc(&["index", bench.to_str().expect("utf8 path")]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "6 nodes | 5 fanout edges | depth 2 | 1 dead nodes | mean fanout cone 2.2\n"
+    );
+}
+
+#[test]
 fn analyze_keep_going_output_is_jobs_invariant() {
     let dir = std::env::temp_dir().join(format!("modsoc_cli_jobs_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");

@@ -1,10 +1,18 @@
 //! Parser robustness properties: arbitrary byte-level mutations of
-//! valid `.bench` and `.soc` sources must never panic the parsers —
+//! valid `.bench`, `.soc` and JSON sources must never panic the parsers —
 //! every input either parses or is rejected with a typed error whose
-//! `Display` also does not panic.
+//! `Display` also does not panic. Deeply nested JSON must be rejected,
+//! not overflow the stack.
+
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
+use modsoc::analysis::experiment::ExperimentOptions;
+use modsoc::analysis::metrics::run_soc_experiment_metered;
+use modsoc::analysis::RunBudget;
+use modsoc::circuitgen::soc::mini_soc;
+use modsoc::metrics::json;
 use modsoc::netlist::bench_format::parse_bench;
 use modsoc::soc::format::parse_soc;
 
@@ -27,6 +35,19 @@ core top i=8 o=4 b=1 s=0 t=2 children=a,b
 core a i=4 o=2 b=0 s=16 t=40
 core b i=2 o=2 b=0 s=8 t=90
 ";
+
+/// A real metrics report: a metered run of the mini SOC experiment.
+fn base_json() -> &'static str {
+    static REPORT: OnceLock<String> = OnceLock::new();
+    REPORT.get_or_init(|| {
+        let netlist = mini_soc(7).expect("mini soc builds");
+        let options = ExperimentOptions::paper_tables_1_2();
+        run_soc_experiment_metered(&netlist, &options, &RunBudget::unlimited())
+            .expect("experiment runs")
+            .metrics
+            .to_json()
+    })
+}
 
 /// Apply `(offset, mutation)` pairs to the base bytes: each mutation
 /// XORs a byte, deletes it, or inserts a raw byte before it. The result
@@ -87,6 +108,16 @@ proptest! {
     }
 
     #[test]
+    fn mutated_json_never_panics_parser(
+        edits in collection::vec((0usize..8192, 0u8..=255, 0u8..=255), 1..24)
+    ) {
+        let source = mutate(base_json(), &edits);
+        if let Err(err) = json::parse(&source) {
+            prop_assert!(!err.to_string().is_empty());
+        }
+    }
+
+    #[test]
     fn truncations_never_panic_parsers(cut in 0usize..512) {
         let bench = &BASE_BENCH[..cut.min(BASE_BENCH.len())];
         if let Ok(c) = parse_bench("trunc", bench) {
@@ -97,4 +128,26 @@ proptest! {
             s.validate().expect("valid");
         }
     }
+}
+
+/// Parse `source` on a fresh thread with the default stack size, the
+/// stack a request handler or CLI worker thread gets.
+fn parse_on_default_stack(source: String) -> Result<json::JsonValue, json::JsonError> {
+    std::thread::spawn(move || json::parse(&source))
+        .join()
+        .expect("parser thread does not panic")
+}
+
+#[test]
+fn deeply_nested_json_is_rejected_not_a_stack_overflow() {
+    for source in [
+        "[".repeat(10_000),
+        "[".repeat(1_000_000),
+        "{\"a\":".repeat(100_000),
+    ] {
+        let len = source.len();
+        let err = parse_on_default_stack(source).expect_err("too deep to accept");
+        assert!(err.to_string().contains("nesting"), "{len} bytes: {err}");
+    }
+    assert!(json::parse(base_json()).is_ok());
 }

@@ -304,6 +304,33 @@ fn stalled_keep_alive_body_gets_408_and_close_not_misparse() {
     assert_eq!(snap.counter(Counter::ServePanics), 0);
 }
 
+/// A 100 KB body of `[` is far below the body limit; the JSON parser
+/// must reject its depth with a 400 instead of overflowing the worker's
+/// stack, which would abort the whole daemon.
+#[test]
+fn deeply_nested_json_body_gets_400_and_the_daemon_survives() {
+    let (addr, stop) = start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let post = |body: &str| {
+        http_request(
+            &addr,
+            "POST",
+            "/analyze",
+            Some(body),
+            Duration::from_secs(30),
+        )
+        .expect("daemon answers")
+    };
+    let resp = post(&"[".repeat(100_000));
+    assert_eq!(resp.status, 400, "{}", resp.body_text());
+    let resp = post("{\"soc\": \"soc m\\ncore a i=4 o=3 s=20 t=100\\n\", \"format\": \"text\"}");
+    assert_eq!(resp.status, 200, "{}", resp.body_text());
+    let snap = stop();
+    assert_eq!(snap.counter(Counter::ServePanics), 0);
+}
+
 /// Satellite (ISSUE 8): batching composes with coalescing. K identical
 /// plus M distinct compatible requests fired concurrently run each
 /// unique unit exactly once (store writes match sequential execution),

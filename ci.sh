@@ -96,9 +96,10 @@ gates() {
   diff testdata/experiment_soc2.golden "$workdir/soc2_smoke.txt" \
     || { echo "FAIL: experiment soc2 report drifted from testdata/experiment_soc2.golden"; exit 1; }
   # SOC2's monolithic run is the only one whose fault-sim sweeps span
-  # hundreds of pool chunks, and 3 workers split them unevenly: the
-  # counters must not notice.
-  for jobs in 1 3; do
+  # hundreds of pool chunks (whole fanout-free regions each). 2 workers
+  # is the benchmark's width and 3 split the chunks unevenly: the
+  # counters must not notice either.
+  for jobs in 1 2 3; do
     ./target/release/modsoc experiment soc2 --jobs "$jobs" --metrics "$workdir/m_soc2_j$jobs.json" > /dev/null
     diff testdata/metrics_soc2.golden <(grep -vE '"(sched|jobs)": |_ms":|"store_' "$workdir/m_soc2_j$jobs.json") \
       || { echo "FAIL: experiment soc2 --jobs $jobs metrics drifted from testdata/metrics_soc2.golden"; exit 1; }

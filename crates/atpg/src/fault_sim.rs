@@ -1,10 +1,28 @@
-//! Bit-parallel stuck-at fault simulation (PPSFP).
+//! Bit-parallel stuck-at fault simulation (PPSFP with critical-path
+//! tracing).
 //!
-//! The kernel is generic over a packed word width: the good circuit is
-//! evaluated once per batch, then each fault is propagated event-driven
-//! from its site through its fanout cone only, which keeps per-fault
-//! cost proportional to the size of the affected region rather than the
-//! whole circuit. The same kernel is monomorphized at two widths:
+//! The good circuit is evaluated once per batch. A fault's detection
+//! mask is then the product of three packed words:
+//!
+//! - its *activation*: the slots where the good value of its line
+//!   differs from the stuck value;
+//! - its line's *sensitization* to the root of its fanout-free region
+//!   (see [`StructuralIndex::ffr_members`]): a region is a tree, so the
+//!   fault effect reaches the root along one path, and the slots where
+//!   it gets through are the AND of each gate's sensitivity to the pin
+//!   on that path (critical-path tracing, Abramovici, Menon and Miller,
+//!   DAC 1983, combined with PPSFP as in Lee and Ha's HOPE);
+//! - the root's *observability*: the slots where flipping the root
+//!   flips some primary output. It is all ones for a root that is an
+//!   output and zero for one that reaches none; for any other root it
+//!   is found by propagating the flip event-driven through the root's
+//!   fanout cone. That propagation is the only event-driven work.
+//!
+//! One backward pass over a region gives the sensitization of every one
+//! of its lines, so the sweeps over a fault list bucket the faults by
+//! region, trace each region once per batch while one of its faults is
+//! still undecided, and propagate each root at most once. The kernel is
+//! generic over a packed word width and monomorphized twice:
 //!
 //! - **`u64`** — 64 patterns per pass. Used wherever a 64-slot batch is
 //!   semantically visible (the engine's random-phase keep/drop
@@ -22,15 +40,20 @@
 //! [`FaultSimulator::detection_masks_budgeted`]) combine
 //! pattern-parallel and fault-parallel blocking: good values are
 //! computed once on the calling thread and shared read-only by the
-//! workers of a [`WorkerPool`], which claim [`SWEEP_CHUNK`]-fault chunks
-//! and stream each against one block at a time.
+//! workers of a [`WorkerPool`], which claim chunks of whole regions of
+//! about [`SWEEP_CHUNK`] faults and stream each against one block at a
+//! time. Results are scattered back to fault order, so every sweep is
+//! identical at any worker count.
 //!
 //! Both widths produce bit-identical detection verdicts; the test suite
 //! pins the wide sweeps to per-64 [`FaultSimulator::detection_masks`]
-//! references word for word.
+//! references word for word, and the tracing kernel to a per-fault
+//! event-driven reference.
 
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 use modsoc_metrics::{MetricsSink, NullSink};
 use modsoc_netlist::sim::Simulator;
@@ -42,11 +65,11 @@ use crate::error::AtpgError;
 use crate::fault::{Fault, FaultSite};
 use crate::pool::WorkerPool;
 
-/// Faults per chunk of a pooled sweep: workers claim chunks of this
-/// many faults from the [`WorkerPool`]'s counter, and a budgeted sweep
-/// polls its budget once per chunk (polling costs an `Instant::now()`;
-/// per-fault propagation is usually far cheaper, so polling every fault
-/// would dominate small cones).
+/// Faults per chunk of a pooled sweep: workers claim chunks of whole
+/// fanout-free regions holding about this many faults, and a budgeted
+/// sweep polls its budget once per chunk (polling costs an
+/// `Instant::now()`; tracing a region is usually far cheaper, so
+/// polling every region would dominate small ones).
 pub const SWEEP_CHUNK: usize = 512;
 
 /// Mask of the valid pattern slots for a batch of `n` patterns: the low
@@ -79,13 +102,58 @@ pub fn block_active_mask(n: usize) -> SimBlock {
     mask
 }
 
-/// Epoch-stamped faulty-value scratch for one packed width.
+/// One batch's good values with the circuit they belong to: what every
+/// kernel call reads.
+#[derive(Clone, Copy)]
+struct Batch<'b, W> {
+    circuit: &'b Circuit,
+    index: &'b StructuralIndex,
+    good: &'b [W],
+    /// The valid pattern slots of the batch.
+    active: W,
+}
+
+/// The slots where flipping pin `pin` of `gate` alone flips the gate's
+/// output, under the batch's good values on its other pins.
+fn pin_sensitivity<W: PackedWord>(b: &Batch<'_, W>, gate: NodeId, pin: usize) -> W {
+    let node = b.circuit.node(gate);
+    let side = node
+        .fanin
+        .iter()
+        .enumerate()
+        .filter(|&(k, _)| k != pin)
+        .map(|(_, f)| b.good[f.index()]);
+    match node.kind {
+        GateKind::And | GateKind::Nand => side.fold(W::ONES, W::and),
+        GateKind::Or | GateKind::Nor => side.fold(W::ONES, |acc, v| acc.and(v.not())),
+        // The single-input and parity kinds pass every flip; inputs and
+        // constants have no pin to flip.
+        GateKind::Buf
+        | GateKind::Not
+        | GateKind::Dff
+        | GateKind::Xor
+        | GateKind::Xnor
+        | GateKind::Input
+        | GateKind::Const0
+        | GateKind::Const1 => W::ONES,
+    }
+}
+
+/// Per-worker fault-simulation state for one packed width.
 ///
-/// `faulty[i]` is only meaningful when `stamp[i] == epoch`; bumping the
-/// epoch invalidates the whole array in O(1). The event heap is reused
-/// across propagations (it is always drained empty).
+/// The tracing state is region-sized: `sens` holds one traced region's
+/// line sensitizations and `pending` one region's partial masks. The
+/// rest serves the event-driven propagation of a root flip:
+/// `faulty[i]` is only meaningful when `stamp[i] == epoch`, so bumping
+/// the epoch invalidates the whole array in O(1), and the event heap is
+/// reused across propagations (it is always drained empty).
 #[derive(Debug, Clone)]
 struct Scratch<W> {
+    /// `sens[p]`: the slots where a flip of member `p` of the traced
+    /// region flips the region's root.
+    sens: Vec<W>,
+    /// Activation ∧ sensitization of each fault of the region in hand.
+    pending: Vec<W>,
     faulty: Vec<W>,
     stamp: Vec<u32>,
     /// Queue-membership stamp: `queued[i] == epoch` means node `i` is
@@ -93,18 +161,147 @@ struct Scratch<W> {
     /// fanin changes must not enqueue (or later re-evaluate) it again.
     queued: Vec<u32>,
     epoch: u32,
-    heap: BinaryHeap<std::cmp::Reverse<(u32, u32)>>,
+    heap: BinaryHeap<Reverse<(u32, u32)>>,
+    /// Output mismatches of the current propagation.
+    mismatch: W,
 }
 
 impl<W: PackedWord> Scratch<W> {
     fn new(nodes: usize) -> Scratch<W> {
         Scratch {
+            sens: Vec::new(),
+            pending: Vec::new(),
             faulty: vec![W::ZERO; nodes],
             stamp: vec![0; nodes],
             queued: vec![0; nodes],
             epoch: 0,
             heap: BinaryHeap::new(),
+            mismatch: W::ZERO,
         }
+    }
+
+    /// Detection masks of the faults `group` picks from `faults`, which
+    /// all sit in one fanout-free region, against one batch. Fault
+    /// `faults[group[k]]` is simulated only while `live(&out[k])`, and
+    /// `emit(&mut out[k], mask)` receives each nonzero mask, tail-masked
+    /// by the batch's active slots; a fault whose mask is zero leaves
+    /// its `out` entry alone.
+    fn ffr_masks<R>(
+        &mut self,
+        b: &Batch<'_, W>,
+        (faults, group): (&[Fault], &[u32]),
+        out: &mut [R],
+        live: impl Fn(&R) -> bool,
+        emit: impl Fn(&mut R, W),
+    ) {
+        let Some(&first) = group.first() else {
+            return;
+        };
+        let ffr = b.index.ffr_of(faults[first as usize].site.affected_gate());
+        let root = b.index.ffr_members(ffr)[0];
+        if !b.index.reaches_any_output(root) || !out.iter().any(&live) {
+            return;
+        }
+        self.trace(b, ffr);
+        self.pending.clear();
+        let mut any = false;
+        for (&i, o) in group.iter().zip(out.iter()) {
+            let m = if live(o) {
+                self.line_mask(b, faults[i as usize]).and(b.active)
+            } else {
+                W::ZERO
+            };
+            any |= !m.is_zero();
+            self.pending.push(m);
+        }
+        if !any {
+            return;
+        }
+        let observed = if b.index.output_marks(root) > 0 {
+            W::ONES
+        } else {
+            self.observability(b, root)
+        };
+        for (&m, o) in self.pending.iter().zip(out) {
+            let m = m.and(observed);
+            if !m.is_zero() {
+                emit(o, m);
+            }
+        }
+    }
+
+    /// [`Scratch::ffr_masks`] for one fault: its whole detection mask.
+    fn fault_mask(&mut self, b: &Batch<'_, W>, fault: Fault) -> W {
+        let mut mask = W::ZERO;
+        self.ffr_masks(
+            b,
+            (&[fault], &[0]),
+            std::slice::from_mut(&mut mask),
+            |_| true,
+            |o, m| *o = m,
+        );
+        mask
+    }
+
+    /// The backward pass over region `ffr`: members come root first and
+    /// each after its consumer, so one walk fills `sens` for all of them.
+    fn trace(&mut self, b: &Batch<'_, W>, ffr: usize) {
+        let members = b.index.ffr_members(ffr);
+        self.sens.clear();
+        self.sens.push(W::ONES);
+        for &m in &members[1..] {
+            let (consumer, pin) = b
+                .index
+                .ffr_consumer(m)
+                .expect("a region member other than the root has one consumer");
+            let up = self.sens[b.index.ffr_pos(consumer)];
+            self.sens.push(if up.is_zero() {
+                up
+            } else {
+                up.and(pin_sensitivity(b, consumer, pin))
+            });
+        }
+    }
+
+    /// Activation ∧ sensitization to the root of `fault`'s line, from the
+    /// traced region it sits in.
+    fn line_mask(&self, b: &Batch<'_, W>, fault: Fault) -> W {
+        let stuck = if fault.stuck_at_one { W::ONES } else { W::ZERO };
+        match fault.site {
+            FaultSite::Stem(site) => {
+                self.sens[b.index.ffr_pos(site)].and(b.good[site.index()].xor(stuck))
+            }
+            FaultSite::Pin { gate, pin } => {
+                let up = self.sens[b.index.ffr_pos(gate)];
+                if up.is_zero() {
+                    return up;
+                }
+                let driver = b.circuit.node(gate).fanin[pin];
+                up.and(pin_sensitivity(b, gate, pin))
+                    .and(b.good[driver.index()].xor(stuck))
+            }
+        }
+    }
+
+    /// The slots where flipping `root` flips some primary output, by
+    /// event-driven propagation of the flip through its fanout cone.
+    fn observability(&mut self, b: &Batch<'_, W>, root: NodeId) -> W {
+        self.begin();
+        self.set_faulty(b, root, b.good[root.index()].not());
+        self.propagate(b);
+        self.mismatch
+    }
+
+    /// Start a propagation: a fresh epoch and no mismatches.
+    fn begin(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Stamp wrap: invalidate everything once.
+            self.stamp.fill(u32::MAX);
+            self.queued.fill(u32::MAX);
+            self.epoch = 1;
+        }
+        self.mismatch = W::ZERO;
     }
 
     #[inline]
@@ -116,138 +313,43 @@ impl<W: PackedWord> Scratch<W> {
         }
     }
 
-    #[inline]
-    fn set_faulty(&mut self, id: NodeId, v: W) {
+    /// Record `id`'s faulty value, fold it into the output mismatches
+    /// if `id` is an output, and schedule its consumers.
+    fn set_faulty(&mut self, b: &Batch<'_, W>, id: NodeId, v: W) {
         self.stamp[id.index()] = self.epoch;
         self.faulty[id.index()] = v;
-    }
-
-    /// Faulty re-evaluation of one gate: fanin values come from the
-    /// epoch overlay, with an optional pin forced to the stuck value.
-    /// Overlay values stream straight into `eval_packed_iter`'s fold, so
-    /// any fanin width — including the >16-fanin gates that used to take
-    /// a heap-spill path — evaluates without a per-call buffer (at block
-    /// width a buffered evaluation would zero and copy kilobytes per
-    /// gate).
-    fn eval_faulty(
-        &self,
-        circuit: &Circuit,
-        id: NodeId,
-        good: &[W],
-        pinforce: Option<(usize, W)>,
-    ) -> W {
-        let node = circuit.node(id);
-        if node.kind == GateKind::Input {
-            return good[id.index()];
+        if b.index.output_marks(id) > 0 {
+            self.mismatch = self.mismatch.or(v.xor(b.good[id.index()]));
         }
-        match pinforce {
-            None => node
-                .kind
-                .eval_packed_iter(node.fanin.iter().map(|&f| self.value_of(f, good))),
-            Some((pin, w)) => node
-                .kind
-                .eval_packed_iter(node.fanin.iter().enumerate().map(|(k, &f)| {
-                    if k == pin {
-                        w
-                    } else {
-                        self.value_of(f, good)
-                    }
-                })),
+        for &fo in b.index.fanouts(id) {
+            if self.queued[fo.index()] != self.epoch {
+                self.queued[fo.index()] = self.epoch;
+                self.heap
+                    .push(Reverse((b.index.topo_pos(fo), fo.index() as u32)));
+            }
         }
     }
 
-    /// Event-driven faulty-value propagation; leaves the epoch state
-    /// holding the faulty values for the current batch.
-    fn propagate(&mut self, circuit: &Circuit, index: &StructuralIndex, good: &[W], fault: Fault) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Stamp wrap: invalidate everything once.
-            self.stamp.fill(u32::MAX);
-            self.queued.fill(u32::MAX);
-            self.epoch = 1;
-        }
-        let stuck_word = if fault.stuck_at_one { W::ONES } else { W::ZERO };
-
-        // Seed the event queue. Events pop in topological order and a
-        // node's fanins all sit strictly earlier in that order, so by the
-        // time a node pops every upstream change has settled — one
-        // evaluation per node is authoritative, and the `queued` stamp
-        // keeps a node with several changed fanins from being enqueued
-        // (and re-evaluated) once per fanin.
-        debug_assert!(self.heap.is_empty());
-        match fault.site {
-            FaultSite::Stem(site) => {
-                if good[site.index()] != stuck_word {
-                    self.set_faulty(site, stuck_word);
-                    for &fo in index.fanouts(site) {
-                        self.enqueue(index, fo);
-                    }
-                }
-            }
-            FaultSite::Pin { gate, pin } => {
-                let v = self.eval_faulty(circuit, gate, good, Some((pin, stuck_word)));
-                if v != good[gate.index()] {
-                    self.set_faulty(gate, v);
-                    for &fo in index.fanouts(gate) {
-                        self.enqueue(index, fo);
-                    }
-                }
-            }
-        }
-
-        while let Some(std::cmp::Reverse((_, raw))) = self.heap.pop() {
+    /// Drain the event queue. Events pop in topological order and a
+    /// node's fanins all sit strictly earlier in that order, so by the
+    /// time a node pops every upstream change has settled: one
+    /// evaluation per node is authoritative, and the `queued` stamp
+    /// keeps a node with several changed fanins from being enqueued
+    /// (and re-evaluated) once per fanin. The seeded node never pops,
+    /// since nothing upstream of it changes. Overlay values stream
+    /// straight into `eval_packed_iter`'s fold, so any fanin width
+    /// evaluates without a per-call buffer.
+    fn propagate(&mut self, b: &Batch<'_, W>) {
+        while let Some(Reverse((_, raw))) = self.heap.pop() {
             let id = NodeId::from_index(raw as usize);
-            let pinforce = match fault.site {
-                FaultSite::Pin { gate, pin } if gate == id => Some((pin, stuck_word)),
-                _ => None,
-            };
-            let v = self.eval_faulty(circuit, id, good, pinforce);
-            let current = self.value_of(id, good);
-            if v == current {
-                continue;
-            }
-            // A stem fault site never re-evaluates (it has no upstream
-            // events), so no special case needed here.
-            self.set_faulty(id, v);
-            for &fo in index.fanouts(id) {
-                self.enqueue(index, fo);
+            let node = b.circuit.node(id);
+            let v = node
+                .kind
+                .eval_packed_iter(node.fanin.iter().map(|&f| self.value_of(f, b.good)));
+            if v != self.value_of(id, b.good) {
+                self.set_faulty(b, id, v);
             }
         }
-    }
-
-    /// Enqueue `fo` for (re-)evaluation unless it is already pending in
-    /// the current epoch.
-    #[inline]
-    fn enqueue(&mut self, index: &StructuralIndex, fo: NodeId) {
-        if self.queued[fo.index()] != self.epoch {
-            self.queued[fo.index()] = self.epoch;
-            self.heap
-                .push(std::cmp::Reverse((index.topo_pos(fo), fo.index() as u32)));
-        }
-    }
-
-    /// Propagate `fault` and fold the output mismatches into one
-    /// detection mask, tail-masked by `active`.
-    fn detection_mask(
-        &mut self,
-        circuit: &Circuit,
-        index: &StructuralIndex,
-        good: &[W],
-        active: W,
-        fault: Fault,
-    ) -> W {
-        self.propagate(circuit, index, good, fault);
-        let mut mask = W::ZERO;
-        for &po in circuit.outputs() {
-            let i = po.index();
-            // An output the propagation never touched cannot mismatch;
-            // gating on the stamp skips two block loads per untouched
-            // output, which is most of them for a small fanout cone.
-            if self.stamp[i] == self.epoch {
-                mask = mask.or(good[i].xor(self.faulty[i]));
-            }
-        }
-        mask.and(active)
     }
 }
 
@@ -384,6 +486,41 @@ impl<'a> FaultSimulator<'a> {
         Ok(width)
     }
 
+    /// The narrow kernel's view of one batch, beside its scratch.
+    fn narrow<'s>(
+        &'s mut self,
+        good: &'s [u64],
+        active: u64,
+    ) -> (Batch<'s, u64>, &'s mut Scratch<u64>) {
+        let batch = Batch {
+            circuit: self.circuit,
+            index: &self.index,
+            good,
+            active,
+        };
+        (batch, &mut self.narrow)
+    }
+
+    /// The wide kernel's view of one block, beside its scratch (made on
+    /// first use).
+    fn wide<'s>(
+        &'s mut self,
+        good: &'s [SimBlock],
+        active: SimBlock,
+    ) -> (Batch<'s, SimBlock>, &'s mut Scratch<SimBlock>) {
+        let circuit = self.circuit;
+        let batch = Batch {
+            circuit,
+            index: &self.index,
+            good,
+            active,
+        };
+        let scratch = self
+            .wide
+            .get_or_insert_with(|| Scratch::new(circuit.node_count()));
+        (batch, scratch)
+    }
+
     /// Which of the batch's patterns detect `fault`: bit `k` of the result
     /// is set iff pattern `k` produces a different value on some primary
     /// output in the faulty circuit.
@@ -391,8 +528,8 @@ impl<'a> FaultSimulator<'a> {
     /// `good` must come from [`FaultSimulator::good_values`] for the same
     /// batch; `active` masks the valid pattern slots.
     pub fn detection_mask(&mut self, good: &[u64], active: u64, fault: Fault) -> u64 {
-        self.narrow
-            .detection_mask(self.circuit, &self.index, good, active, fault)
+        let (batch, scratch) = self.narrow(good, active);
+        scratch.fault_mask(&batch, fault)
     }
 
     /// [`FaultSimulator::detection_mask`] at block width: slot `64w + k`
@@ -405,14 +542,8 @@ impl<'a> FaultSimulator<'a> {
         active: &SimBlock,
         fault: Fault,
     ) -> SimBlock {
-        let FaultSimulator {
-            circuit,
-            index,
-            wide,
-            ..
-        } = self;
-        wide.get_or_insert_with(|| Scratch::new(circuit.node_count()))
-            .detection_mask(circuit, index, good, *active, fault)
+        let (batch, scratch) = self.wide(good, *active);
+        scratch.fault_mask(&batch, fault)
     }
 
     /// Detection masks for a whole fault list against one batch, swept
@@ -432,13 +563,13 @@ impl<'a> FaultSimulator<'a> {
     /// [`FaultSimulator::detection_masks`] under a [`RunBudget`] on a
     /// `jobs`-wide pool (see [`FaultSimulator::detected`] for the
     /// chunking): the deadline/cancellation flags are polled once per
-    /// [`SWEEP_CHUNK`]-fault chunk. A chunk that finds the budget
-    /// tripped is not simulated and the reason is returned alongside the
-    /// masks; its faults keep an all-zero mask, which downstream fault
-    /// dropping reads as "not detected" — conservative, never unsound.
-    /// On a trip the masks are re-masked with the batch's
-    /// [`active_mask`], so ghost slots beyond the simulated prefix can
-    /// never read as detections regardless of where the trip lands.
+    /// chunk. A chunk that finds the budget tripped is not simulated and
+    /// the reason is returned alongside the masks; its faults keep an
+    /// all-zero mask, which downstream fault dropping reads as "not
+    /// detected" — conservative, never unsound. On a trip the masks are
+    /// re-masked with the batch's [`active_mask`], so ghost slots beyond
+    /// the simulated prefix can never read as detections regardless of
+    /// where the trip lands.
     ///
     /// # Errors
     ///
@@ -467,23 +598,21 @@ impl<'a> FaultSimulator<'a> {
     ) -> Result<(Vec<u64>, Option<ExhaustReason>), AtpgError> {
         let (good, n) = self.good_values(patterns)?;
         let active = active_mask(n);
-        let chunks = self.sweep(faults, jobs, sink, |fsim, faults| {
-            let mut masks = Vec::with_capacity(faults.len());
-            for chunk in faults.chunks(SWEEP_CHUNK) {
+        let tripped = OnceLock::new();
+        let mut masks = self.sweep::<u64>(faults, jobs, sink, |fsim, span, masks| {
+            let (batch, scratch) = fsim.narrow(&good, active);
+            for chunk in span.each_chunk() {
                 if let Some(reason) = budget.and_then(RunBudget::check) {
-                    masks.resize(faults.len(), 0);
-                    return (masks, Some(reason));
+                    // The first trip in time wins; later ones agree.
+                    let _ = tripped.set(reason);
+                    return;
                 }
-                masks.extend(chunk.iter().map(|&f| fsim.detection_mask(&good, active, f)));
+                chunk.for_groups(masks, |group, masks| {
+                    scratch.ffr_masks(&batch, group, masks, |_| true, |o, m| *o = m);
+                });
             }
-            (masks, None)
         });
-        let mut masks = Vec::with_capacity(faults.len());
-        let mut tripped = None;
-        for (chunk_masks, reason) in chunks {
-            masks.extend(chunk_masks);
-            tripped = tripped.or(reason);
-        }
+        let tripped = tripped.into_inner();
         if tripped.is_some() {
             // Re-assert the tail discipline on the partial result before
             // handing it back (defense in depth — a mask produced by any
@@ -500,18 +629,19 @@ impl<'a> FaultSimulator<'a> {
     /// engine's coverage-verification primitive.
     ///
     /// Good values are computed once per [`BLOCK_BITS`] block on this
-    /// simulator. The fault list is then cut into [`SWEEP_CHUNK`]-fault
-    /// chunks that the workers of a `jobs`-wide [`WorkerPool`] claim one
-    /// at a time — the calling thread on this simulator, each spawned
-    /// worker on its own clone of it; each
-    /// chunk is swept blocks outer, faults inner, and a fault detected by
-    /// an earlier block is dropped from later ones (an OR-reduction, so
-    /// the result is identical with or without the drop). The chunks are
-    /// merged in fault order, so the result is identical at any `jobs`.
-    /// A sweep the pool runs sequentially — `jobs == 1`, fewer than two
-    /// chunks, or a call from a pool worker — stays on the calling
-    /// thread. `sink` receives one worker-utilization row per worker of
-    /// a parallel sweep and none for a sequential one.
+    /// simulator. The fault list is then bucketed by fanout-free region
+    /// and cut into chunks of whole regions, about [`SWEEP_CHUNK`]
+    /// faults each, that the workers of a `jobs`-wide [`WorkerPool`]
+    /// claim one at a time — the calling thread on this simulator, each
+    /// spawned worker on its own clone of it. Each chunk is swept blocks
+    /// outer, regions inner, and a region is traced against a block only
+    /// while one of its faults is still undetected (an OR-reduction, so
+    /// the result is identical with or without the drop). The results
+    /// are scattered back to fault order, so they are identical at any
+    /// `jobs`. A sweep the pool runs sequentially — `jobs == 1`, fewer
+    /// than two chunks, or a call from a pool worker — stays on the
+    /// calling thread. `sink` receives one worker-utilization row per
+    /// worker of a parallel sweep and none for a sequential one.
     ///
     /// # Errors
     ///
@@ -524,18 +654,15 @@ impl<'a> FaultSimulator<'a> {
         sink: &dyn MetricsSink,
     ) -> Result<Vec<bool>, AtpgError> {
         let blocks = good_block_sweep(self, patterns)?;
-        let chunks = self.sweep(faults, jobs, sink, |fsim, chunk| {
-            let mut detected = vec![false; chunk.len()];
+        let detected = self.sweep::<bool>(faults, jobs, sink, |fsim, span, detected| {
             for (good, active) in &blocks {
-                for (d, &f) in detected.iter_mut().zip(chunk) {
-                    if !*d {
-                        *d = !fsim.block_detection_mask(good, active, f).is_zero();
-                    }
-                }
+                let (batch, scratch) = fsim.wide(good, *active);
+                span.for_groups(detected, |group, detected| {
+                    scratch.ffr_masks(&batch, group, detected, |d| !*d, |d, _| *d = true);
+                });
             }
-            detected
         });
-        Ok(chunks.concat())
+        Ok(detected)
     }
 
     /// Each fault's *last detector*: `last[i]` is the index of the last
@@ -562,22 +689,20 @@ impl<'a> FaultSimulator<'a> {
         sink: &dyn MetricsSink,
     ) -> Result<Vec<Option<u32>>, AtpgError> {
         let blocks = good_block_sweep(self, patterns)?;
-        let chunks = self.sweep(faults, jobs, sink, |fsim, chunk| {
-            let mut last = vec![None; chunk.len()];
+        let last = self.sweep::<Option<u32>>(faults, jobs, sink, |fsim, span, last| {
             for (blk, (good, active)) in blocks.iter().enumerate().rev() {
-                for (l, &f) in last.iter_mut().zip(chunk) {
-                    if l.is_none() {
-                        let mask = fsim.block_detection_mask(good, active, f);
-                        *l = highest_slot(&mask).map(|slot| {
-                            u32::try_from(blk * BLOCK_BITS + slot)
-                                .expect("pattern index fits in u32")
-                        });
-                    }
-                }
+                let (batch, scratch) = fsim.wide(good, *active);
+                let record = |l: &mut Option<u32>, mask: SimBlock| {
+                    *l = highest_slot(&mask).map(|slot| {
+                        u32::try_from(blk * BLOCK_BITS + slot).expect("pattern index fits in u32")
+                    });
+                };
+                span.for_groups(last, |group, last| {
+                    scratch.ffr_masks(&batch, group, last, Option::is_none, record);
+                });
             }
-            last
         });
-        Ok(chunks.concat())
+        Ok(last)
     }
 
     /// Per-fault *detection counts* of a pattern set: how many patterns
@@ -598,41 +723,164 @@ impl<'a> FaultSimulator<'a> {
         sink: &dyn MetricsSink,
     ) -> Result<Vec<u32>, AtpgError> {
         let blocks = good_block_sweep(self, patterns)?;
-        let chunks = self.sweep(faults, jobs, sink, |fsim, chunk| {
-            let mut counts = vec![0u32; chunk.len()];
+        let counts = self.sweep::<u32>(faults, jobs, sink, |fsim, span, counts| {
             for (good, active) in &blocks {
-                for (c, &f) in counts.iter_mut().zip(chunk) {
-                    *c += fsim.block_detection_mask(good, active, f).count_ones();
-                }
+                let (batch, scratch) = fsim.wide(good, *active);
+                span.for_groups(counts, |group, counts| {
+                    scratch.ffr_masks(&batch, group, counts, |_| true, |c, m| *c += m.count_ones());
+                });
             }
-            counts
         });
-        Ok(chunks.concat())
+        Ok(counts)
     }
 
-    /// Cut `faults` into [`SWEEP_CHUNK`]-fault chunks, run `per_chunk`
-    /// on each from a `jobs`-wide [`WorkerPool`] (the calling thread on
-    /// this simulator, each spawned worker on its own clone of it) and
-    /// return the results in chunk order. Because faults are
-    /// independent, the merged output is identical to one pass over the
-    /// whole list — which is what a sweep the pool would run
-    /// sequentially does: one `per_chunk` call over all of `faults`, so
-    /// a blocked sweep keeps one good-value block hot for every fault.
-    /// The chunks charge no `pool_tasks`: their number is a property of
-    /// the sweep, not of the run.
-    fn sweep<R: Send>(
+    /// Bucket `faults` by fanout-free region (see [`SweepPlan`]), run
+    /// `per_span` on the chunks from a `jobs`-wide [`WorkerPool`] (the
+    /// calling thread on this simulator, each spawned worker on its own
+    /// clone of it) and scatter the results back to fault order.
+    /// `per_span` fills one result per planned fault of its span,
+    /// starting from `R::default()`. Because regions are independent,
+    /// the merged output is identical to one pass over the whole list —
+    /// which is what a sweep the pool would run sequentially does: one
+    /// `per_span` call over every chunk, so a blocked sweep keeps one
+    /// good-value block hot for every fault. The chunks charge no
+    /// `pool_tasks`: their number is a property of the sweep, not of
+    /// the run.
+    fn sweep<R: Clone + Default + Send>(
         &mut self,
         faults: &[Fault],
         jobs: usize,
         sink: &dyn MetricsSink,
-        per_chunk: impl Fn(&mut FaultSimulator<'a>, &[Fault]) -> R + Sync,
+        per_span: impl Fn(&mut FaultSimulator<'a>, Span<'_, '_>, &mut [R]) + Sync,
     ) -> Vec<R> {
-        let chunks: Vec<&[Fault]> = faults.chunks(SWEEP_CHUNK).collect();
+        let plan = SweepPlan::new(&self.index, faults);
+        let run = |fsim: &mut FaultSimulator<'a>, chunks: &[Range<usize>]| {
+            let span = plan.span(chunks);
+            let mut out = vec![R::default(); span.len()];
+            per_span(fsim, span, &mut out);
+            out
+        };
         let pool = WorkerPool::new(jobs);
-        if pool.width(chunks.len()) <= 1 {
-            return vec![per_chunk(self, faults)];
+        let planned = if pool.width(plan.chunks.len()) <= 1 {
+            run(self, &plan.chunks)
+        } else {
+            pool.map_with_state(&plan.chunks, self, sink, |fsim, _, chunk| {
+                run(fsim, std::slice::from_ref(chunk))
+            })
+            .concat()
+        };
+        let mut out = vec![R::default(); faults.len()];
+        for (&i, r) in plan.order.iter().zip(planned) {
+            out[i as usize] = r;
         }
-        pool.map_with_state(&chunks, self, sink, |fsim, _, chunk| per_chunk(fsim, chunk))
+        out
+    }
+}
+
+/// A fault list bucketed by fanout-free region for a pooled sweep: the
+/// faults of one region form a *group* (in list order), and consecutive
+/// groups form *chunks* of at least [`SWEEP_CHUNK`] faults (the last
+/// one ragged), the unit a pool worker claims.
+struct SweepPlan<'f> {
+    /// The caller's fault list.
+    faults: &'f [Fault],
+    /// The planned order: list positions, group after group.
+    order: Vec<u32>,
+    /// Group `g` is `order[bounds[g]..bounds[g + 1]]`.
+    bounds: Vec<u32>,
+    /// Each chunk as its range of groups.
+    chunks: Vec<Range<usize>>,
+}
+
+impl<'f> SweepPlan<'f> {
+    fn new(index: &StructuralIndex, faults: &'f [Fault]) -> SweepPlan<'f> {
+        let region = |f: &Fault| index.ffr_of(f.site.affected_gate());
+        // A counting sort by region keeps list order within a group.
+        let mut start = vec![0u32; index.ffr_count() + 1];
+        for f in faults {
+            start[region(f) + 1] += 1;
+        }
+        for r in 0..index.ffr_count() {
+            start[r + 1] += start[r];
+        }
+        let mut cursor = start.clone();
+        let mut order = vec![0u32; faults.len()];
+        for (i, f) in faults.iter().enumerate() {
+            let slot = &mut cursor[region(f)];
+            order[*slot as usize] = u32::try_from(i).expect("fault list fits in u32");
+            *slot += 1;
+        }
+        let mut bounds = vec![0u32];
+        bounds.extend(start.windows(2).filter(|w| w[1] > w[0]).map(|w| w[1]));
+        let mut chunks = Vec::new();
+        let mut first = 0;
+        for g in 0..bounds.len() - 1 {
+            if (bounds[g + 1] - bounds[first]) as usize >= SWEEP_CHUNK || g + 2 == bounds.len() {
+                chunks.push(first..g + 1);
+                first = g + 1;
+            }
+        }
+        SweepPlan {
+            faults,
+            order,
+            bounds,
+            chunks,
+        }
+    }
+
+    /// Consecutive `chunks` of this plan as one span.
+    fn span<'p>(&'p self, chunks: &'p [Range<usize>]) -> Span<'p, 'f> {
+        let base = chunks.first().map_or(0, |c| self.bounds[c.start] as usize);
+        Span {
+            plan: self,
+            chunks,
+            base,
+        }
+    }
+}
+
+/// Consecutive chunks of a [`SweepPlan`] that one `per_span` call
+/// sweeps. Its results live in one slice whose first element is planned
+/// fault `base`.
+#[derive(Clone, Copy)]
+struct Span<'p, 'f> {
+    plan: &'p SweepPlan<'f>,
+    chunks: &'p [Range<usize>],
+    base: usize,
+}
+
+impl<'p, 'f> Span<'p, 'f> {
+    /// Planned faults in the span.
+    fn len(&self) -> usize {
+        self.chunks
+            .last()
+            .map_or(0, |c| self.plan.bounds[c.end] as usize - self.base)
+    }
+
+    /// Each chunk of the span as a span of its own, sharing the span's
+    /// result slice.
+    fn each_chunk(self) -> impl Iterator<Item = Span<'p, 'f>> {
+        self.chunks.iter().map(move |c| Span {
+            chunks: std::slice::from_ref(c),
+            ..self
+        })
+    }
+
+    /// Call `f` on each group of the span with the caller's fault list,
+    /// the group's positions in it and the group's results in `out`, the
+    /// span's result slice.
+    fn for_groups<R>(self, out: &mut [R], mut f: impl FnMut((&'f [Fault], &'p [u32]), &mut [R])) {
+        for g in self.chunks.iter().flat_map(Range::clone) {
+            let (lo, hi) = (
+                self.plan.bounds[g] as usize,
+                self.plan.bounds[g + 1] as usize,
+            );
+            let group = &self.plan.order[lo..hi];
+            f(
+                (self.plan.faults, group),
+                &mut out[lo - self.base..hi - self.base],
+            );
+        }
     }
 }
 
@@ -676,6 +924,36 @@ fn good_block_sweep(
             Ok((good, block_active_mask(n)))
         })
         .collect()
+}
+
+/// The per-fault event-driven kernel the tracing kernel replaced, kept
+/// as the reference it is tested against: the fault is forced at its
+/// site and the change propagated through the site's whole fanout cone.
+#[cfg(test)]
+impl<W: PackedWord> Scratch<W> {
+    fn reference_mask(&mut self, b: &Batch<'_, W>, fault: Fault) -> W {
+        self.begin();
+        let stuck = if fault.stuck_at_one { W::ONES } else { W::ZERO };
+        let (site, v) = match fault.site {
+            FaultSite::Stem(site) => (site, stuck),
+            FaultSite::Pin { gate, pin } => {
+                let node = b.circuit.node(gate);
+                let inputs = node.fanin.iter().enumerate().map(|(k, &f)| {
+                    if k == pin {
+                        stuck
+                    } else {
+                        b.good[f.index()]
+                    }
+                });
+                (gate, node.kind.eval_packed_iter(inputs))
+            }
+        };
+        if v != b.good[site.index()] {
+            self.set_faulty(b, site, v);
+            self.propagate(b);
+        }
+        self.mismatch.and(b.active)
+    }
 }
 
 #[cfg(test)]
@@ -821,6 +1099,208 @@ g23 = NAND(g16, g19)
             .unwrap()
             .detection_counts(patterns, faults, jobs, &NullSink)
             .unwrap()
+    }
+
+    /// A random DAG whose internal gates fan out and reconverge: each
+    /// gate draws its fanin from the last dozen nodes, and a few draws
+    /// repeat a driver on two pins of one gate. Every kind appears, some
+    /// gates are left dead, and some outputs also feed later gates.
+    fn reconvergent_dag(seed: u64, inputs: usize, gates: usize) -> Circuit {
+        let mut state = seed | 1;
+        let mut next = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let mut c = Circuit::new("dag");
+        let mut nodes: Vec<NodeId> = (0..inputs).map(|i| c.add_input(format!("i{i}"))).collect();
+        let kinds = [
+            GateKind::And,
+            GateKind::Nand,
+            GateKind::Or,
+            GateKind::Nor,
+            GateKind::Xor,
+            GateKind::Xnor,
+            GateKind::Not,
+            GateKind::Buf,
+        ];
+        for g in 0..gates {
+            let kind = kinds[next(kinds.len())];
+            let arity = if matches!(kind, GateKind::Not | GateKind::Buf) {
+                1
+            } else {
+                2 + next(3)
+            };
+            let window = nodes.len().min(12);
+            let fanin: Vec<NodeId> = (0..arity)
+                .map(|_| nodes[nodes.len() - 1 - next(window)])
+                .collect();
+            nodes.push(c.add_gate(format!("g{g}"), kind, &fanin).unwrap());
+        }
+        // Outputs: the last few gates plus some internal ones (which keep
+        // their fanout); roughly one gate in nine is left to dangle.
+        for (k, &id) in nodes.iter().enumerate().skip(inputs) {
+            if k + 4 > nodes.len() || next(7) == 0 {
+                c.mark_output(id);
+            }
+        }
+        c
+    }
+
+    /// One driver on two pins of one gate, an output that also fans out
+    /// and a dead XNOR, on top of c17.
+    fn c17_with_corner_cases() -> Circuit {
+        let mut c = c17();
+        let g16 = c.find("g16").unwrap();
+        let g22 = c.find("g22").unwrap();
+        let g1 = c.find("g1").unwrap();
+        let twice = c.add_gate("twice", GateKind::Xor, &[g16, g16]).unwrap();
+        let tail = c
+            .add_gate("tail", GateKind::And, &[twice, g22, g1])
+            .unwrap();
+        c.add_gate("dead", GateKind::Xnor, &[tail, g1]).unwrap();
+        c.mark_output(tail);
+        c
+    }
+
+    /// Per-fault reference masks at both widths: the narrow one for the
+    /// first 64 patterns, the wide one for the first block.
+    fn reference_masks(
+        c: &Circuit,
+        patterns: &[Vec<bool>],
+        faults: &[Fault],
+    ) -> (Vec<u64>, Vec<SimBlock>) {
+        let fsim = FaultSimulator::new(c).unwrap();
+        let index = StructuralIndex::build(c).unwrap();
+        let narrow_patterns = &patterns[..patterns.len().min(64)];
+        let (good, n) = fsim.good_values(narrow_patterns).unwrap();
+        let b = Batch {
+            circuit: c,
+            index: &index,
+            good: &good,
+            active: active_mask(n),
+        };
+        let mut scratch = Scratch::new(c.node_count());
+        let narrow = faults
+            .iter()
+            .map(|&f| scratch.reference_mask(&b, f))
+            .collect();
+        let block_patterns = &patterns[..patterns.len().min(BLOCK_BITS)];
+        let (good, n) = fsim.good_blocks(block_patterns).unwrap();
+        let b = Batch {
+            circuit: c,
+            index: &index,
+            good: &good,
+            active: block_active_mask(n),
+        };
+        let mut scratch = Scratch::new(c.node_count());
+        let wide = faults
+            .iter()
+            .map(|&f| scratch.reference_mask(&b, f))
+            .collect();
+        (narrow, wide)
+    }
+
+    /// The tracing kernel against the event-driven reference, at both
+    /// widths, per fault and over the whole (repeating) fault list, on
+    /// the serial and the pooled path.
+    #[test]
+    fn tracing_matches_the_event_driven_reference() {
+        let mut circuits = vec![c17(), c17_with_corner_cases(), layered_circuit()];
+        for seed in 1..=6 {
+            let dag = reconvergent_dag(seed, 6 + seed as usize, 60);
+            let index = StructuralIndex::build(&dag).unwrap();
+            let internal_stems = dag
+                .iter()
+                .filter(|(id, node)| node.kind != GateKind::Input && index.fanout_degree(*id) > 1)
+                .count();
+            assert!(
+                internal_stems > 5,
+                "dag {seed}: {internal_stems} gates fan out"
+            );
+            circuits.push(dag);
+        }
+        for c in &circuits {
+            let universe = enumerate_faults(c);
+            // Repeats, in an order that interleaves regions.
+            let faults: Vec<Fault> = universe
+                .iter()
+                .rev()
+                .chain(universe.iter().step_by(3))
+                .copied()
+                .collect();
+            let patterns = cyc_patterns(c.input_count(), 300);
+            let (narrow, wide) = reference_masks(c, &patterns, &faults);
+            assert!(narrow.iter().any(|&m| m != 0), "{}", c.name());
+
+            let mut fsim = FaultSimulator::new(c).unwrap();
+            assert_eq!(
+                fsim.detection_masks(&patterns[..64], &faults).unwrap(),
+                narrow,
+                "{}: detection_masks",
+                c.name()
+            );
+            for jobs in [1, 3] {
+                let (masks, tripped) = fsim
+                    .detection_masks_budgeted(
+                        &patterns[..64],
+                        &faults,
+                        &RunBudget::unlimited(),
+                        jobs,
+                        &NullSink,
+                    )
+                    .unwrap();
+                assert_eq!((masks, tripped), (narrow.clone(), None), "jobs={jobs}");
+            }
+            let (good, n) = fsim.good_values(&patterns[..64]).unwrap();
+            let (good_blk, n_blk) = fsim.good_blocks(&patterns).unwrap();
+            let active_blk = block_active_mask(n_blk);
+            for (k, &fault) in faults.iter().enumerate() {
+                let what = || format!("{}: {}", c.name(), fault.describe(c));
+                assert_eq!(
+                    fsim.detection_mask(&good, active_mask(n), fault),
+                    narrow[k],
+                    "{}",
+                    what()
+                );
+                assert_eq!(
+                    fsim.block_detection_mask(&good_blk, &active_blk, fault),
+                    wide[k],
+                    "{}",
+                    what()
+                );
+            }
+
+            // The blocked sweeps over one block, from the wide reference.
+            let want_detected: Vec<bool> = wide.iter().map(|m| !m.is_zero()).collect();
+            let want_counts: Vec<u32> = wide.iter().map(|&m| m.count_ones()).collect();
+            let want_last: Vec<Option<u32>> = wide
+                .iter()
+                .map(|m| highest_slot(m).map(|s| s as u32))
+                .collect();
+            for jobs in [1, 3] {
+                let sweep_faults = chunks_of(&faults, 3);
+                let repeat = |v: &[bool]| -> Vec<bool> {
+                    v.iter().cycle().take(sweep_faults.len()).copied().collect()
+                };
+                assert_eq!(
+                    fsim.detected(&patterns, &sweep_faults, jobs, &NullSink)
+                        .unwrap(),
+                    repeat(&want_detected),
+                    "{}: detected jobs={jobs}",
+                    c.name()
+                );
+                let counts = fsim
+                    .detection_counts(&patterns, &faults, jobs, &NullSink)
+                    .unwrap();
+                assert_eq!(counts, want_counts, "{}: counts jobs={jobs}", c.name());
+                let last = fsim
+                    .last_detectors(&patterns, &faults, jobs, &NullSink)
+                    .unwrap();
+                assert_eq!(last, want_last, "{}: last jobs={jobs}", c.name());
+            }
+        }
     }
 
     #[test]

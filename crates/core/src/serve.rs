@@ -872,6 +872,12 @@ enum TryParse {
 
 /// Parse one HTTP/1.1 request (request line, headers, `Content-Length`
 /// body) from the front of `buf` without consuming it.
+///
+/// Framing is strict, because a request this server frames differently
+/// from a proxy in front of it could smuggle a second request inside the
+/// first one's body: a `Content-Length` must be plain ASCII digits, two
+/// of them must agree, and any `Transfer-Encoding` is refused (bodies
+/// are never chunked here).
 fn try_parse(buf: &[u8], max_body: usize) -> TryParse {
     let Some(head_end) = find_blank_line(buf) else {
         if buf.len() > MAX_HEAD_BYTES {
@@ -897,16 +903,25 @@ fn try_parse(buf: &[u8], max_body: usize) -> TryParse {
         Some(v) if v.starts_with("HTTP/1.") => {}
         _ => return TryParse::Malformed,
     }
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     let mut close = false;
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
             let name = name.trim();
             if name.eq_ignore_ascii_case("content-length") {
-                let Ok(v) = value.trim().parse::<usize>() else {
+                let value = value.trim();
+                if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+                    return TryParse::Malformed;
+                }
+                let Ok(v) = value.parse::<usize>() else {
                     return TryParse::Malformed;
                 };
-                content_length = v;
+                if content_length.is_some_and(|seen| seen != v) {
+                    return TryParse::Malformed;
+                }
+                content_length = Some(v);
+            } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                return TryParse::Malformed;
             } else if name.eq_ignore_ascii_case("connection")
                 && value.trim().eq_ignore_ascii_case("close")
             {
@@ -914,6 +929,7 @@ fn try_parse(buf: &[u8], max_body: usize) -> TryParse {
             }
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > max_body {
         return TryParse::Oversized {
             head_end,
@@ -2311,6 +2327,122 @@ mod tests {
         assert!(resp.body_text().contains("draining"));
         let snap = join.join().unwrap();
         assert_eq!(snap.counter(Counter::ServePanics), 0);
+    }
+
+    /// `try_parse` with a 64-byte body cap.
+    fn parse(raw: &[u8]) -> TryParse {
+        try_parse(raw, 64)
+    }
+
+    #[test]
+    fn request_parser_completes_a_framed_request_and_leaves_the_next() {
+        let raw = b"POST /a HTTP/1.1\r\nContent-Length: 3\r\nConnection: close\r\n\r\nabcGET /b";
+        let TryParse::Complete(req, consumed) = parse(raw) else {
+            panic!("{:?}", parse(raw));
+        };
+        assert_eq!((req.method.as_str(), req.path.as_str()), ("POST", "/a"));
+        assert_eq!(req.body, b"abc");
+        assert!(req.close);
+        assert_eq!(
+            &raw[consumed..],
+            b"GET /b",
+            "a pipelined request stays buffered"
+        );
+        // No body and no Content-Length; repeated agreeing lengths.
+        let raw = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n";
+        assert!(
+            matches!(parse(raw), TryParse::Complete(r, n) if r.body.is_empty() && n == raw.len())
+        );
+        let raw = b"POST / HTTP/1.1\r\nContent-Length: 2\r\ncontent-length:  2 \r\n\r\nhi";
+        assert!(matches!(parse(raw), TryParse::Complete(r, _) if r.body == b"hi"));
+    }
+
+    #[test]
+    fn request_parser_waits_for_the_head_and_the_body() {
+        assert!(matches!(parse(b""), TryParse::Incomplete));
+        assert!(matches!(
+            parse(b"GET / HTTP/1.1\r\nHost: x\r\n"),
+            TryParse::Incomplete
+        ));
+        assert!(matches!(
+            parse(b"POST / HTTP/1.1\r\nContent-Length: 5\r\n\r\nabc"),
+            TryParse::Incomplete
+        ));
+    }
+
+    #[test]
+    fn request_parser_flags_an_oversized_body_with_its_framing() {
+        let raw = b"POST / HTTP/1.1\r\nContent-Length: 65\r\nConnection: close\r\n\r\n";
+        let TryParse::Oversized {
+            head_end,
+            content_length,
+            close,
+        } = parse(raw)
+        else {
+            panic!("{:?}", parse(raw));
+        };
+        assert_eq!((head_end + 4, content_length, close), (raw.len(), 65, true));
+    }
+
+    #[test]
+    fn request_parser_caps_the_head() {
+        let mut raw = b"GET / HTTP/1.1\r\n".to_vec();
+        raw.resize(MAX_HEAD_BYTES + 1, b'a');
+        assert!(matches!(parse(&raw), TryParse::HeadTooBig));
+    }
+
+    #[test]
+    fn request_parser_refuses_ambiguous_framing() {
+        for raw in [
+            &b"\xff / HTTP/1.1\r\n\r\n"[..],
+            b"GET\r\n\r\n",
+            b"GET / SPDY/3\r\n\r\n",
+            b"POST / HTTP/1.1\r\nContent-Length: five\r\n\r\n",
+            b"POST / HTTP/1.1\r\nContent-Length:\r\n\r\n",
+            b"POST / HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello",
+            b"POST / HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+            b"POST / HTTP/1.1\r\nContent-Length: 99999999999999999999999\r\n\r\n",
+            b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 0\r\n\r\nhello",
+            b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+            b"POST / HTTP/1.1\r\nContent-Length: 5\r\ntransfer-encoding: identity\r\n\r\nhello",
+        ] {
+            assert!(
+                matches!(parse(raw), TryParse::Malformed),
+                "{:?}: {:?}",
+                String::from_utf8_lossy(raw),
+                parse(raw)
+            );
+        }
+    }
+
+    proptest::proptest! {
+        /// Byte-level mutations of a valid pipelined request stream: the
+        /// parser never panics, and a complete request never claims more
+        /// bytes than the buffer holds.
+        #[test]
+        fn mutated_requests_never_panic_the_parser(
+            edits in proptest::collection::vec(
+                (proptest::prelude::any::<usize>(), 0u8..3, proptest::prelude::any::<u8>()),
+                0..12,
+            ),
+            cap in 0usize..80,
+        ) {
+            let mut bytes = b"POST /analyze HTTP/1.1\r\nHost: x\r\nContent-Length: 12\r\nConnection: keep-alive\r\n\r\nsoc m core aGET /healthz HTTP/1.1\r\n\r\n".to_vec();
+            for (offset, op, payload) in edits {
+                let at = offset % (bytes.len() + 1);
+                match op {
+                    0 if at < bytes.len() => bytes[at] ^= payload | 1,
+                    1 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => bytes.insert(at, payload),
+                }
+            }
+            if let TryParse::Complete(req, consumed) = try_parse(&bytes, cap) {
+                proptest::prop_assert!(consumed <= bytes.len());
+                proptest::prop_assert!(req.body.len() <= cap.min(consumed));
+            }
+        }
     }
 
     #[test]

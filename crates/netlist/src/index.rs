@@ -12,6 +12,15 @@
 //! [`Circuit::fanouts`] — one entry per *pin edge* (a driver feeding two
 //! pins of the same gate appears twice) in ascending consumer-id order —
 //! so fanout-branch counting in fault enumeration is unchanged.
+//!
+//! The index also partitions the nodes into *fanout-free regions*
+//! (FFRs): a node that drives exactly one pin of one combinational gate
+//! and no primary output belongs to that consumer's region; every other
+//! node roots a region of its own. Each region is a tree, and only its
+//! root's value leaves it, which is what lets fault simulation trace a
+//! fault's effect to the root along a single path. Region membership
+//! is CSR-packed too, each region's members in reverse topological
+//! order (root first, every member after its consumer).
 
 use crate::circuit::{Circuit, NodeId};
 use crate::error::NetlistError;
@@ -38,6 +47,17 @@ pub struct StructuralIndex {
     /// Whether some primary output is reachable from each node through
     /// combinational edges (including the node itself being an output).
     live: Vec<bool>,
+    /// The fanout-free region each node belongs to.
+    ffr: Vec<u32>,
+    /// Each node's position in its region's member list (0 for a root).
+    ffr_pos: Vec<u32>,
+    /// For a non-root node, the pin it drives in its single consumer;
+    /// `u32::MAX` for a root.
+    ffr_pin: Vec<u32>,
+    /// CSR offsets into `ffr_members`: region `r` occupies
+    /// `ffr_members[ffr_start[r] .. ffr_start[r + 1]]`.
+    ffr_start: Vec<u32>,
+    ffr_members: Vec<NodeId>,
 }
 
 impl StructuralIndex {
@@ -82,15 +102,49 @@ impl StructuralIndex {
         }
 
         // Output reachability through combinational edges (edges into a
-        // flip-flop's data pin are sequential sinks and excluded).
+        // flip-flop's data pin are sequential sinks and excluded), and
+        // the fanout-free regions: walking in reverse topological order
+        // reaches every consumer before its drivers, so a node with one
+        // combinational pin edge and no output mark joins its consumer's
+        // already-numbered region, and any other node opens a new one.
         let mut live: Vec<bool> = output_marks.iter().map(|&m| m > 0).collect();
+        let mut ffr = vec![0u32; n];
+        let mut ffr_pin = vec![u32::MAX; n];
+        let mut ffr_sizes: Vec<u32> = Vec::new();
         for &id in topo.iter().rev() {
             let i = id.index();
             let (lo, hi) = (fanout_start[i] as usize, fanout_start[i + 1] as usize);
+            let consumers = &fanout_adj[lo..hi];
             live[i] = live[i]
-                || fanout_adj[lo..hi]
+                || consumers
                     .iter()
                     .any(|&fo| circuit.node(fo).kind != GateKind::Dff && live[fo.index()]);
+            let consumer = match consumers {
+                [c] if output_marks[i] == 0 && circuit.node(*c).kind != GateKind::Dff => Some(*c),
+                _ => None,
+            };
+            if let Some(c) = consumer {
+                let pin = circuit.node(c).fanin.iter().position(|&f| f == id);
+                ffr_pin[i] = pin.expect("a consumer lists its driver") as u32;
+                ffr[i] = ffr[c.index()];
+            } else {
+                ffr[i] = ffr_sizes.len() as u32;
+                ffr_sizes.push(0);
+            }
+            ffr_sizes[ffr[i] as usize] += 1;
+        }
+        let mut ffr_start = vec![0u32; ffr_sizes.len() + 1];
+        for (r, &size) in ffr_sizes.iter().enumerate() {
+            ffr_start[r + 1] = ffr_start[r] + size;
+        }
+        let mut cursor: Vec<u32> = ffr_start[..ffr_sizes.len()].to_vec();
+        let mut ffr_pos = vec![0u32; n];
+        let mut ffr_members = vec![NodeId::from_index(0); n];
+        for &id in topo.iter().rev() {
+            let r = ffr[id.index()] as usize;
+            ffr_pos[id.index()] = cursor[r] - ffr_start[r];
+            ffr_members[cursor[r] as usize] = id;
+            cursor[r] += 1;
         }
 
         Ok(StructuralIndex {
@@ -102,6 +156,11 @@ impl StructuralIndex {
             levels,
             output_marks,
             live,
+            ffr,
+            ffr_pos,
+            ffr_pin,
+            ffr_start,
+            ffr_members,
         })
     }
 
@@ -163,6 +222,40 @@ impl StructuralIndex {
     #[must_use]
     pub fn reaches_any_output(&self, id: NodeId) -> bool {
         self.live[id.index()]
+    }
+
+    /// Number of fanout-free regions.
+    #[must_use]
+    pub fn ffr_count(&self) -> usize {
+        self.ffr_start.len() - 1
+    }
+
+    /// The fanout-free region `id` belongs to.
+    #[must_use]
+    pub fn ffr_of(&self, id: NodeId) -> usize {
+        self.ffr[id.index()] as usize
+    }
+
+    /// The members of region `ffr` in reverse topological order: the
+    /// root first, and every other member after its consumer.
+    #[must_use]
+    pub fn ffr_members(&self, ffr: usize) -> &[NodeId] {
+        &self.ffr_members[self.ffr_start[ffr] as usize..self.ffr_start[ffr + 1] as usize]
+    }
+
+    /// Position of `id` in [`StructuralIndex::ffr_members`] of its region
+    /// (0 for a root).
+    #[must_use]
+    pub fn ffr_pos(&self, id: NodeId) -> usize {
+        self.ffr_pos[id.index()] as usize
+    }
+
+    /// The single consumer of a non-root `id` and the pin `id` drives
+    /// there; `None` when `id` roots its region.
+    #[must_use]
+    pub fn ffr_consumer(&self, id: NodeId) -> Option<(NodeId, usize)> {
+        let pin = self.ffr_pin[id.index()];
+        (pin != u32::MAX).then(|| (self.fanouts(id)[0], pin as usize))
     }
 
     /// The transitive fanout cone of `seed` (through combinational *and*
@@ -286,6 +379,53 @@ mod tests {
         for w in cone.windows(2) {
             assert!(idx.topo_pos(w[0]) < idx.topo_pos(w[1]));
         }
+    }
+
+    #[test]
+    fn fanout_free_regions_partition_the_nodes() {
+        // diamond: a drives three pins and b one; g1 is an output that
+        // also fans out; g2 and h each drive one pin or nothing.
+        let c = diamond();
+        let idx = StructuralIndex::build(&c).unwrap();
+        let [a, b, g1, g2, h] = ["a", "b", "g1", "g2", "h"].map(|n| c.find(n).unwrap());
+        let roots: Vec<NodeId> = (0..idx.ffr_count())
+            .map(|r| idx.ffr_members(r)[0])
+            .collect();
+        for root in [a, g1, h] {
+            assert!(roots.contains(&root), "{root} roots a region");
+            assert_eq!(idx.ffr_consumer(root), None);
+        }
+        assert_eq!(idx.ffr_count(), 3);
+        // b joins g1's region on pin 1; g2 joins h's on pin 1.
+        assert_eq!(idx.ffr_consumer(b), Some((g1, 1)));
+        assert_eq!(idx.ffr_of(b), idx.ffr_of(g1));
+        assert_eq!(idx.ffr_consumer(g2), Some((h, 1)));
+        assert_eq!(idx.ffr_members(idx.ffr_of(h)), &[h, g2]);
+        // Every node sits in exactly one region, after its consumer.
+        let mut seen = vec![0; c.node_count()];
+        for r in 0..idx.ffr_count() {
+            for (pos, &m) in idx.ffr_members(r).iter().enumerate() {
+                seen[m.index()] += 1;
+                assert_eq!((idx.ffr_of(m), idx.ffr_pos(m)), (r, pos));
+                if let Some((consumer, pin)) = idx.ffr_consumer(m) {
+                    assert_eq!(c.node(consumer).fanin[pin], m);
+                    assert!(idx.ffr_pos(consumer) < pos);
+                }
+            }
+        }
+        assert!(seen.iter().all(|&k| k == 1));
+    }
+
+    #[test]
+    fn a_flip_flop_data_pin_ends_a_region() {
+        let mut c = Circuit::new("seq");
+        let a = c.add_input("a");
+        let ff = c.add_gate("ff", GateKind::Dff, &[a]).unwrap();
+        let g = c.add_gate("g", GateKind::Buf, &[ff]).unwrap();
+        c.mark_output(g);
+        let idx = StructuralIndex::build(&c).unwrap();
+        assert_eq!(idx.ffr_consumer(a), None);
+        assert_eq!(idx.ffr_consumer(ff), Some((g, 0)));
     }
 
     #[test]

@@ -187,3 +187,17 @@ fn demo_atspeed_quotes_the_measured_stuck_at_ratio() {
         "{text}"
     );
 }
+
+/// `modsoc demo bist` and `modsoc demo atspeed`, whole: the only demos
+/// whose numbers come from the per-fault fault-sim entry points (BIST
+/// coverage ramps and transition-fault masks), so no sweep-level pin
+/// covers them.
+#[test]
+fn demo_bist_and_atspeed_match_their_goldens() {
+    for (mode, golden) in [
+        ("bist", include_str!("../testdata/demo_bist.golden")),
+        ("atspeed", include_str!("../testdata/demo_atspeed.golden")),
+    ] {
+        assert_eq!(demo_text(mode), golden, "demo {mode}");
+    }
+}

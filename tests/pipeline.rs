@@ -8,7 +8,7 @@ use modsoc::analysis::{AnalysisError, RunBudget};
 use modsoc::atpg::fault::enumerate_faults;
 use modsoc::atpg::fault_sim::fault_coverage;
 use modsoc::atpg::{Atpg, AtpgOptions};
-use modsoc::circuitgen::soc::{mini_soc, soc1};
+use modsoc::circuitgen::soc::{mini_soc, soc1, soc2};
 use modsoc::circuitgen::{generate, CoreProfile, SocNetlist};
 use modsoc::metrics::NullSink;
 
@@ -98,6 +98,24 @@ fn soc1_live_run_reproduces_the_paper_claims() {
         reports[0], reports[1],
         "report differs between jobs 1 and 2"
     );
+}
+
+#[test]
+fn soc2_live_run_reproduces_the_paper_claims() {
+    // Table 2's claims on a live SOC2 run at the benchmark's width: the
+    // monolithic run is the one whose fault-sim sweeps span hundreds of
+    // pooled chunks and cross the 512-pattern block boundary.
+    let netlist = soc2(1).expect("builds");
+    let options = ExperimentOptions::paper_tables_1_2().with_jobs(2);
+    let exp = run_complete(&netlist, &options);
+    assert_eq!(exp.t_mono, 686);
+    assert_eq!(exp.soc.max_core_patterns(), 410);
+    assert!(exp.eq2_strict);
+    assert_eq!(exp.mono_coverage, 1.0);
+    let a = &exp.analysis;
+    assert_eq!(a.modular().total(), 1_197_613);
+    assert_eq!(a.monolithic().total(), 2_167_760);
+    assert!(a.modular().total() < a.monolithic().total());
 }
 
 #[test]

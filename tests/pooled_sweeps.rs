@@ -150,9 +150,22 @@ fn budget_trips_stay_sound_on_the_pool() {
     // Cancelled while the workers sweep: a ragged prefix of chunks is
     // simulated, the rest reads as undetected. The cancel lands after a
     // delay, so a longer fault list and delay are tried until one trips
-    // mid-sweep.
+    // mid-sweep. A sweep traces each region once for all repeats of its
+    // faults, so even the longest list sweeps in tens of milliseconds,
+    // and the cancelling thread can wake milliseconds late while the
+    // workers hold both cores: the last attempts try one long list
+    // against a range of delays.
     let mut tripped_mid_sweep = false;
-    for (repeat, delay_ms) in [(4, 1), (8, 5), (16, 20), (32, 50)] {
+    for (repeat, delay_ms) in [
+        (4, 1),
+        (8, 5),
+        (16, 20),
+        (32, 50),
+        (64, 5),
+        (64, 10),
+        (64, 20),
+        (64, 40),
+    ] {
         let many: Vec<Fault> = faults
             .iter()
             .cycle()

@@ -104,6 +104,20 @@ gates() {
     diff testdata/metrics_soc2.golden <(grep -vE '"(sched|jobs)": |_ms":|"store_' "$workdir/m_soc2_j$jobs.json") \
       || { echo "FAIL: experiment soc2 --jobs $jobs metrics drifted from testdata/metrics_soc2.golden"; exit 1; }
   done
+  # A 900-pattern cap trips inside the monolithic run's PODEM windows,
+  # whose searches run on the pool: the partial report, its warning and
+  # exit code 2 must not depend on --jobs.
+  for jobs in 1 3; do
+    rc=0
+    ./target/release/modsoc experiment soc2 --max-patterns 900 --jobs "$jobs" \
+      > "$workdir/cap_j$jobs.txt" 2> "$workdir/cap_j${jobs}_err.txt" || rc=$?
+    [ "$rc" -eq 2 ] \
+      || { echo "FAIL: experiment soc2 --max-patterns 900 --jobs $jobs exited $rc, not 2"; exit 1; }
+  done
+  cmp "$workdir/cap_j1.txt" "$workdir/cap_j3.txt" \
+    || { echo "FAIL: capped experiment soc2 stdout differs between --jobs 1 and --jobs 3"; exit 1; }
+  cmp "$workdir/cap_j1_err.txt" "$workdir/cap_j3_err.txt" \
+    || { echo "FAIL: capped experiment soc2 stderr differs between --jobs 1 and --jobs 3"; exit 1; }
   ./target/release/modsoc analyze testdata/soc1.soc --exclude-chip-pins --measured-tmono 216 > "$workdir/soc1_smoke.txt"
   grep -q "45,183" "$workdir/soc1_smoke.txt" \
     || { echo "FAIL: soc1.soc analyze lost the Table 1 modular TDV (45,183)"; exit 1; }

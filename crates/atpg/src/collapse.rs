@@ -12,19 +12,41 @@
 //!   creates pin faults on true fanout branches).
 //!
 //! XOR-family gates admit no structural collapsing.
-
-use std::collections::HashMap;
+//!
+//! # Dense fault ids
+//!
+//! Collapsing never hashes a [`Fault`]. It numbers the universe from the
+//! [`StructuralIndex`] instead: the stem fault of node `n` is `2·n + sa1`,
+//! and the pin faults (one pair per true fanout branch) follow all the
+//! stems in `(gate, pin, sa1)` order, placed by a per-node prefix of
+//! branch pins. That order is exactly `Fault`'s derived `Ord` (`Stem`
+//! before `Pin`, then node, pin, polarity). A union-find over the ids
+//! that links the larger root under the smaller therefore keeps each
+//! class's smallest fault at its root, and one ascending pass emits the
+//! representatives already sorted. Constant nodes have no stem faults:
+//! their ids name nothing, and a rule that touches one joins nothing.
 
 use modsoc_metrics::{Counter, MetricsSink, NullSink, Phase, PhaseTimer};
-use modsoc_netlist::{Circuit, GateKind, StructuralIndex};
+use modsoc_netlist::{Circuit, GateKind, NodeId, StructuralIndex};
 
-use crate::fault::{enumerate_faults_with, Fault, FaultSite};
+use crate::fault::{Fault, FaultSite};
+
+/// The class of an id that names no fault: a constant node's stem.
+const NO_CLASS: u32 = u32::MAX;
 
 /// The result of collapsing: representative faults plus the class map.
 #[derive(Debug, Clone)]
 pub struct CollapsedFaults {
     representatives: Vec<Fault>,
-    class_of: HashMap<Fault, usize>,
+    /// The class index of every dense fault id (see the module doc),
+    /// [`NO_CLASS`] where the id names no fault.
+    class_of: Vec<u32>,
+    /// Gate `g`'s branch pins, ascending, are
+    /// `branch_pins[branch_start[g]..branch_start[g + 1]]`.
+    branch_start: Vec<u32>,
+    branch_pins: Vec<u32>,
+    /// Faults in the original universe.
+    universe: usize,
 }
 
 impl CollapsedFaults {
@@ -43,13 +65,14 @@ impl CollapsedFaults {
     /// The class index of a fault from the original universe, if known.
     #[must_use]
     pub fn class_of(&self, fault: Fault) -> Option<usize> {
-        self.class_of.get(&fault).copied()
+        let class = *self.class_of.get(self.id(fault)?)?;
+        (class != NO_CLASS).then_some(class as usize)
     }
 
     /// Total faults in the original universe.
     #[must_use]
     pub fn universe_size(&self) -> usize {
-        self.class_of.len()
+        self.universe
     }
 
     /// Collapse ratio `universe / classes` (≥ 1).
@@ -58,7 +81,26 @@ impl CollapsedFaults {
         if self.representatives.is_empty() {
             return 1.0;
         }
-        self.class_of.len() as f64 / self.representatives.len() as f64
+        self.universe as f64 / self.representatives.len() as f64
+    }
+
+    /// The dense id of `fault`, if it names a line of the circuit.
+    fn id(&self, fault: Fault) -> Option<usize> {
+        let nodes = self.branch_start.len() - 1;
+        let line = match fault.site {
+            FaultSite::Stem(node) => (node.index() < nodes).then(|| 2 * node.index())?,
+            FaultSite::Pin { gate, pin } => {
+                let g = gate.index();
+                if g >= nodes {
+                    return None;
+                }
+                let first = self.branch_start[g] as usize;
+                let pins = &self.branch_pins[first..self.branch_start[g + 1] as usize];
+                let rank = pins.iter().position(|&p| p as usize == pin)?;
+                2 * (nodes + first + rank)
+            }
+        };
+        Some(line + usize::from(fault.stuck_at_one))
     }
 }
 
@@ -78,134 +120,165 @@ pub fn collapse_faults(circuit: &Circuit) -> CollapsedFaults {
 /// [`collapse_faults`] against a prebuilt [`StructuralIndex`] (the
 /// engine threads its per-run index through here so the fanout
 /// adjacency is computed exactly once per circuit), reporting into a
-/// [`MetricsSink`]: enumeration and collapsing are timed as separate
-/// phases, and the universe/class sizes land on the
-/// [`Counter::FaultsUniverse`] / [`Counter::FaultsCollapsed`] counters.
+/// [`MetricsSink`]: numbering the universe and collapsing it are timed
+/// as the enumeration and collapsing phases, and the universe/class
+/// sizes land on the [`Counter::FaultsUniverse`] /
+/// [`Counter::FaultsCollapsed`] counters.
 #[must_use]
 pub fn collapse_faults_metered(
     circuit: &Circuit,
     sidx: &StructuralIndex,
     sink: &dyn MetricsSink,
 ) -> CollapsedFaults {
-    let universe = {
+    let nodes = circuit.node_count();
+    // Number the universe: the per-node prefix of branch pins, the pins
+    // `enumerate_faults` gives pin faults.
+    let (branch_start, branch_pins) = {
         let _t = PhaseTimer::start(sink, Phase::FaultEnumerate);
-        enumerate_faults_with(circuit, sidx)
+        let mut start = Vec::with_capacity(nodes + 1);
+        let mut pins = Vec::new();
+        start.push(0);
+        for (_, node) in circuit.iter() {
+            for (pin, &driver) in node.fanin.iter().enumerate() {
+                if sidx.branch_count(driver) > 1 {
+                    pins.push(u32::try_from(pin).expect("pin index fits in u32"));
+                }
+            }
+            start.push(u32::try_from(pins.len()).expect("branch pins fit in u32"));
+        }
+        (start, pins)
     };
     let _t = PhaseTimer::start(sink, Phase::FaultCollapse);
-    let index: HashMap<Fault, usize> = universe.iter().enumerate().map(|(i, &f)| (f, i)).collect();
-    let mut uf = UnionFind::new(universe.len());
-
-    // The fault on the line feeding pin `pin` of `gate`: a true branch has
-    // its own pin fault; a single-fanout line aliases the driver's stem.
-    let line_fault = |gate: modsoc_netlist::NodeId, pin: usize, sa1: bool| -> Fault {
-        let driver = circuit.node(gate).fanin[pin];
-        if sidx.branch_count(driver) > 1 {
-            Fault::pin(gate, pin, sa1)
-        } else {
-            Fault {
-                site: FaultSite::Stem(driver),
-                stuck_at_one: sa1,
-            }
+    let stems = 2 * nodes;
+    let ids = stems + 2 * branch_pins.len();
+    let mut uf = UnionFind::new(u32::try_from(ids).expect("fault ids fit in u32"));
+    let constant = |node: usize| {
+        matches!(
+            sidx.kind(NodeId::from_index(node)),
+            GateKind::Const0 | GateKind::Const1
+        )
+    };
+    // Joins a pair of ids; one that names no fault joins nothing.
+    let mut join = |a: usize, b: usize| {
+        if (a >= stems || !constant(a / 2)) && (b >= stems || !constant(b / 2)) {
+            uf.union(a as u32, b as u32);
         }
     };
 
+    // The s-a-0 id of the line feeding each pin of the current gate: a
+    // true branch has its own pin fault; a single-fanout line aliases
+    // the driver's stem.
+    let mut lines: Vec<usize> = Vec::new();
     for (id, node) in circuit.iter() {
-        let out_sa = |sa1: bool| Fault {
-            site: FaultSite::Stem(id),
-            stuck_at_one: sa1,
-        };
+        let mut branch = branch_start[id.index()] as usize;
+        lines.clear();
+        for &driver in &node.fanin {
+            if sidx.branch_count(driver) > 1 {
+                lines.push(stems + 2 * branch);
+                branch += 1;
+            } else {
+                lines.push(2 * driver.index());
+            }
+        }
+        let out = 2 * id.index();
         match node.kind {
             GateKind::Buf | GateKind::Dff => {
-                for sa1 in [false, true] {
-                    join(&mut uf, &index, line_fault(id, 0, sa1), out_sa(sa1));
-                }
+                join(lines[0], out);
+                join(lines[0] + 1, out + 1);
             }
             GateKind::Not => {
-                for sa1 in [false, true] {
-                    join(&mut uf, &index, line_fault(id, 0, sa1), out_sa(!sa1));
-                }
+                join(lines[0], out + 1);
+                join(lines[0] + 1, out);
             }
             GateKind::And | GateKind::Nand => {
-                let out = out_sa(node.kind == GateKind::Nand);
-                for pin in 0..node.fanin.len() {
-                    join(&mut uf, &index, line_fault(id, pin, false), out);
+                let out = out + usize::from(node.kind == GateKind::Nand);
+                for &line in &lines {
+                    join(line, out);
                 }
             }
             GateKind::Or | GateKind::Nor => {
-                let out = out_sa(node.kind == GateKind::Nor);
-                for pin in 0..node.fanin.len() {
-                    join(&mut uf, &index, line_fault(id, pin, true), out);
+                // The polarity the engine has always collapsed with, the
+                // opposite of the rule above: an input s-a-1 joins the
+                // output s-a-0 on `OR` and s-a-1 on `NOR`. Every pinned
+                // pattern count depends on it.
+                let out = out + usize::from(node.kind == GateKind::Nor);
+                for &line in &lines {
+                    join(line + 1, out);
                 }
             }
             _ => {}
         }
     }
 
-    // Pick the smallest member of each class as representative.
-    let mut best: HashMap<usize, Fault> = HashMap::new();
-    for (i, &f) in universe.iter().enumerate() {
-        let root = uf.find(i);
-        best.entry(root)
-            .and_modify(|b| {
-                if f < *b {
-                    *b = f;
-                }
-            })
-            .or_insert(f);
+    // A root is its class's smallest id, and every parent link points to
+    // a smaller id of the same class, so one ascending pass meets each
+    // class at its representative first and resolves every other id from
+    // an id it has already seen.
+    let mut class_of = vec![NO_CLASS; ids];
+    let mut representatives = Vec::new();
+    let mut universe = 0;
+    let mut emit = |id: usize, fault: Fault| {
+        let up = uf.parent[id] as usize;
+        class_of[id] = if up == id {
+            representatives.push(fault);
+            u32::try_from(representatives.len() - 1).expect("classes fit in u32")
+        } else {
+            class_of[up]
+        };
+        universe += 1;
+    };
+    for (node, _) in circuit.iter().filter(|&(node, _)| !constant(node.index())) {
+        emit(2 * node.index(), Fault::stem_sa0(node));
+        emit(2 * node.index() + 1, Fault::stem_sa1(node));
     }
-    let mut class_of = HashMap::with_capacity(universe.len());
-    let mut class_index: HashMap<usize, usize> = HashMap::new();
-    let mut representatives: Vec<Fault> = Vec::with_capacity(best.len());
-    // Deterministic order: sort representatives.
-    let mut roots: Vec<(Fault, usize)> = best.iter().map(|(&r, &f)| (f, r)).collect();
-    roots.sort_unstable();
-    for (f, r) in roots {
-        class_index.insert(r, representatives.len());
-        representatives.push(f);
+    for g in 0..nodes {
+        let gate = NodeId::from_index(g);
+        let (first, end) = (branch_start[g] as usize, branch_start[g + 1] as usize);
+        for (k, &pin) in branch_pins[first..end].iter().enumerate() {
+            let id = stems + 2 * (first + k);
+            emit(id, Fault::pin(gate, pin as usize, false));
+            emit(id + 1, Fault::pin(gate, pin as usize, true));
+        }
     }
-    for (i, &f) in universe.iter().enumerate() {
-        let root = uf.find(i);
-        class_of.insert(f, class_index[&root]);
-    }
-    sink.add(Counter::FaultsUniverse, class_of.len() as u64);
+    sink.add(Counter::FaultsUniverse, universe as u64);
     sink.add(Counter::FaultsCollapsed, representatives.len() as u64);
     CollapsedFaults {
         representatives,
         class_of,
+        branch_start,
+        branch_pins,
+        universe,
     }
 }
 
-fn join(uf: &mut UnionFind, index: &HashMap<Fault, usize>, a: Fault, b: Fault) {
-    if let (Some(&ia), Some(&ib)) = (index.get(&a), index.get(&b)) {
-        uf.union(ia, ib);
-    }
-}
-
+/// Union-find over dense fault ids whose every parent link points to a
+/// smaller id, so a root is the smallest id of its set.
 #[derive(Debug)]
 struct UnionFind {
-    parent: Vec<usize>,
+    parent: Vec<u32>,
 }
 
 impl UnionFind {
-    fn new(n: usize) -> UnionFind {
+    fn new(n: u32) -> UnionFind {
         UnionFind {
             parent: (0..n).collect(),
         }
     }
 
-    fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
+    fn find(&mut self, mut x: u32) -> u32 {
+        while self.parent[x as usize] != x {
+            let up = self.parent[x as usize];
+            self.parent[x as usize] = self.parent[up as usize];
+            x = self.parent[x as usize];
         }
         x
     }
 
-    fn union(&mut self, a: usize, b: usize) {
+    fn union(&mut self, a: u32, b: u32) {
         let ra = self.find(a);
         let rb = self.find(b);
         if ra != rb {
-            self.parent[ra.max(rb)] = ra.min(rb);
+            self.parent[ra.max(rb) as usize] = ra.min(rb);
         }
     }
 }

@@ -764,9 +764,13 @@ impl<'a> FaultSimulator<'a> {
         let planned = if pool.width(plan.chunks.len()) <= 1 {
             run(self, &plan.chunks)
         } else {
-            pool.map_with_state(&plan.chunks, self, sink, |fsim, _, chunk| {
-                run(fsim, std::slice::from_ref(chunk))
-            })
+            pool.map_with_state(
+                &plan.chunks,
+                self,
+                &mut Vec::new(),
+                sink,
+                |fsim, _, chunk| run(fsim, std::slice::from_ref(chunk)),
+            )
             .concat()
         };
         let mut out = vec![R::default(); faults.len()];

@@ -103,8 +103,10 @@ pub enum PodemOutcome {
 ///
 /// Holds the search's persistent incremental state (value array, undo
 /// trail, D-frontier buffer, cone scratch), so generation takes `&mut
-/// self`; create once per circuit and reuse across faults.
-#[derive(Debug)]
+/// self`; create once per circuit and reuse across faults. Between
+/// searches that state is the fault-free baseline, so a clone searches
+/// exactly like the original: the engine runs one clone per pool worker.
+#[derive(Debug, Clone)]
 pub struct Podem<'a> {
     circuit: &'a Circuit,
     index: Arc<StructuralIndex>,
@@ -446,7 +448,7 @@ impl<'a> Podem<'a> {
             self.cone_epoch = 1;
         }
         let affected = fault.site.affected_gate();
-        let index = Arc::clone(&self.index);
+        let index = &*self.index;
         self.cone.clear();
         self.cone.push(affected);
         self.cone_stamp[affected.index()] = self.cone_epoch;
@@ -475,9 +477,11 @@ impl<'a> Podem<'a> {
         // and stays X, so only gate sites seed an event.
         self.frames.push(self.trail.len());
         self.touched.clear();
-        if self.circuit.node(affected).kind != GateKind::Input {
-            self.heap
-                .push(Reverse((index.topo_pos(affected), affected.index() as u32)));
+        if self.index.kind(affected) != GateKind::Input {
+            self.heap.push(Reverse((
+                self.index.topo_pos(affected),
+                affected.index() as u32,
+            )));
             self.propagate(fault);
         }
         self.refresh_frontier(fault);
@@ -499,7 +503,7 @@ impl<'a> Podem<'a> {
         }
         if v5 != self.values[pi.index()] {
             self.set_value(pi, v5);
-            let index = Arc::clone(&self.index);
+            let index = &*self.index;
             for &fo in index.fanouts(pi) {
                 self.heap
                     .push(Reverse((index.topo_pos(fo), fo.index() as u32)));
@@ -514,7 +518,6 @@ impl<'a> Podem<'a> {
     /// Within one propagation every node settles in a single evaluation
     /// (its fanins are final when it pops), so the trail stays compact.
     fn propagate(&mut self, fault: Fault) {
-        let index = Arc::clone(&self.index);
         while let Some(Reverse((_, raw))) = self.heap.pop() {
             let id = NodeId::from_index(raw as usize);
             let v = self.eval_with_fault(fault, id);
@@ -522,6 +525,7 @@ impl<'a> Podem<'a> {
                 continue;
             }
             self.set_value(id, v);
+            let index = &*self.index;
             for &fo in index.fanouts(id) {
                 self.heap
                     .push(Reverse((index.topo_pos(fo), fo.index() as u32)));
@@ -539,24 +543,25 @@ impl<'a> Podem<'a> {
     /// Five-valued evaluation of one gate with fault injection — the
     /// per-node kernel full resimulation would run over every node.
     fn eval_with_fault(&self, fault: Fault, id: NodeId) -> V5 {
-        let node = self.circuit.node(id);
-        debug_assert!(node.kind != GateKind::Input, "inputs never re-evaluate");
+        let kind = self.index.kind(id);
+        let drivers = self.index.fanins(id);
+        debug_assert!(kind != GateKind::Input, "inputs never re-evaluate");
         let mut buf = [V5::X; 16];
         let mut vec_buf;
-        let fanin: &mut [V5] = if node.fanin.len() <= 16 {
-            &mut buf[..node.fanin.len()]
+        let fanin: &mut [V5] = if drivers.len() <= 16 {
+            &mut buf[..drivers.len()]
         } else {
-            vec_buf = vec![V5::X; node.fanin.len()];
+            vec_buf = vec![V5::X; drivers.len()];
             &mut vec_buf
         };
-        for (pin, f) in node.fanin.iter().enumerate() {
+        for (pin, f) in drivers.iter().enumerate() {
             let mut v = self.values[f.index()];
             if fault.site == (FaultSite::Pin { gate: id, pin }) {
                 v = inject_stuck(v, fault.stuck_at_one);
             }
             fanin[pin] = v;
         }
-        let mut v = eval_gate(node.kind, fanin);
+        let mut v = eval_gate(kind, fanin);
         if fault.site == FaultSite::Stem(id) {
             v = inject_stuck(v, fault.stuck_at_one);
         }
@@ -591,13 +596,13 @@ impl<'a> Podem<'a> {
     /// Membership only ever changes at such candidates, so the maintained
     /// set always equals what a whole-circuit scan would find.
     fn refresh_frontier(&mut self, fault: Fault) {
-        let index = Arc::clone(&self.index);
         let touched = std::mem::take(&mut self.touched);
         for &n in &touched {
             if self.cone_stamp[n.index()] == self.cone_epoch {
                 self.update_frontier_membership(fault, n);
             }
-            for &g in index.fanouts(n) {
+            for k in 0..self.index.fanout_degree(n) {
+                let g = self.index.fanouts(n)[k];
                 if self.cone_stamp[g.index()] == self.cone_epoch {
                     self.update_frontier_membership(fault, g);
                 }
@@ -609,8 +614,7 @@ impl<'a> Podem<'a> {
     fn update_frontier_membership(&mut self, fault: Fault, g: NodeId) {
         let gi = g.index();
         let member = self.values[gi] == V5::X && {
-            let node = self.circuit.node(g);
-            node.fanin.iter().enumerate().any(|(pin, f)| {
+            self.index.fanins(g).iter().enumerate().any(|(pin, f)| {
                 let mut v = self.values[f.index()];
                 if fault.site == (FaultSite::Pin { gate: g, pin }) {
                     v = inject_stuck(v, fault.stuck_at_one);
@@ -788,42 +792,32 @@ impl<'a> Podem<'a> {
                 }
                 return Some((pos, value));
             }
-            let n = self.circuit.node(node);
-            match n.kind {
+            let (kind, fanin) = (self.index.kind(node), self.index.fanins(node));
+            match kind {
                 GateKind::Const0 | GateKind::Const1 => return None,
-                GateKind::Buf | GateKind::Dff => node = n.fanin[0],
+                GateKind::Buf | GateKind::Dff => node = fanin[0],
                 GateKind::Not => {
-                    node = n.fanin[0];
+                    node = fanin[0];
                     value = !value;
                 }
                 GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
-                    let inverts = n.kind.inverts();
+                    let inverts = kind.inverts();
                     let pre = value ^ inverts; // required value before inversion
-                    let controlling = n
-                        .kind
+                    let controlling = kind
                         .controlling_value()
                         .expect("and/or family has a controlling value");
-                    let xs: Vec<NodeId> = n
-                        .fanin
+                    let xs = fanin
                         .iter()
                         .copied()
-                        .filter(|f| self.values[f.index()] == V5::X)
-                        .collect();
-                    if xs.is_empty() {
-                        return None;
-                    }
+                        .filter(|f| self.values[f.index()] == V5::X);
                     let pick = if pre == controlling {
                         // One controlling input suffices: easiest.
-                        xs.iter()
-                            .copied()
-                            .min_by_key(|&f| self.testability.cc(f, controlling))
+                        xs.min_by_key(|&f| self.testability.cc(f, controlling))
                     } else {
                         // All inputs must be non-controlling: hardest first.
-                        xs.iter()
-                            .copied()
-                            .max_by_key(|&f| self.testability.cc(f, !controlling))
+                        xs.max_by_key(|&f| self.testability.cc(f, !controlling))
                     };
-                    node = pick.expect("xs nonempty");
+                    node = pick?;
                     value = if pre == controlling {
                         controlling
                     } else {
@@ -833,8 +827,7 @@ impl<'a> Podem<'a> {
                 GateKind::Xor | GateKind::Xnor => {
                     // Heuristic: pick any X input and request its cheaper
                     // value; implication validates the result.
-                    let pick = n
-                        .fanin
+                    let pick = fanin
                         .iter()
                         .copied()
                         .find(|f| self.values[f.index()] == V5::X)?;

@@ -155,7 +155,9 @@ impl WorkerPool {
     {
         sink.add(Counter::PoolTasks, items.len() as u64);
         if self.width(items.len()) > 1 {
-            return self.map_with_state(items, &mut (), sink, |(), i, item| f(i, item));
+            return self.map_with_state(items, &mut (), &mut Vec::new(), sink, |(), i, item| {
+                f(i, item)
+            });
         }
         let start = sink.enabled().then(Instant::now);
         let out = items.iter().enumerate().map(|(i, it)| f(i, it)).collect();
@@ -167,12 +169,16 @@ impl WorkerPool {
     }
 
     /// [`WorkerPool::map`] with per-worker state: the calling thread
-    /// works as worker 0 on `state` itself, and each spawned worker on a
-    /// clone of it, made once before the worker starts. The sequential
-    /// path runs every job on `state`, clones none and reports no worker
-    /// row. Nothing lands on `pool_tasks`, so callers whose item count
-    /// depends on the worker count (or whose counters are pinned) stay
-    /// deterministic.
+    /// works as worker 0 on `state` itself, and spawned worker `w` on
+    /// `spares[w - 1]`. A map that needs more spares than it is given
+    /// clones the missing ones from `state`, before the workers start,
+    /// and leaves them in `spares`: a caller that maps again with the
+    /// same spares starts its workers on the states the last map left,
+    /// warm in their caches, and one that passes an empty `Vec` gets
+    /// fresh clones each time. The sequential path runs every job on
+    /// `state`, touches no spare and reports no worker row. Nothing
+    /// lands on `pool_tasks`, so callers whose item count depends on the
+    /// worker count (or whose counters are pinned) stay deterministic.
     ///
     /// # Panics
     ///
@@ -181,6 +187,7 @@ impl WorkerPool {
         &self,
         items: &[I],
         state: &mut S,
+        spares: &mut Vec<S>,
         sink: &dyn MetricsSink,
         f: F,
     ) -> Vec<T>
@@ -232,14 +239,16 @@ impl WorkerPool {
         let (tx, rx) = mpsc::channel::<(usize, std::thread::Result<T>)>();
         let mut slots: Vec<Option<std::thread::Result<T>>> =
             (0..items.len()).map(|_| None).collect();
-        let clones: Vec<S> = (1..workers).map(|_| state.clone()).collect();
+        while spares.len() < workers - 1 {
+            spares.push(state.clone());
+        }
         std::thread::scope(|scope| {
-            for (w, mut local) in (1..).zip(clones) {
+            for (w, local) in (1..workers).zip(spares.iter_mut()) {
                 let tx = tx.clone();
                 let work = &work;
                 scope.spawn(move || {
                     ON_POOL_WORKER.with(|on| on.set(true));
-                    work(w, &mut local, tx);
+                    work(w, local, tx);
                 });
             }
             // The caller counts as a pool worker while it works, so its
@@ -351,15 +360,21 @@ mod tests {
         let items: Vec<u64> = (0..40).collect();
         for jobs in [1, 3] {
             clones.store(0, Ordering::Relaxed);
-            let got = WorkerPool::new(jobs).map_with_state(
-                &items,
-                &mut Counted(&clones),
-                &NullSink,
-                |_, i, &x| (i as u64) + x,
-            );
-            assert_eq!(got, items.iter().map(|&x| 2 * x).collect::<Vec<_>>());
+            // The second map works on the spares the first one made.
+            let mut spares = Vec::new();
+            for _ in 0..2 {
+                let got = WorkerPool::new(jobs).map_with_state(
+                    &items,
+                    &mut Counted(&clones),
+                    &mut spares,
+                    &NullSink,
+                    |_, i, &x| (i as u64) + x,
+                );
+                assert_eq!(got, items.iter().map(|&x| 2 * x).collect::<Vec<_>>());
+            }
             let want = jobs as u64 - 1;
             assert_eq!(clones.load(Ordering::Relaxed), want, "jobs={jobs}");
+            assert_eq!(spares.len() as u64, want, "jobs={jobs}");
         }
     }
 

@@ -1,5 +1,7 @@
 //! Property-based tests for the ATPG crate.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 
 use modsoc_atpg::collapse::collapse_faults;
@@ -9,7 +11,7 @@ use modsoc_atpg::fault_sim::FaultSimulator;
 use modsoc_atpg::pattern::{Bit, FillStrategy, TestCube, TestSet};
 use modsoc_atpg::podem::{Podem, PodemOutcome};
 use modsoc_netlist::sim::Simulator;
-use modsoc_netlist::{Circuit, GateKind};
+use modsoc_netlist::{Circuit, GateKind, NodeId};
 
 /// Random combinational circuit (same construction idea as the netlist
 /// proptests: gates only reference earlier nodes).
@@ -99,6 +101,161 @@ fn arb_circuit() -> impl Strategy<Value = Circuit> {
             )
         })
         .prop_map(|(inputs, gates, outputs)| build(inputs, &gates, &outputs))
+}
+
+/// [`build`]'s random gates plus every structure the collapsing rules
+/// treat specially: constant drivers (`k0` on one pin, `k1` on two), one
+/// driver on both pins of a gate, a BUF/NOT chain whose head is also an
+/// output, and a flip-flop. `model` collapses the full-scan test model
+/// (the flip-flop becomes a pseudo-input and its data driver an extra
+/// output) instead of the netlist as built.
+fn build_collapse_case(
+    base: Circuit,
+    picks: &[usize],
+    dup_kind: u8,
+    chain: &[bool],
+    model: bool,
+) -> Circuit {
+    let mut c = base;
+    let nodes: Vec<NodeId> = c.iter().map(|(id, _)| id).collect();
+    let pick = |k: usize| nodes[picks[k] % nodes.len()];
+    let k0 = c.add_gate("k0", GateKind::Const0, &[]).expect("k0");
+    let k1 = c.add_gate("k1", GateKind::Const1, &[]).expect("k1");
+    let ka = c.add_gate("ka", GateKind::Or, &[k0, pick(0)]).expect("ka");
+    let kb = c.add_gate("kb", GateKind::And, &[k1, pick(1)]).expect("kb");
+    let kn = c
+        .add_gate("kn", GateKind::Nand, &[pick(2), k1])
+        .expect("kn");
+    let kind = [
+        GateKind::And,
+        GateKind::Nand,
+        GateKind::Or,
+        GateKind::Nor,
+        GateKind::Xor,
+    ][usize::from(dup_kind) % 5];
+    let dup = c.add_gate("dup", kind, &[pick(3), pick(3)]).expect("dup");
+    let head = pick(4);
+    c.mark_output(head);
+    let mut tail = head;
+    for (k, &invert) in chain.iter().enumerate() {
+        let kind = if invert { GateKind::Not } else { GateKind::Buf };
+        tail = c.add_gate(format!("c{k}"), kind, &[tail]).expect("chain");
+    }
+    let ff = c.add_gate("ff", GateKind::Dff, &[pick(5)]).expect("ff");
+    let q = c.add_gate("q", GateKind::Nor, &[ff, dup]).expect("q");
+    for out in [ka, kb, kn, tail, q] {
+        c.mark_output(out);
+    }
+    if model {
+        c.to_test_model().expect("scan model").circuit
+    } else {
+        c
+    }
+}
+
+fn arb_collapse_circuit() -> impl Strategy<Value = Circuit> {
+    (
+        arb_circuit(),
+        proptest::collection::vec(any::<usize>(), 6..=6),
+        any::<u8>(),
+        proptest::collection::vec(any::<bool>(), 0..5),
+        any::<bool>(),
+    )
+        .prop_map(|(base, picks, dup_kind, chain, model)| {
+            build_collapse_case(base, &picks, dup_kind, &chain, model)
+        })
+}
+
+/// Collapsing written straight from the structural rules over a
+/// `HashMap` from fault to union-find slot: the oracle for the dense
+/// fault ids. Returns the sorted representatives and each universe
+/// fault's class (its representative's position among them).
+fn reference_collapse(circuit: &Circuit) -> (Vec<Fault>, HashMap<Fault, usize>) {
+    fn root(parent: &[usize], mut x: usize) -> usize {
+        while parent[x] != x {
+            x = parent[x];
+        }
+        x
+    }
+    let universe = enumerate_faults(circuit);
+    let slot: HashMap<Fault, usize> = universe.iter().enumerate().map(|(i, &f)| (f, i)).collect();
+    let mut parent: Vec<usize> = (0..universe.len()).collect();
+    // Faults the universe lacks (a constant's stem) join nothing.
+    let mut join = |a: Fault, b: Fault| {
+        if let (Some(&x), Some(&y)) = (slot.get(&a), slot.get(&b)) {
+            let (rx, ry) = (root(&parent, x), root(&parent, y));
+            parent[rx] = ry;
+        }
+    };
+    // Branches of a stem: its pin edges plus its output marks.
+    let mut branches = vec![0usize; circuit.node_count()];
+    for (_, node) in circuit.iter() {
+        for f in &node.fanin {
+            branches[f.index()] += 1;
+        }
+    }
+    for o in circuit.outputs() {
+        branches[o.index()] += 1;
+    }
+    let stem = |id: NodeId, sa1: bool| Fault {
+        site: FaultSite::Stem(id),
+        stuck_at_one: sa1,
+    };
+    // The fault on the line into `pin` of `gate`: the pin's own fault on
+    // a true branch, else the driver's stem.
+    let line = |gate: NodeId, pin: usize, sa1: bool| {
+        let driver = circuit.node(gate).fanin[pin];
+        if branches[driver.index()] > 1 {
+            Fault::pin(gate, pin, sa1)
+        } else {
+            stem(driver, sa1)
+        }
+    };
+    for (id, node) in circuit.iter() {
+        let pins = 0..node.fanin.len();
+        match node.kind {
+            GateKind::Buf | GateKind::Dff => {
+                for v in [false, true] {
+                    join(line(id, 0, v), stem(id, v));
+                }
+            }
+            GateKind::Not => {
+                for v in [false, true] {
+                    join(line(id, 0, v), stem(id, !v));
+                }
+            }
+            GateKind::And | GateKind::Nand => {
+                for pin in pins {
+                    join(line(id, pin, false), stem(id, node.kind == GateKind::Nand));
+                }
+            }
+            // The output polarity the engine has always collapsed `OR`
+            // and `NOR` with: input s-a-1 joins output s-a-0 on `OR` and
+            // s-a-1 on `NOR`.
+            GateKind::Or | GateKind::Nor => {
+                for pin in pins {
+                    join(line(id, pin, true), stem(id, node.kind == GateKind::Nor));
+                }
+            }
+            _ => {}
+        }
+    }
+    let mut best: HashMap<usize, Fault> = HashMap::new();
+    for (i, &f) in universe.iter().enumerate() {
+        let r = root(&parent, i);
+        best.entry(r).and_modify(|b| *b = (*b).min(f)).or_insert(f);
+    }
+    let mut reps: Vec<Fault> = best.values().copied().collect();
+    reps.sort_unstable();
+    let class = universe
+        .iter()
+        .enumerate()
+        .map(|(i, &f)| {
+            let rep = best[&root(&parent, i)];
+            (f, reps.binary_search(&rep).expect("a representative"))
+        })
+        .collect();
+    (reps, class)
 }
 
 fn arb_patterns(width: usize) -> impl Strategy<Value = Vec<Vec<bool>>> {
@@ -273,6 +430,18 @@ proptest! {
             prop_assert!(universe.contains(rep), "rep {rep} outside universe");
         }
         let _ = patterns_seed;
+    }
+
+    #[test]
+    fn dense_collapse_matches_the_hash_map_reference(circuit in arb_collapse_circuit()) {
+        let collapsed = collapse_faults(&circuit);
+        let (reps, class) = reference_collapse(&circuit);
+        let universe = enumerate_faults(&circuit);
+        prop_assert_eq!(collapsed.representatives(), &reps[..]);
+        prop_assert_eq!(collapsed.universe_size(), universe.len());
+        for f in &universe {
+            prop_assert_eq!(collapsed.class_of(*f), Some(class[f]), "class of {}", f);
+        }
     }
 
     #[test]

@@ -34,6 +34,12 @@ use crate::gate::GateKind;
 #[derive(Debug, Clone)]
 pub struct StructuralIndex {
     node_count: usize,
+    /// Each node's gate kind.
+    kinds: Vec<GateKind>,
+    /// CSR offsets into `fanin_adj`: the drivers of node `n`, in pin
+    /// order, occupy `fanin_adj[fanin_start[n] .. fanin_start[n + 1]]`.
+    fanin_start: Vec<u32>,
+    fanin_adj: Vec<NodeId>,
     /// CSR offsets into `fanout_adj`: consumers of node `n` occupy
     /// `fanout_adj[fanout_start[n] .. fanout_start[n + 1]]`.
     fanout_start: Vec<u32>,
@@ -73,6 +79,17 @@ impl StructuralIndex {
         let mut topo_pos = vec![0u32; n];
         for (pos, id) in topo.iter().enumerate() {
             topo_pos[id.index()] = pos as u32;
+        }
+
+        // The fanin lists and gate kinds, packed so that a search reads
+        // them from two flat arrays instead of one heap list per node.
+        let kinds: Vec<GateKind> = circuit.iter().map(|(_, node)| node.kind).collect();
+        let mut fanin_start = Vec::with_capacity(n + 1);
+        let mut fanin_adj = Vec::new();
+        fanin_start.push(0);
+        for (_, node) in circuit.iter() {
+            fanin_adj.extend_from_slice(&node.fanin);
+            fanin_start.push(u32::try_from(fanin_adj.len()).expect("pin edges fit in u32"));
         }
 
         // CSR fanout adjacency, mirroring `Circuit::fanouts()` exactly:
@@ -149,6 +166,9 @@ impl StructuralIndex {
 
         Ok(StructuralIndex {
             node_count: n,
+            kinds,
+            fanin_start,
+            fanin_adj,
             fanout_start,
             fanout_adj,
             topo,
@@ -168,6 +188,20 @@ impl StructuralIndex {
     #[must_use]
     pub fn node_count(&self) -> usize {
         self.node_count
+    }
+
+    /// The gate kind of `id`.
+    #[must_use]
+    pub fn kind(&self, id: NodeId) -> GateKind {
+        self.kinds[id.index()]
+    }
+
+    /// The drivers of `id`, in pin order — the CSR view of
+    /// `circuit.node(id).fanin`.
+    #[must_use]
+    pub fn fanins(&self, id: NodeId) -> &[NodeId] {
+        let i = id.index();
+        &self.fanin_adj[self.fanin_start[i] as usize..self.fanin_start[i + 1] as usize]
     }
 
     /// Consumers of `id`, one entry per pin edge, in ascending consumer
@@ -305,8 +339,10 @@ mod tests {
         let c = diamond();
         let idx = StructuralIndex::build(&c).unwrap();
         let reference = c.fanouts();
-        for (id, _) in c.iter() {
+        for (id, node) in c.iter() {
             assert_eq!(idx.fanouts(id), &reference[id.index()][..], "{id}");
+            assert_eq!(idx.fanins(id), &node.fanin[..], "{id}");
+            assert_eq!(idx.kind(id), node.kind, "{id}");
         }
     }
 

@@ -330,6 +330,44 @@ mod tests {
         }
     }
 
+    /// Apply `(offset, op, payload)` edits to `base`: XOR a byte, delete
+    /// it, or insert a raw byte before it, then recover a string lossily,
+    /// as a reader of a damaged journal file would.
+    fn mutate(base: &str, edits: &[(usize, u8, u8)]) -> String {
+        let mut bytes = base.as_bytes().to_vec();
+        for &(offset, op, payload) in edits {
+            if bytes.is_empty() {
+                break;
+            }
+            let at = offset % bytes.len();
+            match op % 3 {
+                0 => bytes[at] ^= payload,
+                1 => {
+                    bytes.remove(at);
+                }
+                _ => bytes.insert(at, payload),
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(300))]
+
+        #[test]
+        fn mutated_journals_never_panic_the_decoder(
+            edits in proptest::collection::vec((0usize..512, 0u8..=255, 0u8..=255), 1..24)
+        ) {
+            let entries = vec![entry("core1_s713", "ab12", 42), entry("core2_s953", "cd34", 59)];
+            let text = journal_doc(&entries);
+            // A mutation the decoder accepts must decode to the journal
+            // as written: the checksum refuses any other.
+            if let Some(decoded) = entries_from_text(&mutate(&text, &edits)) {
+                proptest::prop_assert_eq!(decoded, entries);
+            }
+        }
+    }
+
     #[test]
     fn record_and_reload() {
         let (dir, store) = temp_store("reload");

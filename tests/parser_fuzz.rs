@@ -2,7 +2,8 @@
 //! valid `.bench`, `.soc` and JSON sources must never panic the parsers —
 //! every input either parses or is rejected with a typed error whose
 //! `Display` also does not panic. Deeply nested JSON must be rejected,
-//! not overflow the stack.
+//! not overflow the stack. A mutated store entry either fails the
+//! envelope check or yields exactly the payload that was stored.
 
 use std::sync::OnceLock;
 
@@ -11,10 +12,12 @@ use proptest::prelude::*;
 use modsoc::analysis::experiment::ExperimentOptions;
 use modsoc::analysis::metrics::run_soc_experiment_metered;
 use modsoc::analysis::RunBudget;
+use modsoc::atpg::{cache_key, Atpg, AtpgOptions};
 use modsoc::circuitgen::soc::mini_soc;
 use modsoc::metrics::json;
 use modsoc::netlist::bench_format::parse_bench;
 use modsoc::soc::format::parse_soc;
+use modsoc::store::{validate_entry_doc, RawDoc, ResultStore};
 
 const BASE_BENCH: &str = "# fuzz base
 INPUT(a)
@@ -46,6 +49,28 @@ fn base_json() -> &'static str {
             .expect("experiment runs")
             .metrics
             .to_json()
+    })
+}
+
+/// A real store entry: the key and envelope the store wrote for an ATPG
+/// result of the base `.bench` circuit, and the payload it holds.
+fn base_entry() -> &'static (String, String, json::JsonValue) {
+    static ENTRY: OnceLock<(String, String, json::JsonValue)> = OnceLock::new();
+    ENTRY.get_or_init(|| {
+        let dir = std::env::temp_dir().join(format!("modsoc_entry_fuzz_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ResultStore::open(&dir).expect("store opens");
+        let circuit = parse_bench("fuzz", BASE_BENCH).expect("base parses");
+        let atpg = Atpg::new(AtpgOptions::default());
+        atpg.run_budgeted_stored(&circuit, &RunBudget::unlimited(), &store, true)
+            .expect("atpg runs");
+        let key = cache_key(&circuit, atpg.options()).expect("key").hex();
+        let RawDoc::Present(text) = store.load_entry_raw(&key) else {
+            panic!("the run stored its result");
+        };
+        let _ = std::fs::remove_dir_all(&dir);
+        let payload = validate_entry_doc(&key, &text).expect("the stored entry validates");
+        (key, text, payload)
     })
 }
 
@@ -114,6 +139,18 @@ proptest! {
         let source = mutate(base_json(), &edits);
         if let Err(err) = json::parse(&source) {
             prop_assert!(!err.to_string().is_empty());
+        }
+    }
+
+    #[test]
+    fn mutated_store_entries_never_panic_validation(
+        edits in collection::vec((0usize..8192, 0u8..=255, 0u8..=255), 1..24)
+    ) {
+        let (key, text, payload) = base_entry();
+        match validate_entry_doc(key, &mutate(text, &edits)) {
+            // The checksum refuses every payload but the stored one.
+            Ok(accepted) => prop_assert_eq!(&accepted, payload),
+            Err(why) => prop_assert!(!why.is_empty()),
         }
     }
 

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 use std::thread::ThreadId;
-use std::time::Duration;
+use std::time::Instant;
 
 use modsoc::analysis::WorkerPool;
 use modsoc::atpg::collapse::collapse_faults;
@@ -147,65 +147,61 @@ fn budget_trips_stay_sound_on_the_pool() {
         "a pre-cancelled sweep is all zeros"
     );
 
-    // Cancelled while the workers sweep: a ragged prefix of chunks is
-    // simulated, the rest reads as undetected. The cancel lands after a
-    // delay, so a longer fault list and delay are tried until one trips
-    // mid-sweep. A sweep traces each region once for all repeats of its
-    // faults, so even the longest list sweeps in tens of milliseconds,
-    // and the cancelling thread can wake milliseconds late while the
-    // workers hold both cores: the last attempts try one long list
-    // against a range of delays.
+    // Tripped while the workers sweep: a ragged prefix of chunks is
+    // simulated, the rest reads as undetected. The trip is a deadline,
+    // which each sweeping worker polls itself before every chunk (the
+    // same check that polls the cancel flag), so it lands when the clock
+    // passes it and never late, however the workers are scheduled. Each
+    // list is swept untripped first, and its deadlines are fractions of
+    // that sweep's time.
     let mut tripped_mid_sweep = false;
-    for (repeat, delay_ms) in [
-        (4, 1),
-        (8, 5),
-        (16, 20),
-        (32, 50),
-        (64, 5),
-        (64, 10),
-        (64, 20),
-        (64, 40),
-    ] {
+    'lists: for repeat in [4, 16, 64] {
         let many: Vec<Fault> = faults
             .iter()
             .cycle()
             .take(faults.len() * repeat)
             .copied()
             .collect();
-        let budget = RunBudget::unlimited();
-        let (masks, reason) = std::thread::scope(|scope| {
-            scope.spawn(|| {
-                std::thread::sleep(Duration::from_millis(delay_ms));
-                budget.cancel();
-            });
-            fsim.detection_masks_budgeted(&batch, &many, &budget, 4, &NullSink)
-                .expect("masks")
-        });
-        assert_eq!(masks.len(), many.len());
-        for (k, &m) in masks.iter().enumerate() {
-            assert_eq!(m & !active, 0, "fault {k}: a slot past the batch");
-            assert_eq!(
-                m & !full[k % faults.len()],
-                0,
-                "fault {k}: an invented detection"
-            );
+        let start = Instant::now();
+        let (untripped, reason) = fsim
+            .detection_masks_budgeted(&batch, &many, &RunBudget::unlimited(), 4, &NullSink)
+            .expect("masks");
+        let sweep = start.elapsed();
+        assert_eq!(reason, None);
+        for (k, &m) in untripped.iter().enumerate() {
+            assert_eq!(m, full[k % faults.len()], "fault {k}: an untripped sweep");
         }
-        let simulated = masks.iter().any(|&m| m != 0);
-        let complete = masks
-            .iter()
-            .enumerate()
-            .all(|(k, &m)| m == full[k % faults.len()]);
-        if reason.is_some() {
-            assert_eq!(reason, Some(ExhaustReason::Cancelled));
-            if simulated && !complete {
-                tripped_mid_sweep = true;
-                break;
+        for fraction in [2, 4, 8] {
+            let budget = RunBudget::unlimited().with_deadline(Instant::now() + sweep / fraction);
+            let (masks, reason) = fsim
+                .detection_masks_budgeted(&batch, &many, &budget, 4, &NullSink)
+                .expect("masks");
+            assert_eq!(masks.len(), many.len());
+            for (k, &m) in masks.iter().enumerate() {
+                assert_eq!(m & !active, 0, "fault {k}: a slot past the batch");
+                assert_eq!(
+                    m & !full[k % faults.len()],
+                    0,
+                    "fault {k}: an invented detection"
+                );
             }
-        } else {
-            assert!(complete, "an untripped sweep is the full result");
+            let simulated = masks.iter().any(|&m| m != 0);
+            let complete = masks
+                .iter()
+                .enumerate()
+                .all(|(k, &m)| m == full[k % faults.len()]);
+            if reason.is_some() {
+                assert_eq!(reason, Some(ExhaustReason::Deadline));
+                if simulated && !complete {
+                    tripped_mid_sweep = true;
+                    break 'lists;
+                }
+            } else {
+                assert!(complete, "an untripped sweep is the full result");
+            }
         }
     }
-    assert!(tripped_mid_sweep, "no cancel landed mid-sweep");
+    assert!(tripped_mid_sweep, "no deadline landed mid-sweep");
 }
 
 #[test]

@@ -2,8 +2,9 @@
 # Local CI gate in two stages, the two jobs of .github/workflows/ci.yml:
 #
 #   ./ci.sh lint    formatting, clippy, the workspace tests, the chaos
-#                   sweeps under a pinned seed, and `cargo check` over
-#                   every feature and target;
+#                   sweeps under a pinned seed, rustdoc with warnings as
+#                   errors, and `cargo check` over every feature and
+#                   target;
 #   ./ci.sh gates   everything that needs the release binary: CLI smoke
 #                   runs against the committed goldens, the parallel,
 #                   metrics and store determinism gates, the tam, serve
@@ -68,6 +69,10 @@ lint() {
   # The chaos harness is seed-deterministic; PROPTEST_SEED pins the
   # vendored proptest streams on top so the whole gate is reproducible.
   PROPTEST_SEED=20080310 cargo test -q --test chaos --test parser_fuzz
+
+  echo "== cargo doc (warnings are errors)"
+  # A doc link to a deleted or private item fails here.
+  RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace --offline
 
   echo "== cargo check (every feature, every target)"
   # A cargo feature that cannot build fails here, not on first use.

@@ -12,7 +12,7 @@ use modsoc_netlist::Circuit;
 
 use crate::error::AtpgError;
 use crate::fault::Fault;
-use crate::fault_sim::{block_active_mask, FaultSimulator, SimBlock, BLOCK_BITS};
+use crate::fault_sim::FaultSimulator;
 
 /// A Fibonacci LFSR with a programmable feedback polynomial.
 ///
@@ -180,57 +180,81 @@ pub struct BistOutcome {
 pub fn evaluate_bist(
     circuit: &Circuit,
     faults: &[Fault],
-    mut lfsr: Lfsr,
+    lfsr: Lfsr,
     pattern_count: usize,
 ) -> Result<BistOutcome, AtpgError> {
     let mut fsim = FaultSimulator::new(circuit)?;
+    Ok(bist_pass(&mut fsim, circuit, faults, lfsr, pattern_count)?.outcome)
+}
+
+/// What one BIST fault-simulation pass finds.
+struct BistPass {
+    outcome: BistOutcome,
+    /// Each fault's detection flag.
+    detected: Vec<bool>,
+    /// The patterns through the first 64-pattern chunk that starts with
+    /// every fault already detected, or all of them when none does: the
+    /// count the hybrid flow reports as applied.
+    applied: usize,
+}
+
+/// [`evaluate_bist`] on `fsim`: the LFSR stream in 64-pattern chunks,
+/// each swept with [`FaultSimulator::detection_masks`] over the faults
+/// still undetected (so the ramp has per-64 granularity) and absorbed
+/// into the good-machine MISR.
+fn bist_pass(
+    fsim: &mut FaultSimulator<'_>,
+    circuit: &Circuit,
+    faults: &[Fault],
+    mut lfsr: Lfsr,
+    pattern_count: usize,
+) -> Result<BistPass, AtpgError> {
     let width = circuit.input_count();
     let mut detected = vec![false; faults.len()];
+    let mut undetected: Vec<usize> = (0..faults.len()).collect();
     let mut misr = Misr::standard();
     let mut ramp = Vec::new();
-    let mut applied = 0usize;
-    while applied < pattern_count {
-        let block: Vec<Vec<bool>> = (0..BLOCK_BITS.min(pattern_count - applied))
+    let mut generated = 0usize;
+    let mut applied = None;
+    while generated < pattern_count {
+        let chunk: Vec<Vec<bool>> = (0..64.min(pattern_count - generated))
             .map(|_| lfsr.next_pattern(width))
             .collect();
-        applied += block.len();
-        let (good, n) = fsim.good_blocks(&block)?;
-        let active = block_active_mask(n);
-        // One 512-wide detection mask per still-undetected fault; marking
-        // is then replayed one 64-bit word at a time so the ramp keeps its
-        // per-64 granularity (part of the report contract, not an
-        // implementation detail; pinned against a narrow reference in the
-        // tests).
-        let mut masks: Vec<(usize, SimBlock)> = Vec::new();
-        for (i, &f) in faults.iter().enumerate() {
-            if detected[i] {
-                continue;
+        generated += chunk.len();
+        if undetected.is_empty() {
+            applied.get_or_insert(generated);
+        } else {
+            let targets: Vec<Fault> = undetected.iter().map(|&i| faults[i]).collect();
+            for (&i, mask) in undetected
+                .iter()
+                .zip(fsim.detection_masks(&chunk, &targets)?)
+            {
+                detected[i] = mask != 0;
             }
-            masks.push((i, fsim.block_detection_mask(&good, &active, f)));
+            undetected.retain(|&i| !detected[i]);
         }
-        for w in 0..n.div_ceil(64) {
-            for &(i, m) in &masks {
-                if m[w] != 0 {
-                    detected[i] = true;
-                }
-            }
-            ramp.push(detected.iter().filter(|&&d| d).count() as f64 / faults.len().max(1) as f64);
-        }
+        ramp.push((faults.len() - undetected.len()) as f64 / faults.len().max(1) as f64);
         // Good-machine signature over primary outputs, per pattern.
-        for slot in 0..n {
+        let (good, _) = fsim.good_values(&chunk)?;
+        for slot in 0..chunk.len() {
             let response: Vec<bool> = circuit
                 .outputs()
                 .iter()
-                .map(|o| good[o.index()][slot / 64] & (1 << (slot % 64)) != 0)
+                .map(|o| good[o.index()] & (1 << slot) != 0)
                 .collect();
             misr.absorb(&response);
         }
     }
-    Ok(BistOutcome {
-        patterns: applied,
-        coverage: detected.iter().filter(|&&d| d).count() as f64 / faults.len().max(1) as f64,
-        good_signature: misr.signature(),
-        ramp,
+    let coverage = ramp.last().copied().unwrap_or(0.0);
+    Ok(BistPass {
+        outcome: BistOutcome {
+            patterns: generated,
+            coverage,
+            good_signature: misr.signature(),
+            ramp,
+        },
+        detected,
+        applied: applied.unwrap_or(generated),
     })
 }
 
@@ -283,38 +307,12 @@ pub fn run_hybrid(
             .representatives()
             .to_vec();
     let width = circuit.input_count();
-    let bist = evaluate_bist(circuit, &reps, lfsr.clone(), bist_patterns)?;
-
-    // Per-fault BIST detection status (evaluate_bist reports aggregates;
-    // it is deterministic, so replaying a clone of the caller's LFSR
-    // reproduces the exact stream). This replay stays on the narrow
-    // 64-pattern path: the early break below makes the applied-pattern
-    // counter visible at 64-pattern granularity, and widening the block
-    // would change the reported BistPatterns value.
     let mut fsim = FaultSimulator::with_index(circuit, std::sync::Arc::clone(&sindex))?;
-    let mut detected = vec![false; reps.len()];
-    let mut replay = lfsr;
-    let mut applied = 0usize;
-    while applied < bist_patterns {
-        let block: Vec<Vec<bool>> = (0..64.min(bist_patterns - applied))
-            .map(|_| replay.next_pattern(width))
-            .collect();
-        applied += block.len();
-        let undetected: Vec<usize> = (0..reps.len()).filter(|&i| !detected[i]).collect();
-        if undetected.is_empty() {
-            break;
-        }
-        let targets: Vec<crate::fault::Fault> = undetected.iter().map(|&i| reps[i]).collect();
-        for (k, m) in fsim
-            .detection_masks(&block, &targets)?
-            .into_iter()
-            .enumerate()
-        {
-            if m != 0 {
-                detected[undetected[k]] = true;
-            }
-        }
-    }
+    let BistPass {
+        outcome: bist,
+        mut detected,
+        applied,
+    } = bist_pass(&mut fsim, circuit, &reps, lfsr, bist_patterns)?;
 
     // Deterministic top-up for the leftovers, with fault dropping.
     let mut podem = Podem::with_index(circuit, sindex, backtrack_limit)?;
@@ -360,53 +358,6 @@ mod tests {
     use crate::collapse::collapse_faults;
     use modsoc_netlist::bench_format::parse_bench;
 
-    /// Reference: [`evaluate_bist`] on the narrow kernel, one 64-pattern
-    /// block at a time, re-targeting only the still-undetected faults.
-    fn evaluate_bist_narrow(
-        circuit: &Circuit,
-        faults: &[Fault],
-        mut lfsr: Lfsr,
-        pattern_count: usize,
-    ) -> BistOutcome {
-        let mut fsim = FaultSimulator::new(circuit).unwrap();
-        let width = circuit.input_count();
-        let mut detected = vec![false; faults.len()];
-        let mut misr = Misr::standard();
-        let mut ramp = Vec::new();
-        let mut applied = 0usize;
-        let coverage = |d: &[bool]| d.iter().filter(|&&d| d).count() as f64 / d.len().max(1) as f64;
-        while applied < pattern_count {
-            let block: Vec<Vec<bool>> = (0..64.min(pattern_count - applied))
-                .map(|_| lfsr.next_pattern(width))
-                .collect();
-            applied += block.len();
-            let undetected: Vec<usize> = (0..faults.len()).filter(|&i| !detected[i]).collect();
-            let targets: Vec<Fault> = undetected.iter().map(|&i| faults[i]).collect();
-            let masks = fsim.detection_masks(&block, &targets).unwrap();
-            for (k, m) in masks.into_iter().enumerate() {
-                if m != 0 {
-                    detected[undetected[k]] = true;
-                }
-            }
-            let (good, _) = fsim.good_values(&block).unwrap();
-            for slot in 0..block.len() {
-                let response: Vec<bool> = circuit
-                    .outputs()
-                    .iter()
-                    .map(|o| good[o.index()] & (1 << slot) != 0)
-                    .collect();
-                misr.absorb(&response);
-            }
-            ramp.push(coverage(&detected));
-        }
-        BistOutcome {
-            patterns: applied,
-            coverage: coverage(&detected),
-            good_signature: misr.signature(),
-            ramp,
-        }
-    }
-
     fn c17() -> Circuit {
         parse_bench(
             "c17",
@@ -424,35 +375,60 @@ g23 = NAND(g16, g19)
         .unwrap()
     }
 
-    /// The blocked evaluator vs the narrow reference: identical outcome
-    /// (per-64 ramp, coverage, signature) across block tails. And the
-    /// hybrid flow's `BistPatterns` counter, which its narrow replay
-    /// derives from the same per-64 detection sequence, must equal the
-    /// value the ramp predicts: the replay stops one 64-block after the
-    /// block that reaches full coverage.
+    /// The outcome (per-64 ramp, coverage, signature) and the hybrid
+    /// flow's `BistPatterns` counter across chunk and block tails, pinned
+    /// to recorded values. Each ramp is pinned as detected-fault counts
+    /// over the fault count, which is how it is computed. `BistPatterns`
+    /// counts the patterns through the first 64-pattern chunk that
+    /// starts with every fault already detected, or all of them.
     #[test]
-    fn blocked_bist_matches_narrow_reference() {
+    fn bist_outcomes_match_recorded_pins() {
         use modsoc_metrics::{Counter, RecordingSink};
+        type Pin = (usize, Vec<usize>, u64, u64);
         let core =
             modsoc_circuitgen::generate(&modsoc_circuitgen::profile::iscas::s713(11)).unwrap();
         let generated = core.to_test_model().unwrap().circuit;
-        for circuit in [c17(), generated] {
+        let c17_pins: Vec<Pin> = vec![
+            (1, vec![4], 0xc000_0000, 1),
+            (64, vec![22], 0xe9d8_eb66, 64),
+            (65, vec![22, 22], 0x7a56_3ada, 65),
+            (512, vec![22; 8], 0xdf16_e6e9, 128),
+            (513, vec![22; 9], 0x37f5_b9b8, 128),
+            (1100, vec![22; 18], 0x6556_3af1, 128),
+        ];
+        let ramp = [478, 491, 495, 497, 498, 500, 500, 500, 500, 500];
+        let generated_pins: Vec<Pin> = vec![
+            (1, vec![102], 0xfb44_782a, 1),
+            (64, vec![478], 0x179d_fb84, 64),
+            (65, vec![478, 478], 0x0eb7_29a3, 65),
+            (512, ramp[..8].to_vec(), 0x66ce_e6d6, 512),
+            (513, ramp[..9].to_vec(), 0xc134_1034, 513),
+            (1100, [&ramp[..], &[501; 8]].concat(), 0xd96e_1d7a, 768),
+        ];
+        for (circuit, total, pins) in [(c17(), 22, c17_pins), (generated, 501, generated_pins)] {
             let faults = collapse_faults(&circuit).representatives().to_vec();
-            for count in [1usize, 64, 65, 512, 513, 1100] {
-                let wide = evaluate_bist(&circuit, &faults, Lfsr::standard(5), count).unwrap();
-                let narrow = evaluate_bist_narrow(&circuit, &faults, Lfsr::standard(5), count);
-                assert_eq!(wide, narrow, "{} count={count}", circuit.name());
-                assert_eq!(wide.ramp.len(), count.div_ceil(64));
+            assert_eq!(faults.len(), total, "{}", circuit.name());
+            for (count, detected, signature, applied) in pins {
+                let what = format!("{} count={count}", circuit.name());
+                let ramp: Vec<f64> = detected.iter().map(|&d| d as f64 / total as f64).collect();
+                let outcome = evaluate_bist(&circuit, &faults, Lfsr::standard(5), count).unwrap();
+                assert_eq!(
+                    outcome,
+                    BistOutcome {
+                        patterns: count,
+                        coverage: ramp[ramp.len() - 1],
+                        good_signature: signature,
+                        ramp,
+                    },
+                    "{what}"
+                );
 
                 let sink = RecordingSink::new();
                 run_hybrid(&circuit, Lfsr::standard(5), count, 200, &sink).unwrap();
-                let full_at = narrow.ramp.iter().position(|&c| c == 1.0);
-                let want = full_at.map_or(count, |k| count.min(64 * (k + 2)));
                 assert_eq!(
                     sink.snapshot().counter(Counter::BistPatterns),
-                    want as u64,
-                    "{} count={count}",
-                    circuit.name()
+                    applied,
+                    "{what}"
                 );
             }
         }

@@ -21,7 +21,7 @@
 //!   was scanned first, kept, and covered `f` — a contradiction.
 //!
 //! So the kept set is the set of distinct last detectors, one
-//! [`FaultSimulator::last_detectors`] sweep. It covers every fault any
+//! `FaultSimulator::last_detectors` sweep. It covers every fault any
 //! pattern detects, and since fills are content-keyed
 //! ([`TestSet::fill_all`]) a kept pattern ships with the fill it was
 //! simulated with: the faults the kept set detects are exactly those

@@ -50,7 +50,7 @@ pub struct AtpgOptions {
     /// Worker threads for every fault-simulation sweep of the run (the
     /// random batches, the PODEM windows, coverage repair and the
     /// last-detector sweep): the fault list is cut into chunks that the
-    /// workers of a [`WorkerPool`](crate::pool::WorkerPool) claim, each
+    /// workers of a [`WorkerPool`] claim, each
     /// on its own [`FaultSimulator`] clone, with an order-preserving
     /// merge, so results are identical at any value. An engine that runs
     /// on a pool worker sweeps serially whatever its `jobs` (parallelism
@@ -879,7 +879,8 @@ impl Atpg {
         WorkerPool::new(self.options.jobs)
             .map_with_state(targets, podem, spares, &*self.sink, |podem, _, &i| {
                 let before = podem.search_stats();
-                let outcome = podem.generate_budgeted(reps[i], Some(budget))?;
+                let outcome =
+                    podem.generate_with_constraints_budgeted(reps[i], &[], Some(budget))?;
                 Ok((outcome, podem.search_stats() - before))
             })
             .into_iter()
@@ -921,7 +922,7 @@ mod reference {
         budget: &RunBudget,
     ) -> Result<(PodemOutcome, PodemSearchStats), AtpgError> {
         let before = podem.search_stats();
-        let outcome = podem.generate_budgeted(fault, Some(budget))?;
+        let outcome = podem.generate_with_constraints_budgeted(fault, &[], Some(budget))?;
         Ok((outcome, podem.search_stats() - before))
     }
 

@@ -24,20 +24,21 @@
 //! still undecided, and propagate each root at most once. The kernel is
 //! generic over a packed word width and monomorphized twice:
 //!
-//! - **`u64`** — 64 patterns per pass. Used wherever a 64-slot batch is
-//!   semantically visible (the engine's random-phase keep/drop
-//!   bookkeeping, single-pattern fault dropping in PODEM/TDF/BIST
-//!   top-up).
+//! - **`u64`** — 64 patterns per pass, through
+//!   [`FaultSimulator::detection_masks`]. Used wherever a 64-slot batch
+//!   is semantically visible: the engine's random-phase keep/drop
+//!   bookkeeping and PODEM windows, TDF fault dropping after each cube,
+//!   and BIST's per-64 coverage ramp.
 //! - **[`SimBlock`]** (`[u64; 8]`) — 512 patterns per pass, written so
 //!   the autovectorizer lifts the lane loops to 256/512-bit SIMD. The
 //!   bulk sweeps ([`FaultSimulator::detected`],
 //!   [`FaultSimulator::detection_counts`], [`fault_coverage`], the
-//!   compaction sweep, TDF/BIST coverage) run on this width.
+//!   compaction sweep) run on this width.
 //!
 //! Values are node-major (struct-of-arrays): each node's whole block is
-//! contiguous, so wide gate evaluation streams cache lines. The sweeps
-//! over a fault list (the bulk sweeps above and
-//! [`FaultSimulator::detection_masks_budgeted`]) combine
+//! contiguous, so wide gate evaluation streams cache lines. Every entry
+//! point is a sweep over a fault list, and the sweeps (the bulk sweeps
+//! above and [`FaultSimulator::detection_masks_budgeted`]) combine
 //! pattern-parallel and fault-parallel blocking: good values are
 //! computed once on the calling thread and shared read-only by the
 //! workers of a [`WorkerPool`], which claim chunks of whole regions of
@@ -47,8 +48,8 @@
 //!
 //! Both widths produce bit-identical detection verdicts; the test suite
 //! pins the wide sweeps to per-64 [`FaultSimulator::detection_masks`]
-//! references word for word, and the tracing kernel to a per-fault
-//! event-driven reference.
+//! references word for word, and the tracing kernel, per fault at both
+//! widths, to an event-driven reference.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -90,11 +91,8 @@ pub fn active_mask(n: usize) -> u64 {
 /// Block-wide tail mask for `n` patterns: word `w` covers pattern slots
 /// `[64w, 64w + 64)` and is derived through [`active_mask`], so the
 /// shift special case still has exactly one home. Every
-/// `chunks(BLOCK_BITS)` tail in the blocked sweeps must come through
-/// here — this is the tail-mask contract shared with the TDF and
-/// BIST sweeps and the compaction sweep.
-#[must_use]
-pub fn block_active_mask(n: usize) -> SimBlock {
+/// `chunks(BLOCK_BITS)` tail of the blocked sweeps comes through here.
+fn block_active_mask(n: usize) -> SimBlock {
     let mut mask = [0u64; BLOCK_WORDS];
     for (w, word) in mask.iter_mut().enumerate() {
         *word = active_mask(n.saturating_sub(w * 64));
@@ -230,19 +228,6 @@ impl<W: PackedWord> Scratch<W> {
         }
     }
 
-    /// [`Scratch::ffr_masks`] for one fault: its whole detection mask.
-    fn fault_mask(&mut self, b: &Batch<'_, W>, fault: Fault) -> W {
-        let mut mask = W::ZERO;
-        self.ffr_masks(
-            b,
-            (&[fault], &[0]),
-            std::slice::from_mut(&mut mask),
-            |_| true,
-            |o, m| *o = m,
-        );
-        mask
-    }
-
     /// The backward pass over region `ffr`: members come root first and
     /// each after its consumer, so one walk fills `sens` for all of them.
     fn trace(&mut self, b: &Batch<'_, W>, ffr: usize) {
@@ -357,8 +342,9 @@ impl<W: PackedWord> Scratch<W> {
 ///
 /// Holds reusable scratch buffers for both packed widths (the 512-slot
 /// scratch is allocated lazily on first blocked sweep); create once and
-/// call [`FaultSimulator::detection_masks`] per 64-pattern batch or
-/// [`FaultSimulator::block_detection_mask`] per 512-pattern block.
+/// sweep fault lists with it: [`FaultSimulator::detection_masks`] per
+/// 64-pattern batch, [`FaultSimulator::detected`] or
+/// [`FaultSimulator::detection_counts`] over a pattern set of any size.
 /// `Clone` is cheap relative to [`FaultSimulator::new`] (the shared
 /// [`StructuralIndex`] is reference-counted, not recomputed), which is
 /// how the bulk sweeps hand each worker thread its own simulator.
@@ -425,7 +411,10 @@ impl<'a> FaultSimulator<'a> {
     /// # Panics
     ///
     /// Panics if more than 64 patterns are supplied.
-    pub fn good_values(&self, patterns: &[Vec<bool>]) -> Result<(Vec<u64>, usize), AtpgError> {
+    pub(crate) fn good_values(
+        &self,
+        patterns: &[Vec<bool>],
+    ) -> Result<(Vec<u64>, usize), AtpgError> {
         assert!(patterns.len() <= 64, "at most 64 patterns per batch");
         let width = self.check_widths(patterns)?;
         let mut words = vec![0u64; width];
@@ -452,7 +441,7 @@ impl<'a> FaultSimulator<'a> {
     /// # Panics
     ///
     /// Panics if more than [`BLOCK_BITS`] patterns are supplied.
-    pub fn good_blocks(&self, patterns: &[Vec<bool>]) -> Result<(Vec<SimBlock>, usize), AtpgError> {
+    fn good_blocks(&self, patterns: &[Vec<bool>]) -> Result<(Vec<SimBlock>, usize), AtpgError> {
         assert!(
             patterns.len() <= BLOCK_BITS,
             "at most {BLOCK_BITS} patterns per block"
@@ -521,33 +510,10 @@ impl<'a> FaultSimulator<'a> {
         (batch, scratch)
     }
 
-    /// Which of the batch's patterns detect `fault`: bit `k` of the result
-    /// is set iff pattern `k` produces a different value on some primary
-    /// output in the faulty circuit.
-    ///
-    /// `good` must come from [`FaultSimulator::good_values`] for the same
-    /// batch; `active` masks the valid pattern slots.
-    pub fn detection_mask(&mut self, good: &[u64], active: u64, fault: Fault) -> u64 {
-        let (batch, scratch) = self.narrow(good, active);
-        scratch.fault_mask(&batch, fault)
-    }
-
-    /// [`FaultSimulator::detection_mask`] at block width: slot `64w + k`
-    /// of the result covers pattern `64w + k` of the block. `good` must
-    /// come from [`FaultSimulator::good_blocks`] for the same block;
-    /// `active` is the matching [`block_active_mask`].
-    pub fn block_detection_mask(
-        &mut self,
-        good: &[SimBlock],
-        active: &SimBlock,
-        fault: Fault,
-    ) -> SimBlock {
-        let (batch, scratch) = self.wide(good, *active);
-        scratch.fault_mask(&batch, fault)
-    }
-
-    /// Detection masks for a whole fault list against one batch, swept
-    /// serially on this simulator.
+    /// Detection masks for a whole fault list against one batch of ≤64
+    /// patterns, swept serially on this simulator: bit `k` of `masks[i]`
+    /// is set iff pattern `k` makes some primary output differ under
+    /// `faults[i]`.
     ///
     /// # Errors
     ///
@@ -935,6 +901,19 @@ fn good_block_sweep(
 /// site and the change propagated through the site's whole fanout cone.
 #[cfg(test)]
 impl<W: PackedWord> Scratch<W> {
+    /// [`Scratch::ffr_masks`] for one fault: its whole detection mask.
+    fn fault_mask(&mut self, b: &Batch<'_, W>, fault: Fault) -> W {
+        let mut mask = W::ZERO;
+        self.ffr_masks(
+            b,
+            (&[fault], &[0]),
+            std::slice::from_mut(&mut mask),
+            |_| true,
+            |o, m| *o = m,
+        );
+        mask
+    }
+
     fn reference_mask(&mut self, b: &Batch<'_, W>, fault: Fault) -> W {
         self.begin();
         let stuck = if fault.stuck_at_one { W::ONES } else { W::ZERO };
@@ -1080,6 +1059,23 @@ g23 = NAND(g16, g19)
             }
         }
         (detected, counts)
+    }
+
+    /// One fault's mask against one batch: a sweep of that fault alone.
+    fn fault_mask(fsim: &mut FaultSimulator<'_>, good: &[u64], active: u64, fault: Fault) -> u64 {
+        let (batch, scratch) = fsim.narrow(good, active);
+        scratch.fault_mask(&batch, fault)
+    }
+
+    /// [`fault_mask`] against one 512-pattern block.
+    fn block_fault_mask(
+        fsim: &mut FaultSimulator<'_>,
+        good: &[SimBlock],
+        active: &SimBlock,
+        fault: Fault,
+    ) -> SimBlock {
+        let (batch, scratch) = fsim.wide(good, *active);
+        scratch.fault_mask(&batch, fault)
     }
 
     /// `faults` repeated into a list that spans `n` pooled-sweep chunks,
@@ -1263,13 +1259,13 @@ g23 = NAND(g16, g19)
             for (k, &fault) in faults.iter().enumerate() {
                 let what = || format!("{}: {}", c.name(), fault.describe(c));
                 assert_eq!(
-                    fsim.detection_mask(&good, active_mask(n), fault),
+                    fault_mask(&mut fsim, &good, active_mask(n), fault),
                     narrow[k],
                     "{}",
                     what()
                 );
                 assert_eq!(
-                    fsim.block_detection_mask(&good_blk, &active_blk, fault),
+                    block_fault_mask(&mut fsim, &good_blk, &active_blk, fault),
                     wide[k],
                     "{}",
                     what()
@@ -1488,7 +1484,7 @@ g23 = NAND(g16, g19)
             let (good, n) = fsim.good_blocks(&patterns).unwrap();
             let active = block_active_mask(n);
             for &fault in &faults {
-                let block = fsim.block_detection_mask(&good, &active, fault);
+                let block = block_fault_mask(&mut fsim, &good, &active, fault);
                 for (w, chunk) in patterns.chunks(64).enumerate() {
                     let narrow = fsim.detection_masks(chunk, &[fault]).unwrap()[0];
                     assert_eq!(
@@ -1632,7 +1628,7 @@ g23 = NAND(g16, g19)
             // Wide kernel: word 0 of the block mask must agree.
             let (good, n) = fsim.good_blocks(&patterns).unwrap();
             let active = block_active_mask(n);
-            let block = fsim.block_detection_mask(&good, &active, fault);
+            let block = block_fault_mask(&mut fsim, &good, &active, fault);
             assert_eq!(block[0], want, "wide spill pin={pin} sa1={sa1}");
         }
 
@@ -1645,7 +1641,7 @@ g23 = NAND(g16, g19)
                 assert_eq!(narrow, want, "narrow stem {}", fault.describe(&c));
                 let (good, n) = fsim.good_blocks(&patterns).unwrap();
                 let active = block_active_mask(n);
-                let block = fsim.block_detection_mask(&good, &active, fault);
+                let block = block_fault_mask(&mut fsim, &good, &active, fault);
                 assert_eq!(block[0], want, "wide stem {}", fault.describe(&c));
             }
         }

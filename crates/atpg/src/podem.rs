@@ -251,49 +251,24 @@ impl<'a> Podem<'a> {
     /// Returns [`AtpgError::ForeignFault`] if the fault references a node
     /// outside this circuit.
     pub fn generate(&mut self, fault: Fault) -> Result<PodemOutcome, AtpgError> {
-        self.generate_with_constraints(fault, &[])
+        self.generate_with_constraints_budgeted(fault, &[], None)
     }
 
-    /// Generate a test for one stuck-at fault under an optional
-    /// [`RunBudget`]: each backtrack is charged against the budget's
-    /// global pool, and a tripped deadline/cancellation/backtrack limit
-    /// aborts the search ([`PodemOutcome::Aborted`]) so a single hard
-    /// fault cannot hold a bounded run hostage.
+    /// [`Podem::generate`] under side constraints and an optional
+    /// [`RunBudget`].
     ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Podem::generate`].
-    pub fn generate_budgeted(
-        &mut self,
-        fault: Fault,
-        budget: Option<&RunBudget>,
-    ) -> Result<PodemOutcome, AtpgError> {
-        self.generate_with_constraints_budgeted(fault, &[], budget)
-    }
-
-    /// Generate a test for a stuck-at fault under side constraints: every
-    /// `(node, value)` pair must hold in the good circuit of the final
-    /// test. Used by the transition-fault flow (frame-1 initialization
-    /// values) and usable for any justification-style requirement.
+    /// Every `(node, value)` pair of `constraints` must hold in the good
+    /// circuit of the final test: the transition-fault flow passes its
+    /// frame-1 initialization values, the stuck-at engine `&[]`. Each
+    /// backtrack is charged against the budget's global pool, and a
+    /// tripped deadline/cancellation/backtrack limit aborts the search
+    /// ([`PodemOutcome::Aborted`]) so a single hard fault cannot hold a
+    /// bounded run hostage.
     ///
     /// # Errors
     ///
     /// Same conditions as [`Podem::generate`], plus
     /// [`AtpgError::ForeignFault`] for out-of-range constraint nodes.
-    pub fn generate_with_constraints(
-        &mut self,
-        fault: Fault,
-        constraints: &[(NodeId, bool)],
-    ) -> Result<PodemOutcome, AtpgError> {
-        self.generate_with_constraints_budgeted(fault, constraints, None)
-    }
-
-    /// [`Podem::generate_with_constraints`] under an optional
-    /// [`RunBudget`] (see [`Podem::generate_budgeted`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Podem::generate_with_constraints`].
     pub fn generate_with_constraints_budgeted(
         &mut self,
         fault: Fault,
@@ -1444,7 +1419,9 @@ y = OR(t3, t2)
     fn searched(podem: &mut Podem<'_>, f: Fault) -> (PodemOutcome, PodemSearchStats, u64) {
         let budget = RunBudget::unlimited();
         let before = podem.search_stats();
-        let outcome = podem.generate_budgeted(f, Some(&budget)).unwrap();
+        let outcome = podem
+            .generate_with_constraints_budgeted(f, &[], Some(&budget))
+            .unwrap();
         (
             outcome,
             podem.search_stats() - before,

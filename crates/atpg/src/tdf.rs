@@ -17,13 +17,15 @@
 //!   stuck-at-0 (the late transition looks stuck for one cycle).
 //!
 //! The frame-1 initialization is exactly a PODEM side constraint
-//! ([`crate::podem::Podem::generate_with_constraints`]).
+//! ([`crate::podem::Podem::generate_with_constraints_budgeted`]), and
+//! fault simulation is one stuck-at sweep over the frame-2 lines gated
+//! by their frame-1 values.
 
 use modsoc_netlist::{Circuit, GateKind, NodeId, TestModel, TestPoint};
 
 use crate::error::AtpgError;
-use crate::fault::Fault;
-use crate::fault_sim::{block_active_mask, FaultSimulator, PackedWord, SimBlock, BLOCK_BITS};
+use crate::fault::{Fault, FaultSite};
+use crate::fault_sim::FaultSimulator;
 use crate::pattern::{FillStrategy, TestSet};
 use crate::podem::{Podem, PodemOutcome};
 
@@ -314,26 +316,23 @@ fn run_tdf_over(
             exhausted = Some(budget.exhausted(reason, "tdf", patterns.len()));
             break;
         }
-        let init = !tf.slow_to_rise; // frame-1 value before the transition
-        let stuck = Fault {
-            site: crate::fault::FaultSite::Stem(two.frame2[tf.site.index()]),
-            stuck_at_one: init,
-        };
-        let constraint = (two.frame1[tf.site.index()], init);
+        let stuck = frame2_stuck(two, tf);
+        let constraint = (two.frame1[tf.site.index()], stuck.stuck_at_one);
         match podem.generate_with_constraints_budgeted(stuck, &[constraint], Some(budget))? {
             PodemOutcome::Test(cube) => {
                 detected_flags[i] = true;
-                // Drop other TDFs detected by the filled pattern; the
-                // good-circuit evaluation is shared across all faults.
+                // Drop the later TDFs the filled pattern detects, in one
+                // sweep.
                 let filled = vec![cube.fill_keyed(FillStrategy::default())];
-                let (good, _) = fsim.good_values(&filled)?;
-                for (j, other) in faults.iter().enumerate().skip(i + 1) {
-                    if detected_flags[j] {
-                        continue;
-                    }
-                    if tdf_mask(&mut fsim, two, other, &good, 1) != 0 {
-                        detected_flags[j] = true;
-                    }
+                let rest: Vec<usize> = (i + 1..faults.len())
+                    .filter(|&j| !detected_flags[j])
+                    .collect();
+                let targets: Vec<TransitionFault> = rest.iter().map(|&j| faults[j]).collect();
+                for (j, mask) in rest
+                    .into_iter()
+                    .zip(tdf_masks(&mut fsim, two, &targets, &filled)?)
+                {
+                    detected_flags[j] |= mask != 0;
                 }
                 patterns.push(cube);
             }
@@ -351,84 +350,43 @@ fn run_tdf_over(
     })
 }
 
-/// Per-slot detection mask of one transition fault against a batch whose
-/// good values are already computed: the frame-2 stuck-at mask gated by
-/// the frame-1 initialization word.
-fn tdf_mask(
-    fsim: &mut FaultSimulator<'_>,
-    two: &TwoFrame,
-    tf: &TransitionFault,
-    good: &[u64],
-    active: u64,
-) -> u64 {
-    let init = !tf.slow_to_rise;
-    let stuck = Fault {
-        site: crate::fault::FaultSite::Stem(two.frame2[tf.site.index()]),
-        stuck_at_one: init,
-    };
-    let stuck_mask = fsim.detection_mask(good, active, stuck);
-    let f1_word = good[two.frame1[tf.site.index()].index()];
-    let init_mask = if init { f1_word } else { !f1_word };
-    stuck_mask & init_mask & active
-}
-
-/// [`tdf_mask`] at block width: launch detection via the frame-2 stuck
-/// fault, gated by the frame-1 initialization value, per 512-pattern
-/// block.
-fn tdf_block_mask(
-    fsim: &mut FaultSimulator<'_>,
-    two: &TwoFrame,
-    tf: &TransitionFault,
-    good: &[SimBlock],
-    active: &SimBlock,
-) -> SimBlock {
-    let init = !tf.slow_to_rise;
-    let stuck = Fault {
-        site: crate::fault::FaultSite::Stem(two.frame2[tf.site.index()]),
-        stuck_at_one: init,
-    };
-    let stuck_mask = fsim.block_detection_mask(good, active, stuck);
-    let f1 = good[two.frame1[tf.site.index()].index()];
-    let init_mask = if init { f1 } else { f1.not() };
-    stuck_mask.and(init_mask).and(*active)
-}
-
-/// Fault-simulate a pattern set against the full TDF universe and return
-/// per-fault detection flags (reference/reporting path).
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn tdf_coverage(
-    model: &TestModel,
-    patterns: &[Vec<bool>],
-) -> Result<(Vec<TransitionFault>, Vec<bool>), AtpgError> {
-    let faults = enumerate_transition_faults(&model.circuit);
-    let two = unroll_two_frames(model)?;
-    let mut fsim = FaultSimulator::new(&two.circuit)?;
-    // The two-frame good values are evaluated once per 512-pattern block
-    // and streamed against every still-undetected fault (blocks outer,
-    // faults inner — the same cache blocking as the stuck-at sweeps).
-    let mut flags = vec![false; faults.len()];
-    for chunk in patterns.chunks(BLOCK_BITS) {
-        let (good, n) = fsim.good_blocks(chunk)?;
-        let active = block_active_mask(n);
-        for (flag, tf) in flags.iter_mut().zip(&faults) {
-            if *flag {
-                continue;
-            }
-            if !tdf_block_mask(&mut fsim, &two, tf, &good, &active).is_zero() {
-                *flag = true;
-            }
-        }
+/// The stuck-at fault that stands for `tf` in the unrolling: its
+/// frame-2 line stuck at the frame-1 initialization value (the late
+/// transition looks stuck for one cycle).
+fn frame2_stuck(two: &TwoFrame, tf: &TransitionFault) -> Fault {
+    Fault {
+        site: FaultSite::Stem(two.frame2[tf.site.index()]),
+        stuck_at_one: !tf.slow_to_rise,
     }
-    Ok((faults, flags))
+}
+
+/// Detection masks of `faults` against a batch of ≤64 patterns in the
+/// unrolled circuit's input order: one
+/// [`FaultSimulator::detection_masks`] sweep over their frame-2 stuck-at
+/// faults, each mask ANDed with the slots where the fault's frame-1
+/// line holds its initialization value.
+fn tdf_masks(
+    fsim: &mut FaultSimulator<'_>,
+    two: &TwoFrame,
+    faults: &[TransitionFault],
+    patterns: &[Vec<bool>],
+) -> Result<Vec<u64>, AtpgError> {
+    let stuck: Vec<Fault> = faults.iter().map(|tf| frame2_stuck(two, tf)).collect();
+    let masks = fsim.detection_masks(patterns, &stuck)?;
+    let (good, _) = fsim.good_values(patterns)?;
+    Ok(faults
+        .iter()
+        .zip(masks)
+        .map(|(tf, mask)| {
+            let f1 = good[two.frame1[tf.site.index()].index()];
+            mask & if tf.slow_to_rise { !f1 } else { f1 }
+        })
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault_sim::active_mask;
     use modsoc_netlist::bench_format::parse_bench;
 
     /// Unbudgeted, unmetered [`run_tdf_atpg`].
@@ -437,19 +395,23 @@ mod tests {
         run_tdf_atpg(circuit, backtrack_limit, &budget, &modsoc_metrics::NullSink).unwrap()
     }
 
-    /// Reference: whether `patterns` (fully specified, unrolled-input
-    /// order) detect the transition fault, one 64-pattern chunk at a
-    /// time on the narrow kernel (good values re-simulated per fault).
-    fn tdf_detected(
-        fsim: &mut FaultSimulator<'_>,
-        two: &TwoFrame,
-        tf: &TransitionFault,
-        patterns: &[Vec<bool>],
-    ) -> bool {
-        patterns.chunks(64).any(|chunk| {
-            let (good, n) = fsim.good_values(chunk).unwrap();
-            tdf_mask(fsim, two, tf, &good, active_mask(n)) != 0
-        })
+    /// Per-fault detection flags of `patterns` (fully specified,
+    /// unrolled-input order) over the model's whole TDF universe, one
+    /// 64-pattern chunk at a time through [`tdf_masks`].
+    fn simulated_flags(model: &TestModel, patterns: &[Vec<bool>]) -> Vec<bool> {
+        let faults = enumerate_transition_faults(&model.circuit);
+        let two = unroll_two_frames(model).unwrap();
+        let mut fsim = FaultSimulator::new(&two.circuit).unwrap();
+        let mut flags = vec![false; faults.len()];
+        for chunk in patterns.chunks(64) {
+            for (flag, mask) in flags
+                .iter_mut()
+                .zip(tdf_masks(&mut fsim, &two, &faults, chunk).unwrap())
+            {
+                *flag |= mask != 0;
+            }
+        }
+        flags
     }
 
     /// A small sequential circuit with a controllable transition path:
@@ -469,32 +431,60 @@ y = AND(f1, b)
         .unwrap()
     }
 
-    /// The blocked TDF coverage sweep vs the per-64 narrow reference on
-    /// a generated scan core, across block tails and a multi-block set.
+    /// [`tdf_masks`] against a naive oracle on a generated scan core's
+    /// unrolling, over three 64-pattern chunks and a 1-pattern tail: the
+    /// whole circuit re-simulated with the frame-2 line forced to its
+    /// stuck value, the outputs compared, and the mismatch gated by the
+    /// frame-1 initialization value.
     #[test]
-    fn blocked_tdf_coverage_matches_narrow_reference() {
+    fn tdf_masks_match_a_forced_node_oracle() {
+        use modsoc_netlist::sim::Simulator;
         let core =
             modsoc_circuitgen::generate(&modsoc_circuitgen::profile::iscas::s713(11)).unwrap();
         let model = core.to_test_model().unwrap();
         let two = unroll_two_frames(&model).unwrap();
-        let mut fsim = FaultSimulator::new(&two.circuit).unwrap();
-        let width = two.circuit.input_count();
-        for count in [1usize, 64, 65, 512, 600] {
-            let patterns: Vec<Vec<bool>> = (0..count)
-                .map(|k| {
-                    (0..width)
-                        .map(|i| (k * 31 + i * 7 + (k >> 3)) % 5 < 2)
-                        .collect()
-                })
-                .collect();
-            let (faults, flags) = tdf_coverage(&model, &patterns).unwrap();
-            let want: Vec<bool> = faults
-                .iter()
-                .map(|tf| tdf_detected(&mut fsim, &two, tf, &patterns))
-                .collect();
-            assert_eq!(flags, want, "count={count}");
-            assert!(count < 64 || flags.contains(&true), "count={count}");
+        let c = &two.circuit;
+        let faults = enumerate_transition_faults(&model.circuit);
+        let mut fsim = FaultSimulator::new(c).unwrap();
+        let sim = Simulator::new(c).unwrap();
+        let patterns: Vec<Vec<bool>> = (0..3 * 64 + 1)
+            .map(|k| {
+                (0..c.input_count())
+                    .map(|i| (k * 31 + i * 7 + (k >> 3)) % 5 < 2)
+                    .collect()
+            })
+            .collect();
+        let (mut detected, mut gated) = (0, 0);
+        for (n, chunk) in patterns.chunks(64).enumerate() {
+            let mut words = vec![0u64; c.input_count()];
+            for (slot, p) in chunk.iter().enumerate() {
+                for (i, &b) in p.iter().enumerate() {
+                    words[i] |= u64::from(b) << slot;
+                }
+            }
+            let active = crate::fault_sim::active_mask(chunk.len());
+            let good = sim.run_on(c, &words);
+            let masks = tdf_masks(&mut fsim, &two, &faults, chunk).unwrap();
+            for (tf, &mask) in faults.iter().zip(&masks) {
+                let init = !tf.slow_to_rise;
+                let forced = if init { u64::MAX } else { 0 };
+                let bad = sim.run_with_forced_node(c, &words, two.frame2[tf.site.index()], forced);
+                let stuck = c
+                    .outputs()
+                    .iter()
+                    .fold(0, |m, o| m | (good[o.index()] ^ bad[o.index()]))
+                    & active;
+                let f1 = good[two.frame1[tf.site.index()].index()];
+                let want = stuck & if init { f1 } else { !f1 };
+                assert_eq!(mask, want, "chunk {n}: {}", tf.describe(&model.circuit));
+                detected += usize::from(want != 0);
+                gated += usize::from(stuck & !want != 0);
+            }
         }
+        assert!(
+            detected > 0 && gated > 0,
+            "{detected} detected, {gated} gated"
+        );
     }
 
     #[test]
@@ -543,7 +533,7 @@ y = AND(f1, b)
         let model = c.to_test_model().unwrap();
         let result = tdf(&c, 200);
         let filled = result.patterns.fill_all(FillStrategy::default());
-        let (_, flags) = tdf_coverage(&model, &filled).unwrap();
+        let flags = simulated_flags(&model, &filled);
         let sim_detected = flags.iter().filter(|&&f| f).count();
         assert!(
             sim_detected >= result.detected,

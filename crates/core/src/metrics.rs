@@ -449,7 +449,7 @@ pub struct MeteredExperiment {
 /// The experiment results are byte-identical to
 /// [`crate::experiment::run_soc_experiment_guarded`] — recording is
 /// observation only — and every deterministic report field is identical
-/// at any [`ExperimentOptions::jobs`] value.
+/// at any [`AtpgOptions::jobs`](modsoc_atpg::AtpgOptions::jobs) value.
 ///
 /// # Errors
 ///

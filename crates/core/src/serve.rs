@@ -2415,6 +2415,44 @@ mod tests {
         }
     }
 
+    /// Apply `(offset, op, payload)` edits to `bytes`: each flips bits of
+    /// a byte, deletes it, or inserts `payload` before it (or at the end).
+    fn mutate(mut bytes: Vec<u8>, edits: Vec<(usize, u8, u8)>) -> Vec<u8> {
+        for (offset, op, payload) in edits {
+            let at = offset % (bytes.len() + 1);
+            match op {
+                0 if at < bytes.len() => bytes[at] ^= payload | 1,
+                1 if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                _ => bytes.insert(at, payload),
+            }
+        }
+        bytes
+    }
+
+    /// A real response: the raw bytes a live daemon writes for
+    /// `GET /healthz`, read to EOF.
+    fn real_response() -> &'static [u8] {
+        static RAW: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+        RAW.get_or_init(|| {
+            let (addr, handle, join) = start(ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            });
+            let mut stream = TcpStream::connect(&addr).unwrap();
+            stream
+                .write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+                .unwrap();
+            let mut raw = Vec::new();
+            stream.read_to_end(&mut raw).unwrap();
+            handle.shutdown();
+            join.join().unwrap();
+            assert_eq!(parse_http_response(&raw).unwrap().status, 200);
+            raw
+        })
+    }
+
     proptest::proptest! {
         /// Byte-level mutations of a valid pipelined request stream: the
         /// parser never panics, and a complete request never claims more
@@ -2427,20 +2465,28 @@ mod tests {
             ),
             cap in 0usize..80,
         ) {
-            let mut bytes = b"POST /analyze HTTP/1.1\r\nHost: x\r\nContent-Length: 12\r\nConnection: keep-alive\r\n\r\nsoc m core aGET /healthz HTTP/1.1\r\n\r\n".to_vec();
-            for (offset, op, payload) in edits {
-                let at = offset % (bytes.len() + 1);
-                match op {
-                    0 if at < bytes.len() => bytes[at] ^= payload | 1,
-                    1 if at < bytes.len() => {
-                        bytes.remove(at);
-                    }
-                    _ => bytes.insert(at, payload),
-                }
-            }
+            let bytes = mutate(b"POST /analyze HTTP/1.1\r\nHost: x\r\nContent-Length: 12\r\nConnection: keep-alive\r\n\r\nsoc m core aGET /healthz HTTP/1.1\r\n\r\n".to_vec(), edits);
             if let TryParse::Complete(req, consumed) = try_parse(&bytes, cap) {
                 proptest::prop_assert!(consumed <= bytes.len());
                 proptest::prop_assert!(req.body.len() <= cap.min(consumed));
+            }
+        }
+
+        /// Byte-level mutations of a real response: the client's parsers
+        /// never panic, and an accepted response's body is exactly the
+        /// bytes after its first blank line.
+        #[test]
+        fn mutated_responses_never_panic_the_client_parser(
+            edits in proptest::collection::vec(
+                (proptest::prelude::any::<usize>(), 0u8..3, proptest::prelude::any::<u8>()),
+                0..12,
+            ),
+        ) {
+            let bytes = mutate(real_response().to_vec(), edits);
+            let _ = parse_response_head(&String::from_utf8_lossy(&bytes));
+            if let Ok(resp) = parse_http_response(&bytes) {
+                let end = bytes.windows(4).position(|w| w == b"\r\n\r\n").unwrap();
+                proptest::prop_assert_eq!(resp.body, bytes[end + 4..].to_vec());
             }
         }
     }

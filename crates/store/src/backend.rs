@@ -1,4 +1,5 @@
-//! Pluggable storage transports behind the [`ResultStore`] seam.
+//! Pluggable storage transports behind the
+//! [`ResultStore`](crate::ResultStore) seam.
 //!
 //! [`ResultStore`](crate::ResultStore) owns the *semantics* of the store
 //! — the entry envelope, the corruption taxonomy, hit/miss/eviction
@@ -24,7 +25,7 @@
 //! Distributed campaigns partition work by claiming `(journal, unit)`
 //! pairs before running them. A claim is a lease: it is acquired by a
 //! compare-and-swap (`create_new` on the claim file, the same primitive
-//! as [`StoreLock`](crate::lock::StoreLock)), renewed by rewriting the
+//! as [`StoreLock`]), renewed by rewriting the
 //! file (which bumps its mtime), and broken by any other worker once its
 //! mtime is older than the requested lease — the mtime-style stale-break
 //! that lets a killed worker's units be re-offered without coordination.

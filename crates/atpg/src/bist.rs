@@ -8,6 +8,7 @@
 //! that trade measurable with the same fault-simulation machinery the
 //! deterministic flow uses.
 
+use modsoc_metrics::NullSink;
 use modsoc_netlist::Circuit;
 
 use crate::error::AtpgError;
@@ -198,10 +199,11 @@ struct BistPass {
     applied: usize,
 }
 
-/// [`evaluate_bist`] on `fsim`: the LFSR stream in 64-pattern chunks,
-/// each swept with [`FaultSimulator::detection_masks`] over the faults
-/// still undetected (so the ramp has per-64 granularity) and absorbed
-/// into the good-machine MISR.
+/// [`evaluate_bist`] on `fsim`: the LFSR stream in 64-pattern chunks.
+/// Each chunk's good values are computed once; the faults still
+/// undetected are swept against them (so the ramp has per-64
+/// granularity), and their outputs are absorbed into the good-machine
+/// MISR.
 fn bist_pass(
     fsim: &mut FaultSimulator<'_>,
     circuit: &Circuit,
@@ -221,21 +223,19 @@ fn bist_pass(
             .map(|_| lfsr.next_pattern(width))
             .collect();
         generated += chunk.len();
+        let (good, n) = fsim.good_values(&chunk)?;
         if undetected.is_empty() {
             applied.get_or_insert(generated);
         } else {
             let targets: Vec<Fault> = undetected.iter().map(|&i| faults[i]).collect();
-            for (&i, mask) in undetected
-                .iter()
-                .zip(fsim.detection_masks(&chunk, &targets)?)
-            {
+            let (masks, _) = fsim.mask_sweep(&good, n, &targets, None, 1, &NullSink);
+            for (&i, mask) in undetected.iter().zip(masks) {
                 detected[i] = mask != 0;
             }
             undetected.retain(|&i| !detected[i]);
         }
         ramp.push((faults.len() - undetected.len()) as f64 / faults.len().max(1) as f64);
         // Good-machine signature over primary outputs, per pattern.
-        let (good, _) = fsim.good_values(&chunk)?;
         for slot in 0..chunk.len() {
             let response: Vec<bool> = circuit
                 .outputs()

@@ -14,15 +14,26 @@
 //!   DAC 1983, combined with PPSFP as in Lee and Ha's HOPE);
 //! - the root's *observability*: the slots where flipping the root
 //!   flips some primary output. It is all ones for a root that is an
-//!   output and zero for one that reaches none; for any other root it
-//!   is found by propagating the flip event-driven through the root's
-//!   fanout cone. That propagation is the only event-driven work.
+//!   output and zero for one that reaches none. For any other root the
+//!   flip is propagated event-driven only inside the root's *stem
+//!   region* ([`StructuralIndex::stem_region`]; stem-region fault
+//!   simulation, Maamari and Rajski, IEEE TCAD 1990), the part of its
+//!   cone where its fanout reconverges. At each pin edge into any other
+//!   region the flip is traced instead: the edge's flip, ANDed with the
+//!   pin's sensitivity, the path's sensitization to that region's root
+//!   and, in turn, that root's observability. Such a region is entered
+//!   by that one edge and the cone below it is a tree, so the product
+//!   is exact. A root whose cone is a tree is traced outright. Slots
+//!   are independent, so the root is flipped only in the slots where
+//!   some fault of its region got through to it, and the work stops as
+//!   soon as each of those is observed.
 //!
 //! One backward pass over a region gives the sensitization of every one
 //! of its lines, so the sweeps over a fault list bucket the faults by
 //! region, trace each region once per batch while one of its faults is
-//! still undecided, and propagate each root at most once. The kernel is
-//! generic over a packed word width and monomorphized twice:
+//! still undecided, and find each root's observability at most once.
+//! The kernel is generic over a packed word width and monomorphized
+//! twice:
 //!
 //! - **`u64`** — 64 patterns per pass, through
 //!   [`FaultSimulator::detection_masks`]. Used wherever a 64-slot batch
@@ -48,8 +59,8 @@
 //!
 //! Both widths produce bit-identical detection verdicts; the test suite
 //! pins the wide sweeps to per-64 [`FaultSimulator::detection_masks`]
-//! references word for word, and the tracing kernel, per fault at both
-//! widths, to an event-driven reference.
+//! references word for word, and the tracing kernel, per fault and per
+//! root at both widths, to a full-cone event-driven reference.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -141,10 +152,11 @@ fn pin_sensitivity<W: PackedWord>(b: &Batch<'_, W>, gate: NodeId, pin: usize) ->
 ///
 /// The tracing state is region-sized: `sens` holds one traced region's
 /// line sensitizations and `pending` one region's partial masks. The
-/// rest serves the event-driven propagation of a root flip:
-/// `faulty[i]` is only meaningful when `stamp[i] == epoch`, so bumping
-/// the epoch invalidates the whole array in O(1), and the event heap is
-/// reused across propagations (it is always drained empty).
+/// rest serves a root's observability: `faulty[i]` is only meaningful
+/// when `stamp[i] == epoch` and region `r` is marked when
+/// `marked[r] == epoch`, so bumping the epoch invalidates both arrays
+/// in O(1), and the event heap and the `roots` stack are reused across
+/// propagations (they are always drained empty).
 #[derive(Debug, Clone)]
 struct Scratch<W> {
     /// `sens[p]`: the slots where a flip of member `p` of the traced
@@ -152,6 +164,10 @@ struct Scratch<W> {
     sens: Vec<W>,
     /// Activation ∧ sensitization of each fault of the region in hand.
     pending: Vec<W>,
+    /// The regions the current propagation is event-driven in.
+    marked: Vec<u32>,
+    /// Traced region roots whose flip still has to be passed on.
+    roots: Vec<(NodeId, W)>,
     faulty: Vec<W>,
     stamp: Vec<u32>,
     /// Queue-membership stamp: `queued[i] == epoch` means node `i` is
@@ -160,20 +176,27 @@ struct Scratch<W> {
     queued: Vec<u32>,
     epoch: u32,
     heap: BinaryHeap<Reverse<(u32, u32)>>,
+    /// The slots the current propagation flips, and so the most its
+    /// mismatches can reach.
+    need: W,
     /// Output mismatches of the current propagation.
     mismatch: W,
 }
 
 impl<W: PackedWord> Scratch<W> {
-    fn new(nodes: usize) -> Scratch<W> {
+    fn new(index: &StructuralIndex) -> Scratch<W> {
+        let nodes = index.node_count();
         Scratch {
             sens: Vec::new(),
             pending: Vec::new(),
+            marked: vec![0; index.ffr_count()],
+            roots: Vec::new(),
             faulty: vec![W::ZERO; nodes],
             stamp: vec![0; nodes],
             queued: vec![0; nodes],
             epoch: 0,
             heap: BinaryHeap::new(),
+            need: W::ZERO,
             mismatch: W::ZERO,
         }
     }
@@ -202,23 +225,23 @@ impl<W: PackedWord> Scratch<W> {
         }
         self.trace(b, ffr);
         self.pending.clear();
-        let mut any = false;
+        let mut need = W::ZERO;
         for (&i, o) in group.iter().zip(out.iter()) {
             let m = if live(o) {
                 self.line_mask(b, faults[i as usize]).and(b.active)
             } else {
                 W::ZERO
             };
-            any |= !m.is_zero();
+            need = need.or(m);
             self.pending.push(m);
         }
-        if !any {
+        if need.is_zero() {
             return;
         }
         let observed = if b.index.output_marks(root) > 0 {
             W::ONES
         } else {
-            self.observability(b, root)
+            self.observability(b, root, need)
         };
         for (&m, o) in self.pending.iter().zip(out) {
             let m = m.and(observed);
@@ -268,24 +291,35 @@ impl<W: PackedWord> Scratch<W> {
         }
     }
 
-    /// The slots where flipping `root` flips some primary output, by
-    /// event-driven propagation of the flip through its fanout cone.
-    fn observability(&mut self, b: &Batch<'_, W>, root: NodeId) -> W {
-        self.begin();
-        self.set_faulty(b, root, b.good[root.index()].not());
+    /// The slots of `need` where flipping `root`, a live root that is not
+    /// an output, flips some primary output. Slots are independent, so
+    /// the root is flipped in `need` only, and the work stops once every
+    /// slot of it is observed. The flip is propagated event-driven only
+    /// through the root's stem region (see
+    /// [`StructuralIndex::stem_region`]), where its fanout reconverges;
+    /// every pin edge it takes into another region is traced.
+    fn observability(&mut self, b: &Batch<'_, W>, root: NodeId, need: W) -> W {
+        self.begin(need);
+        for &r in b.index.stem_region(b.index.ffr_of(root)) {
+            self.marked[r as usize] = self.epoch;
+        }
+        self.set_faulty(b, root, b.good[root.index()].xor(need));
         self.propagate(b);
         self.mismatch
     }
 
-    /// Start a propagation: a fresh epoch and no mismatches.
-    fn begin(&mut self) {
+    /// Start a propagation that only the slots of `need` can flip: a
+    /// fresh epoch, no marked region and no mismatches.
+    fn begin(&mut self, need: W) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // Stamp wrap: invalidate everything once.
-            self.stamp.fill(u32::MAX);
-            self.queued.fill(u32::MAX);
+            self.stamp.fill(0);
+            self.queued.fill(0);
+            self.marked.fill(0);
             self.epoch = 1;
         }
+        self.need = need;
         self.mismatch = W::ZERO;
     }
 
@@ -298,20 +332,71 @@ impl<W: PackedWord> Scratch<W> {
         }
     }
 
-    /// Record `id`'s faulty value, fold it into the output mismatches
-    /// if `id` is an output, and schedule its consumers.
+    /// Record `id`'s faulty value and pass its flip on. At an output the
+    /// flip joins the mismatches and stops: whatever it reaches further
+    /// down can only flip outputs in slots it already holds. Otherwise it
+    /// takes each pin edge, into the event queue where the consumer's
+    /// region is marked and traced where it is not.
     fn set_faulty(&mut self, b: &Batch<'_, W>, id: NodeId, v: W) {
         self.stamp[id.index()] = self.epoch;
         self.faulty[id.index()] = v;
+        let flip = v.xor(b.good[id.index()]);
         if b.index.output_marks(id) > 0 {
-            self.mismatch = self.mismatch.or(v.xor(b.good[id.index()]));
+            self.mismatch = self.mismatch.or(flip);
+            return;
         }
         for &fo in b.index.fanouts(id) {
-            if self.queued[fo.index()] != self.epoch {
+            if self.marked[b.index.ffr_of(fo)] != self.epoch {
+                self.trace_out(b, id, fo, flip);
+            } else if self.queued[fo.index()] != self.epoch {
                 self.queued[fo.index()] = self.epoch;
                 self.heap
                     .push(Reverse((b.index.topo_pos(fo), fo.index() as u32)));
             }
+        }
+    }
+
+    /// Fold into the mismatches the slots where `flip` on `driver`
+    /// reaches an output through `consumer`, whose region is not marked.
+    /// Such a region is entered by this one edge and the cone below it
+    /// is a tree, so the flip is traced: up each path to a region root,
+    /// and on from every live root that is not an output along each of
+    /// its pin edges.
+    fn trace_out(&mut self, b: &Batch<'_, W>, driver: NodeId, consumer: NodeId, flip: W) {
+        self.enter(b, driver, consumer, flip);
+        while let Some((root, flip)) = self.roots.pop() {
+            for &fo in b.index.fanouts(root) {
+                self.enter(b, root, fo, flip);
+            }
+        }
+    }
+
+    /// Follow `flip` on `driver` through the one pin it drives in
+    /// `consumer` up to the root of the consumer's region, stopping once
+    /// no slot is left: at an output root its slots join the mismatches,
+    /// and any other live root is stacked on `roots` with them. Slots
+    /// already in the mismatches are dropped first, since all the trace
+    /// can do with a slot is add it there.
+    fn enter(&mut self, b: &Batch<'_, W>, driver: NodeId, consumer: NodeId, flip: W) {
+        let w = flip.and(self.mismatch.not());
+        if w.is_zero() || !b.index.reaches_any_output(consumer) {
+            return;
+        }
+        let pin = b.index.fanins(consumer).iter().position(|&f| f == driver);
+        let pin = pin.expect("a consumer lists its driver");
+        let mut w = w.and(pin_sensitivity(b, consumer, pin));
+        let mut node = consumer;
+        while !w.is_zero() {
+            let Some((next, pin)) = b.index.ffr_consumer(node) else {
+                if b.index.output_marks(node) > 0 {
+                    self.mismatch = self.mismatch.or(w);
+                } else {
+                    self.roots.push((node, w));
+                }
+                return;
+            };
+            w = w.and(pin_sensitivity(b, next, pin));
+            node = next;
         }
     }
 
@@ -323,9 +408,14 @@ impl<W: PackedWord> Scratch<W> {
     /// (and re-evaluated) once per fanin. The seeded node never pops,
     /// since nothing upstream of it changes. Overlay values stream
     /// straight into `eval_packed_iter`'s fold, so any fanin width
-    /// evaluates without a per-call buffer.
+    /// evaluates without a per-call buffer. The queue is dropped once
+    /// every flipped slot is observed.
     fn propagate(&mut self, b: &Batch<'_, W>) {
         while let Some(Reverse((_, raw))) = self.heap.pop() {
+            if self.mismatch == self.need {
+                self.heap.clear();
+                return;
+            }
             let id = NodeId::from_index(raw as usize);
             let node = b.circuit.node(id);
             let v = node
@@ -390,11 +480,12 @@ impl<'a> FaultSimulator<'a> {
             "structural index does not match circuit"
         );
         let sim = Simulator::new(circuit)?;
+        let narrow = Scratch::new(&index);
         Ok(FaultSimulator {
             circuit,
             sim,
             index,
-            narrow: Scratch::new(circuit.node_count()),
+            narrow,
             wide: None,
         })
     }
@@ -497,16 +588,13 @@ impl<'a> FaultSimulator<'a> {
         good: &'s [SimBlock],
         active: SimBlock,
     ) -> (Batch<'s, SimBlock>, &'s mut Scratch<SimBlock>) {
-        let circuit = self.circuit;
         let batch = Batch {
-            circuit,
+            circuit: self.circuit,
             index: &self.index,
             good,
             active,
         };
-        let scratch = self
-            .wide
-            .get_or_insert_with(|| Scratch::new(circuit.node_count()));
+        let scratch = self.wide.get_or_insert_with(|| Scratch::new(batch.index));
         (batch, scratch)
     }
 
@@ -523,7 +611,8 @@ impl<'a> FaultSimulator<'a> {
         patterns: &[Vec<bool>],
         faults: &[Fault],
     ) -> Result<Vec<u64>, AtpgError> {
-        Ok(self.mask_sweep(patterns, faults, None, 1, &NullSink)?.0)
+        let (good, n) = self.good_values(patterns)?;
+        Ok(self.mask_sweep(&good, n, faults, None, 1, &NullSink).0)
     }
 
     /// [`FaultSimulator::detection_masks`] under a [`RunBudget`] on a
@@ -548,25 +637,27 @@ impl<'a> FaultSimulator<'a> {
         jobs: usize,
         sink: &dyn MetricsSink,
     ) -> Result<(Vec<u64>, Option<ExhaustReason>), AtpgError> {
-        self.mask_sweep(patterns, faults, Some(budget), jobs, sink)
+        let (good, n) = self.good_values(patterns)?;
+        Ok(self.mask_sweep(&good, n, faults, Some(budget), jobs, sink))
     }
 
     /// The one 64-slot sweep behind [`FaultSimulator::detection_masks`],
-    /// [`FaultSimulator::detection_masks_budgeted`] and the engine's
-    /// PODEM windows.
+    /// [`FaultSimulator::detection_masks_budgeted`], the engine's PODEM
+    /// windows, TDF and BIST, against a batch of `n` patterns whose good
+    /// values ([`FaultSimulator::good_values`]) the caller holds.
     pub(crate) fn mask_sweep(
         &mut self,
-        patterns: &[Vec<bool>],
+        good: &[u64],
+        n: usize,
         faults: &[Fault],
         budget: Option<&RunBudget>,
         jobs: usize,
         sink: &dyn MetricsSink,
-    ) -> Result<(Vec<u64>, Option<ExhaustReason>), AtpgError> {
-        let (good, n) = self.good_values(patterns)?;
+    ) -> (Vec<u64>, Option<ExhaustReason>) {
         let active = active_mask(n);
         let tripped = OnceLock::new();
         let mut masks = self.sweep::<u64>(faults, jobs, sink, |fsim, span, masks| {
-            let (batch, scratch) = fsim.narrow(&good, active);
+            let (batch, scratch) = fsim.narrow(good, active);
             for chunk in span.each_chunk() {
                 if let Some(reason) = budget.and_then(RunBudget::check) {
                     // The first trip in time wins; later ones agree.
@@ -587,7 +678,7 @@ impl<'a> FaultSimulator<'a> {
                 *m &= active;
             }
         }
-        Ok((masks, tripped))
+        (masks, tripped)
     }
 
     /// Which faults `patterns` (any count) detect: `detected[i]` ⇔ some
@@ -896,9 +987,11 @@ fn good_block_sweep(
         .collect()
 }
 
-/// The per-fault event-driven kernel the tracing kernel replaced, kept
-/// as the reference it is tested against: the fault is forced at its
-/// site and the change propagated through the site's whole fanout cone.
+/// The event-driven kernels the tracing replaced, kept as the
+/// references it is tested against: the same propagation with every
+/// region marked, so that it runs through the whole fanout cone. Per
+/// fault, the fault is forced at its site; per root, the root is
+/// flipped.
 #[cfg(test)]
 impl<W: PackedWord> Scratch<W> {
     /// [`Scratch::ffr_masks`] for one fault: its whole detection mask.
@@ -914,8 +1007,23 @@ impl<W: PackedWord> Scratch<W> {
         mask
     }
 
+    /// Start a propagation of any slot with every region marked.
+    fn begin_full_cone(&mut self) {
+        self.begin(W::ONES);
+        self.marked.fill(self.epoch);
+    }
+
+    /// [`Scratch::observability`] of every slot through the root's whole
+    /// fanout cone.
+    fn reference_observability(&mut self, b: &Batch<'_, W>, root: NodeId) -> W {
+        self.begin_full_cone();
+        self.set_faulty(b, root, b.good[root.index()].not());
+        self.propagate(b);
+        self.mismatch
+    }
+
     fn reference_mask(&mut self, b: &Batch<'_, W>, fault: Fault) -> W {
-        self.begin();
+        self.begin_full_cone();
         let stuck = if fault.stuck_at_one { W::ONES } else { W::ZERO };
         let (site, v) = match fault.site {
             FaultSite::Stem(site) => (site, stuck),
@@ -1181,7 +1289,7 @@ g23 = NAND(g16, g19)
             good: &good,
             active: active_mask(n),
         };
-        let mut scratch = Scratch::new(c.node_count());
+        let mut scratch = Scratch::new(&index);
         let narrow = faults
             .iter()
             .map(|&f| scratch.reference_mask(&b, f))
@@ -1194,7 +1302,7 @@ g23 = NAND(g16, g19)
             good: &good,
             active: block_active_mask(n),
         };
-        let mut scratch = Scratch::new(c.node_count());
+        let mut scratch = Scratch::new(&index);
         let wide = faults
             .iter()
             .map(|&f| scratch.reference_mask(&b, f))
@@ -1301,6 +1409,78 @@ g23 = NAND(g16, g19)
                 assert_eq!(last, want_last, "{}: last jobs={jobs}", c.name());
             }
         }
+    }
+
+    /// [`Scratch::observability`] of `root` against the full-cone
+    /// reference, over every slot and over the slots where the root
+    /// holds each value.
+    fn check_observability<W: PackedWord + std::fmt::Debug>(
+        scratch: &mut Scratch<W>,
+        b: &Batch<'_, W>,
+        root: NodeId,
+        what: impl Fn() -> String,
+    ) {
+        let want = scratch.reference_observability(b, root);
+        let good = b.good[root.index()];
+        for need in [W::ONES, good, good.not()] {
+            let got = scratch.observability(b, root, need);
+            assert_eq!(got, want.and(need), "{}", what());
+        }
+    }
+
+    /// `observability` against the full-cone reference for every live
+    /// root that is not an output, at both widths. The corpus holds all
+    /// three shapes of trace: roots whose cone is a tree, roots whose
+    /// trace goes on through a consumer region's root that is neither an
+    /// output nor dead, and roots with a stem region.
+    #[test]
+    fn observability_matches_the_full_cone_reference_per_root() {
+        let soc1 = modsoc_circuitgen::soc::soc1(1).unwrap().flatten().unwrap();
+        let mut corpus = vec![
+            c17_with_corner_cases(),
+            layered_circuit(),
+            soc1.to_test_model().unwrap().circuit,
+        ];
+        corpus.extend((1..=6).map(|seed| reconvergent_dag(seed, 6 + seed as usize, 60)));
+        let (mut trees, mut onward, mut stems) = (0, 0, 0);
+        for c in &corpus {
+            let mut fsim = FaultSimulator::new(c).unwrap();
+            let index = Arc::clone(&fsim.index);
+            let patterns = cyc_patterns(c.input_count(), BLOCK_BITS);
+            let (good, n) = fsim.good_values(&patterns[..64]).unwrap();
+            let (good_blk, n_blk) = fsim.good_blocks(&patterns).unwrap();
+            for r in 0..index.ffr_count() {
+                let root = index.ffr_members(r)[0];
+                if !index.reaches_any_output(root) || index.output_marks(root) > 0 {
+                    continue;
+                }
+                let stem = index.stem_region(r);
+                if stem.is_empty() {
+                    trees += 1;
+                } else {
+                    stems += 1;
+                }
+                let traced_on = |&fo: &NodeId| {
+                    let t = index.ffr_of(fo);
+                    let next = index.ffr_members(t)[0];
+                    !stem.contains(&(t as u32))
+                        && index.reaches_any_output(next)
+                        && index.output_marks(next) == 0
+                };
+                if index.fanouts(root).iter().any(traced_on) {
+                    onward += 1;
+                }
+                let what = || format!("{}: root {}", c.name(), c.node(root).name);
+                let (b, scratch) = fsim.narrow(&good, active_mask(n));
+                check_observability(scratch, &b, root, what);
+                let (b, scratch) = fsim.wide(&good_blk, block_active_mask(n_blk));
+                check_observability(scratch, &b, root, || format!("{} (block)", what()));
+            }
+        }
+        assert!(
+            trees > 0 && onward > 0 && stems > 0,
+            "{trees} tree-cone roots, {onward} traced on, {stems} with a stem region"
+        );
     }
 
     #[test]

@@ -21,6 +21,7 @@
 //! fault simulation is one stuck-at sweep over the frame-2 lines gated
 //! by their frame-1 values.
 
+use modsoc_metrics::NullSink;
 use modsoc_netlist::{Circuit, GateKind, NodeId, TestModel, TestPoint};
 
 use crate::error::AtpgError;
@@ -361,10 +362,10 @@ fn frame2_stuck(two: &TwoFrame, tf: &TransitionFault) -> Fault {
 }
 
 /// Detection masks of `faults` against a batch of ≤64 patterns in the
-/// unrolled circuit's input order: one
-/// [`FaultSimulator::detection_masks`] sweep over their frame-2 stuck-at
-/// faults, each mask ANDed with the slots where the fault's frame-1
-/// line holds its initialization value.
+/// unrolled circuit's input order: one 64-slot sweep over their frame-2
+/// stuck-at faults, each mask ANDed with the slots where the fault's
+/// frame-1 line holds its initialization value (read from the good
+/// values the sweep ran on).
 fn tdf_masks(
     fsim: &mut FaultSimulator<'_>,
     two: &TwoFrame,
@@ -372,8 +373,8 @@ fn tdf_masks(
     patterns: &[Vec<bool>],
 ) -> Result<Vec<u64>, AtpgError> {
     let stuck: Vec<Fault> = faults.iter().map(|tf| frame2_stuck(two, tf)).collect();
-    let masks = fsim.detection_masks(patterns, &stuck)?;
-    let (good, _) = fsim.good_values(patterns)?;
+    let (good, n) = fsim.good_values(patterns)?;
+    let (masks, _) = fsim.mask_sweep(&good, n, &stuck, None, 1, &NullSink);
     Ok(faults
         .iter()
         .zip(masks)

@@ -21,6 +21,14 @@
 //! fault's effect to the root along a single path. Region membership
 //! is CSR-packed too, each region's members in reverse topological
 //! order (root first, every member after its consumer).
+//!
+//! For each region whose root is live and not an output, the index
+//! also stores the root's *stem region* (Maamari and Rajski, IEEE TCAD
+//! 1990): the regions of its fanout cone where its fanout reconverges,
+//! and every cone region upstream of one of those. Outside its stem
+//! region a root's flip enters each region through a single pin edge
+//! and the cone below that region is a tree, so fault simulation can
+//! trace the flip there instead of propagating it.
 
 use crate::circuit::{Circuit, NodeId};
 use crate::error::NetlistError;
@@ -64,6 +72,10 @@ pub struct StructuralIndex {
     /// `ffr_members[ffr_start[r] .. ffr_start[r + 1]]`.
     ffr_start: Vec<u32>,
     ffr_members: Vec<NodeId>,
+    /// CSR offsets into `stem_regions`: the stem region of region `r`'s
+    /// root occupies `stem_regions[stem_start[r] .. stem_start[r + 1]]`.
+    stem_start: Vec<u32>,
+    stem_regions: Vec<u32>,
 }
 
 impl StructuralIndex {
@@ -164,7 +176,7 @@ impl StructuralIndex {
             cursor[r] += 1;
         }
 
-        Ok(StructuralIndex {
+        let mut index = StructuralIndex {
             node_count: n,
             kinds,
             fanin_start,
@@ -181,7 +193,76 @@ impl StructuralIndex {
             ffr_pin,
             ffr_start,
             ffr_members,
-        })
+            stem_start: Vec::new(),
+            stem_regions: Vec::new(),
+        };
+        index.build_stem_regions();
+        Ok(index)
+    }
+
+    /// Fill `stem_start`/`stem_regions` (see
+    /// [`StructuralIndex::stem_region`]). Each root's walk visits its
+    /// region-level cone once, so the work is the sum of the cones.
+    fn build_stem_regions(&mut self) {
+        let regions = self.ffr_count();
+        // The regions each live root that is not an output enters, one
+        // per pin edge into a live combinational consumer (dead regions
+        // reach no output; a flip-flop's data pin is a sequential sink).
+        // The walks descend exactly through the regions with entries.
+        let mut next_start = vec![0u32; regions + 1];
+        let mut next = Vec::new();
+        for r in 0..regions {
+            let root = self.ffr_members(r)[0];
+            if self.live[root.index()] && self.output_marks[root.index()] == 0 {
+                next.extend(
+                    self.fanouts(root)
+                        .iter()
+                        .filter(|c| self.kinds[c.index()] != GateKind::Dff && self.live[c.index()])
+                        .map(|c| self.ffr[c.index()]),
+                );
+            }
+            next_start[r + 1] = u32::try_from(next.len()).expect("pin edges fit in u32");
+        }
+        let entered = |r: usize| &next[next_start[r] as usize..next_start[r + 1] as usize];
+        let mut stem_start = vec![0u32; regions + 1];
+        let mut stem_regions = Vec::new();
+        // Per-walk state, valid where `seen[t] == walk`.
+        let mut seen = vec![u32::MAX; regions];
+        let mut entries = vec![0u32; regions];
+        let mut upstream = vec![false; regions];
+        let (mut cone, mut stack) = (Vec::new(), Vec::new());
+        for r in 0..regions {
+            let walk = r as u32;
+            stack.push(walk);
+            cone.clear();
+            while let Some(s) = stack.pop() {
+                for &t in entered(s as usize) {
+                    let u = t as usize;
+                    if seen[u] != walk {
+                        seen[u] = walk;
+                        entries[u] = 0;
+                        cone.push(t);
+                        stack.push(t);
+                    }
+                    entries[u] += 1;
+                }
+            }
+            if cone.iter().any(|&t| entries[t as usize] > 1) {
+                // Ascending ids put every region before those it is
+                // entered from: ids rise as roots' topological positions
+                // fall.
+                cone.sort_unstable();
+                for &t in &cone {
+                    let u = t as usize;
+                    upstream[u] =
+                        entries[u] > 1 || entered(u).iter().any(|&v| upstream[v as usize]);
+                }
+                stem_regions.extend(cone.iter().filter(|&&t| upstream[t as usize]));
+            }
+            stem_start[r + 1] = u32::try_from(stem_regions.len()).expect("stem regions fit in u32");
+        }
+        self.stem_start = stem_start;
+        self.stem_regions = stem_regions;
     }
 
     /// Number of nodes in the indexed circuit.
@@ -290,6 +371,19 @@ impl StructuralIndex {
     pub fn ffr_consumer(&self, id: NodeId) -> Option<(NodeId, usize)> {
         let pin = self.ffr_pin[id.index()];
         (pin != u32::MAX).then(|| (self.fanouts(id)[0], pin as usize))
+    }
+
+    /// The stem region of region `ffr`'s root, as ascending region ids:
+    /// the regions of the root's fanout cone that more than one pin edge
+    /// enters, and every cone region upstream of one of those. The cone
+    /// is walked region by region over pin edges into live
+    /// combinational consumers, descending only through roots that are
+    /// live and not outputs: a flip that reaches an output is already
+    /// observed. Empty when the root's cone is a tree, and for a root
+    /// that is an output or reaches none.
+    #[must_use]
+    pub fn stem_region(&self, ffr: usize) -> &[u32] {
+        &self.stem_regions[self.stem_start[ffr] as usize..self.stem_start[ffr + 1] as usize]
     }
 
     /// The transitive fanout cone of `seed` (through combinational *and*
@@ -437,6 +531,10 @@ mod tests {
         assert_eq!(idx.ffr_of(b), idx.ffr_of(g1));
         assert_eq!(idx.ffr_consumer(g2), Some((h, 1)));
         assert_eq!(idx.ffr_members(idx.ffr_of(h)), &[h, g2]);
+        // Region ids rise as their roots' topological positions fall.
+        for w in roots.windows(2) {
+            assert!(idx.topo_pos(w[0]) > idx.topo_pos(w[1]));
+        }
         // Every node sits in exactly one region, after its consumer.
         let mut seen = vec![0; c.node_count()];
         for r in 0..idx.ffr_count() {
@@ -450,6 +548,97 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&k| k == 1));
+    }
+
+    /// The roots whose stem region is not empty, with that region as
+    /// sorted root names.
+    fn stem_regions(c: &Circuit) -> Vec<(String, Vec<String>)> {
+        let idx = StructuralIndex::build(c).unwrap();
+        let name = |r: usize| c.node(idx.ffr_members(r)[0]).name.clone();
+        (0..idx.ffr_count())
+            .filter(|&r| !idx.stem_region(r).is_empty())
+            .map(|r| {
+                let mut stem: Vec<String> = idx
+                    .stem_region(r)
+                    .iter()
+                    .map(|&t| name(t as usize))
+                    .collect();
+                stem.sort();
+                (name(r), stem)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn diamond_stem_region_is_the_reconvergent_region() {
+        // a enters h's region twice (g2's two pins) and g1's once; g1 is
+        // an output, so its edge into h ends the walk uncounted.
+        let c = diamond();
+        let idx = StructuralIndex::build(&c).unwrap();
+        let [a, h] = ["a", "h"].map(|n| c.find(n).unwrap());
+        assert_eq!(idx.stem_region(idx.ffr_of(a)), &[idx.ffr_of(h) as u32]);
+        assert_eq!(stem_regions(&c), [("a".into(), vec!["h".into()])]);
+    }
+
+    #[test]
+    fn tree_cones_have_empty_stem_regions() {
+        // a and n fan out, but every region below them is entered once;
+        // the two pins a drives in a dead gate reach no output.
+        let mut c = Circuit::new("tree");
+        let [a, b, x, y] = ["a", "b", "x", "y"].map(|i| c.add_input(i));
+        let n = c.add_gate("n", GateKind::Nand, &[a, b]).unwrap();
+        let g1 = c.add_gate("g1", GateKind::And, &[n, x]).unwrap();
+        let g2 = c.add_gate("g2", GateKind::Or, &[n, y]).unwrap();
+        let g3 = c.add_gate("g3", GateKind::Not, &[a]).unwrap();
+        c.add_gate("dead", GateKind::Xor, &[a, a]).unwrap();
+        for o in [g1, g2, g3] {
+            c.mark_output(o);
+        }
+        let idx = StructuralIndex::build(&c).unwrap();
+        assert!(idx.ffr_consumer(a).is_none() && idx.ffr_consumer(n).is_none());
+        assert!(stem_regions(&c).is_empty());
+        for r in 0..idx.ffr_count() {
+            assert!(idx.stem_region(r).is_empty());
+        }
+    }
+
+    #[test]
+    fn an_output_root_that_fans_out_ends_the_walk() {
+        // a drives p and q; q fans out to x and z, and p and x meet at
+        // y. With q an output, y is entered once (from p): a tree. With
+        // q inside the logic, y is entered twice, and q's region sits
+        // upstream of it.
+        let build = |q_is_output: bool| {
+            let mut c = Circuit::new("out");
+            let a = c.add_input("a");
+            let b = c.add_input("b");
+            let p = c.add_gate("p", GateKind::And, &[a, b]).unwrap();
+            let q = c.add_gate("q", GateKind::Buf, &[a]).unwrap();
+            let x = c.add_gate("x", GateKind::Not, &[q]).unwrap();
+            let y = c.add_gate("y", GateKind::Nand, &[p, x]).unwrap();
+            let z = c.add_gate("z", GateKind::Buf, &[q]).unwrap();
+            c.mark_output(y);
+            c.mark_output(z);
+            if q_is_output {
+                c.mark_output(q);
+            }
+            c
+        };
+        let mut want = vec![("a".to_string(), vec!["q".to_string(), "y".to_string()])];
+        assert_eq!(stem_regions(&build(false)), want);
+        want.clear();
+        assert_eq!(stem_regions(&build(true)), want);
+    }
+
+    #[test]
+    fn a_driver_on_two_pins_of_one_gate_is_reconvergent() {
+        let mut c = Circuit::new("twice");
+        let a = c.add_input("a");
+        let x = c.add_gate("x", GateKind::Xor, &[a, a]).unwrap();
+        c.mark_output(x);
+        let idx = StructuralIndex::build(&c).unwrap();
+        assert_eq!(idx.ffr_consumer(a), None, "a drives two pin edges");
+        assert_eq!(idx.stem_region(idx.ffr_of(a)), &[idx.ffr_of(x) as u32]);
     }
 
     #[test]

@@ -6,16 +6,21 @@
 //! 64-pattern `detection_masks` path, one `chunks(64)` batch at a time,
 //! at every block tail and at any job count. Reverse-order compaction,
 //! one last-detector sweep on the same kernel, must keep exactly the
-//! patterns the detection-matrix scan keeps.
+//! patterns the detection-matrix scan keeps. On SOC1's flattened
+//! monolithic model, whose core inputs fan out across cores and
+//! reconverge, both sweeps must also agree with a kernel-independent
+//! oracle: plain re-simulation with each stem forced.
 
 use modsoc::atpg::collapse::collapse_faults;
 use modsoc::atpg::compact::reverse_order_compaction;
-use modsoc::atpg::fault::Fault;
+use modsoc::atpg::fault::{enumerate_faults, Fault, FaultSite};
 use modsoc::atpg::fault_sim::FaultSimulator;
 use modsoc::atpg::{Atpg, AtpgOptions, Bit, FaultStatus, FillStrategy, TestCube, TestSet};
 use modsoc::circuitgen::generate;
 use modsoc::circuitgen::profile::iscas;
+use modsoc::circuitgen::soc::soc1;
 use modsoc::metrics::NullSink;
+use modsoc::netlist::sim::Simulator;
 use modsoc::netlist::Circuit;
 
 /// Per-fault detected flags and detection counts, one 64-pattern batch
@@ -69,6 +74,79 @@ fn wide_sweeps_match_the_narrow_reference_on_an_s953_core() {
         let (want_detected, want_counts) = narrow_reference(&circuit, &patterns, &faults);
         assert!(want_detected.contains(&true), "count={count}");
         for jobs in [1, 4] {
+            let detected = fsim
+                .detected(&patterns, &faults, jobs, &NullSink)
+                .expect("detected");
+            assert_eq!(
+                detected, want_detected,
+                "detected count={count} jobs={jobs}"
+            );
+            let counts = fsim
+                .detection_counts(&patterns, &faults, jobs, &NullSink)
+                .expect("counts");
+            assert_eq!(counts, want_counts, "counts count={count} jobs={jobs}");
+        }
+    }
+}
+
+/// Per-fault detected flags and detection counts of stem faults by
+/// plain re-simulation: per 64-pattern batch, each fault's stem is
+/// forced to its stuck value and every output compared with the good
+/// circuit's.
+fn forced_node_reference(
+    circuit: &Circuit,
+    patterns: &[Vec<bool>],
+    faults: &[Fault],
+) -> (Vec<bool>, Vec<u32>) {
+    let sim = Simulator::new(circuit).expect("simulator");
+    let mut detected = vec![false; faults.len()];
+    let mut counts = vec![0u32; faults.len()];
+    for chunk in patterns.chunks(64) {
+        let mut words = vec![0u64; circuit.input_count()];
+        for (slot, p) in chunk.iter().enumerate() {
+            for (w, &bit) in words.iter_mut().zip(p) {
+                *w |= u64::from(bit) << slot;
+            }
+        }
+        let active = u64::MAX >> (64 - chunk.len());
+        let good = sim.run_on(circuit, &words);
+        for ((fault, d), n) in faults.iter().zip(&mut detected).zip(&mut counts) {
+            let FaultSite::Stem(site) = fault.site else {
+                panic!("stem faults only");
+            };
+            let forced = if fault.stuck_at_one { u64::MAX } else { 0 };
+            let bad = sim.run_with_forced_node(circuit, &words, site, forced);
+            let mask = circuit
+                .outputs()
+                .iter()
+                .fold(0, |m, o| m | (good[o.index()] ^ bad[o.index()]))
+                & active;
+            *d |= mask != 0;
+            *n += mask.count_ones();
+        }
+    }
+    (detected, counts)
+}
+
+#[test]
+fn sweeps_match_forced_node_simulation_on_the_soc1_monolithic_model() {
+    let circuit = soc1(1)
+        .expect("builds")
+        .flatten()
+        .expect("flattens")
+        .to_test_model()
+        .expect("test model")
+        .circuit;
+    let faults: Vec<Fault> = enumerate_faults(&circuit)
+        .into_iter()
+        .filter(|f| matches!(f.site, FaultSite::Stem(_)))
+        .collect();
+    let mut fsim = FaultSimulator::new(&circuit).expect("fsim");
+    for count in [1usize, 64, 513] {
+        let patterns = patterns(circuit.input_count(), count);
+        let (want_detected, want_counts) = forced_node_reference(&circuit, &patterns, &faults);
+        assert!(want_detected.contains(&true), "count={count}");
+        for jobs in [1, 3] {
             let detected = fsim
                 .detected(&patterns, &faults, jobs, &NullSink)
                 .expect("detected");

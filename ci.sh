@@ -2,9 +2,9 @@
 # Local CI gate in two stages, the two jobs of .github/workflows/ci.yml:
 #
 #   ./ci.sh lint    formatting, clippy, the workspace tests, the chaos
-#                   sweeps under a pinned seed, rustdoc with warnings as
-#                   errors, and `cargo check` over every feature and
-#                   target;
+#                   sweeps and property suites under a pinned seed,
+#                   rustdoc with warnings as errors, and `cargo check`
+#                   over every feature and target;
 #   ./ci.sh gates   everything that needs the release binary: CLI smoke
 #                   runs against the committed goldens, the parallel,
 #                   metrics and store determinism gates, the tam, serve
@@ -65,10 +65,13 @@ lint() {
   echo "== cargo test (workspace)"
   cargo test -q --workspace
 
-  echo "== chaos suite (fixed seed)"
+  echo "== chaos and property suites (fixed seed)"
   # The chaos harness is seed-deterministic; PROPTEST_SEED pins the
-  # vendored proptest streams on top so the whole gate is reproducible.
-  PROPTEST_SEED=20080310 cargo test -q --test chaos --test parser_fuzz
+  # vendored proptest streams on top so the whole gate is reproducible,
+  # and a failing property case (the packed-cube differentials among
+  # them) reproduces under the same seed.
+  PROPTEST_SEED=20080310 cargo test -q --test chaos --test parser_fuzz --test properties
+  PROPTEST_SEED=20080310 cargo test -q -p modsoc-atpg --test proptests
 
   echo "== cargo doc (warnings are errors)"
   # A doc link to a deleted or private item fails here.

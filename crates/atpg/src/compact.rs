@@ -47,10 +47,14 @@ use crate::pattern::{FillStrategy, TestCube, TestSet};
 /// engine's final fault-simulation pass).
 #[must_use]
 pub fn merge_compatible(cubes: &TestSet) -> TestSet {
-    let mut order: Vec<usize> = (0..cubes.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(cubes.cubes()[i].specified_count()));
+    let mut order: Vec<(std::cmp::Reverse<usize>, usize)> = cubes
+        .iter()
+        .enumerate()
+        .map(|(i, c)| (std::cmp::Reverse(c.specified_count()), i))
+        .collect();
+    order.sort_unstable();
     let mut merged: Vec<TestCube> = Vec::new();
-    for i in order {
+    for (_, i) in order {
         let cube = &cubes.cubes()[i];
         match merged.iter_mut().find(|m| m.compatible(cube)) {
             Some(m) => m.merge_in_place(cube),

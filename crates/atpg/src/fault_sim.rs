@@ -507,15 +507,8 @@ impl<'a> FaultSimulator<'a> {
         patterns: &[Vec<bool>],
     ) -> Result<(Vec<u64>, usize), AtpgError> {
         assert!(patterns.len() <= 64, "at most 64 patterns per batch");
-        let width = self.check_widths(patterns)?;
-        let mut words = vec![0u64; width];
-        for (slot, p) in patterns.iter().enumerate() {
-            for (i, &b) in p.iter().enumerate() {
-                if b {
-                    words[i] |= 1 << slot;
-                }
-            }
-        }
+        let mut words = vec![0u64; self.check_widths(patterns)?];
+        pack_slots(patterns, &mut words, 1);
         Ok((self.sim.run_on(self.circuit, &words), patterns.len()))
     }
 
@@ -537,16 +530,8 @@ impl<'a> FaultSimulator<'a> {
             patterns.len() <= BLOCK_BITS,
             "at most {BLOCK_BITS} patterns per block"
         );
-        let width = self.check_widths(patterns)?;
-        let mut blocks = vec![[0u64; BLOCK_WORDS]; width];
-        for (slot, p) in patterns.iter().enumerate() {
-            let (w, bit) = (slot / 64, slot % 64);
-            for (i, &b) in p.iter().enumerate() {
-                if b {
-                    blocks[i][w] |= 1 << bit;
-                }
-            }
-        }
+        let mut blocks = vec![[0u64; BLOCK_WORDS]; self.check_widths(patterns)?];
+        pack_slots(patterns, blocks.as_flattened_mut(), BLOCK_WORDS);
         Ok((
             self.sim.run_packed_on(self.circuit, &blocks),
             patterns.len(),
@@ -963,6 +948,54 @@ pub fn fault_coverage(
     Ok(detected.iter().filter(|&&d| d).count() as f64 / faults.len() as f64)
 }
 
+/// Pack patterns into slot words, input-major with `stride` words per
+/// input: bit `s % 64` of `out[i * stride + s / 64]` is input `i` of
+/// `patterns[s]`. Words of slot groups past the last pattern are left
+/// as they are, so `out` comes in zeroed. Per group of 64 patterns and
+/// 64 inputs, each pattern's bools are gathered into one row word and
+/// the 64×64 bit matrix is transposed, so every input's slot word
+/// comes out whole.
+fn pack_slots(patterns: &[Vec<bool>], out: &mut [u64], stride: usize) {
+    debug_assert!(patterns.len() <= 64 * stride);
+    let width = out.len() / stride;
+    let mut rows = [0u64; 64];
+    for (w, group) in patterns.chunks(64).enumerate() {
+        for base in (0..width).step_by(64) {
+            let end = width.min(base + 64);
+            for (row, p) in rows.iter_mut().zip(group) {
+                *row = p[base..end]
+                    .iter()
+                    .enumerate()
+                    .fold(0, |word, (j, &b)| word | u64::from(b) << j);
+            }
+            rows[group.len()..].fill(0);
+            transpose64(&mut rows);
+            for (i, &word) in rows[..end - base].iter().enumerate() {
+                out[(base + i) * stride + w] = word;
+            }
+        }
+    }
+}
+
+/// Transpose a 64×64 bit matrix in place (bit `j` of row `i` trades
+/// places with bit `i` of row `j`) by swapping off-diagonal blocks of
+/// halving size (Warren, *Hacker's Delight*, §7-3).
+fn transpose64(rows: &mut [u64; 64]) {
+    let mut j = 32;
+    let mut mask = 0x0000_0000_FFFF_FFFF_u64;
+    while j != 0 {
+        let mut k = 0;
+        while k < 64 {
+            let t = ((rows[k] >> j) ^ rows[k + j]) & mask;
+            rows[k] ^= t << j;
+            rows[k + j] ^= t;
+            k = (k + j + 1) & !j;
+        }
+        j >>= 1;
+        mask ^= mask << j;
+    }
+}
+
 /// The highest set slot of a block mask (`64w + bit`), or `None` when
 /// the mask is zero.
 fn highest_slot(mask: &SimBlock) -> Option<usize> {
@@ -1068,6 +1101,60 @@ g23 = NAND(g16, g19)
 ",
         )
         .unwrap()
+    }
+
+    /// `pack_slots` against the per-bit packing it replaced.
+    #[test]
+    fn pack_slots_matches_per_bit_packing() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(27);
+        let mut check = |count: usize, width: usize, stride: usize| {
+            let patterns: Vec<Vec<bool>> = (0..count)
+                .map(|_| (0..width).map(|_| rng.gen()).collect())
+                .collect();
+            let mut naive = vec![0u64; width * stride];
+            for (slot, p) in patterns.iter().enumerate() {
+                for (i, &b) in p.iter().enumerate() {
+                    if b {
+                        naive[i * stride + slot / 64] |= 1 << (slot % 64);
+                    }
+                }
+            }
+            let mut packed = vec![0u64; width * stride];
+            pack_slots(&patterns, &mut packed, stride);
+            assert_eq!(
+                packed, naive,
+                "{count} patterns, width {width}, stride {stride}"
+            );
+        };
+        for width in [1, 5, 63, 64, 65, 130, 200] {
+            for count in [1, 2, 31, 63, 64] {
+                check(count, width, 1);
+            }
+            for count in [1, 64, 65, 300, 511, BLOCK_BITS] {
+                check(count, width, BLOCK_WORDS);
+            }
+        }
+    }
+
+    #[test]
+    fn transpose64_transposes() {
+        let mut rows = [0u64; 64];
+        let mut x = 0x9E37_79B9_7F4A_7C15_u64;
+        for row in &mut rows {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            *row = x;
+        }
+        let before = rows;
+        transpose64(&mut rows);
+        for (i, row) in rows.iter().enumerate() {
+            for (j, col) in before.iter().enumerate() {
+                assert_eq!((row >> j) & 1, (col >> i) & 1, "({i}, {j})");
+            }
+        }
     }
 
     /// Reference: full re-simulation per fault via forced node (stems only).

@@ -11,6 +11,8 @@ use std::fmt;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::fault_sim::active_mask;
+
 /// One bit of a test cube.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Bit {
@@ -94,9 +96,18 @@ impl Default for FillStrategy {
 }
 
 /// A test cube: one 0/1/X assignment per circuit input.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+///
+/// Stored as two bit planes of 64-input words: bit `i % 64` of
+/// `care[i / 64]` is set when input `i` is specified, and the same bit
+/// of `value` holds its value. `value` is a subset of `care` and the
+/// padding bits past `width` stay zero, so equal cubes have equal
+/// planes, and compatibility, merging and care counts are word
+/// operations.
+#[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct TestCube {
-    bits: Vec<Bit>,
+    width: usize,
+    care: Vec<u64>,
+    value: Vec<u64>,
 }
 
 impl TestCube {
@@ -104,34 +115,36 @@ impl TestCube {
     #[must_use]
     pub fn all_x(width: usize) -> TestCube {
         TestCube {
-            bits: vec![Bit::X; width],
+            width,
+            care: vec![0; width.div_ceil(64)],
+            value: vec![0; width.div_ceil(64)],
         }
     }
 
     /// Build a cube from bits.
     #[must_use]
     pub fn from_bits(bits: Vec<Bit>) -> TestCube {
-        TestCube { bits }
+        bits.into_iter().collect()
     }
 
     /// Build a fully-specified cube from booleans.
     #[must_use]
     pub fn from_bools(values: &[bool]) -> TestCube {
-        TestCube {
-            bits: values.iter().map(|&b| Bit::from_bool(b)).collect(),
+        let mut cube = TestCube::all_x(values.len());
+        for (w, chunk) in values.chunks(64).enumerate() {
+            cube.care[w] = active_mask(chunk.len());
+            cube.value[w] = chunk
+                .iter()
+                .enumerate()
+                .fold(0, |word, (j, &b)| word | u64::from(b) << j);
         }
+        cube
     }
 
     /// Number of inputs this cube spans.
     #[must_use]
     pub fn width(&self) -> usize {
-        self.bits.len()
-    }
-
-    /// The bits.
-    #[must_use]
-    pub fn bits(&self) -> &[Bit] {
-        &self.bits
+        self.width
     }
 
     /// Read one bit.
@@ -141,7 +154,17 @@ impl TestCube {
     /// Panics if `i` is out of range.
     #[must_use]
     pub fn bit(&self, i: usize) -> Bit {
-        self.bits[i]
+        assert!(
+            i < self.width,
+            "bit {i} out of range for width {}",
+            self.width
+        );
+        let (w, m) = (i / 64, 1u64 << (i % 64));
+        if self.care[w] & m == 0 {
+            Bit::X
+        } else {
+            Bit::from_bool(self.value[w] & m != 0)
+        }
     }
 
     /// Set one bit.
@@ -150,13 +173,26 @@ impl TestCube {
     ///
     /// Panics if `i` is out of range.
     pub fn set(&mut self, i: usize, b: Bit) {
-        self.bits[i] = b;
+        assert!(
+            i < self.width,
+            "bit {i} out of range for width {}",
+            self.width
+        );
+        let (w, m) = (i / 64, 1u64 << (i % 64));
+        self.care[w] &= !m;
+        self.value[w] &= !m;
+        if b.is_specified() {
+            self.care[w] |= m;
+            if b == Bit::One {
+                self.value[w] |= m;
+            }
+        }
     }
 
     /// Number of specified (non-X) bits — the cube's *care count*.
     #[must_use]
     pub fn specified_count(&self) -> usize {
-        self.bits.iter().filter(|b| b.is_specified()).count()
+        self.care.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Whether every bit position is compatible with `other`.
@@ -167,10 +203,11 @@ impl TestCube {
     #[must_use]
     pub fn compatible(&self, other: &TestCube) -> bool {
         assert_eq!(self.width(), other.width(), "cube width mismatch");
-        self.bits
+        self.care
             .iter()
-            .zip(&other.bits)
-            .all(|(a, b)| a.compatible(*b))
+            .zip(&other.care)
+            .zip(self.value.iter().zip(&other.value))
+            .all(|((ca, cb), (va, vb))| ca & cb & (va ^ vb) == 0)
     }
 
     /// Merge a compatible cube into this one.
@@ -179,9 +216,12 @@ impl TestCube {
     ///
     /// Panics if the cubes conflict or widths differ.
     pub fn merge_in_place(&mut self, other: &TestCube) {
-        assert_eq!(self.width(), other.width(), "cube width mismatch");
-        for (a, b) in self.bits.iter_mut().zip(&other.bits) {
-            *a = a.merge(*b);
+        assert!(self.compatible(other), "merging conflicting bits");
+        for (a, b) in self.care.iter_mut().zip(&other.care) {
+            *a |= b;
+        }
+        for (a, b) in self.value.iter_mut().zip(&other.value) {
+            *a |= b;
         }
     }
 
@@ -197,30 +237,47 @@ impl TestCube {
         out
     }
 
-    /// A content hash of the cube (FNV-1a over the trits), used to key
-    /// random fill so that equal cubes always fill identically
-    /// regardless of their position in a [`TestSet`].
+    /// The planes word by word as `(care, value, bits)`, `bits` being
+    /// how many of the word's inputs the cube spans.
+    fn words(&self) -> impl Iterator<Item = (u64, u64, usize)> + '_ {
+        let width = self.width;
+        self.care
+            .iter()
+            .zip(&self.value)
+            .enumerate()
+            .map(move |(w, (&care, &value))| (care, value, (width - 64 * w).min(64)))
+    }
+
+    /// The cube's trits in input order as `(care, value)` bit pairs.
+    fn trits(&self) -> impl Iterator<Item = (bool, bool)> + '_ {
+        self.words().flat_map(|(care, value, bits)| {
+            (0..bits).map(move |j| ((care >> j) & 1 != 0, (value >> j) & 1 != 0))
+        })
+    }
+
+    /// A content hash of the cube (FNV-1a over the trits, coded 1 for
+    /// 0, 2 for 1 and 3 for X, in input order), used to key random fill
+    /// so that equal cubes always fill identically regardless of their
+    /// position in a [`TestSet`].
     #[must_use]
     pub fn content_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in &self.bits {
-            let v = match b {
-                Bit::Zero => 1u64,
-                Bit::One => 2,
-                Bit::X => 3,
-            };
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
+        self.trits()
+            .fold(0xcbf2_9ce4_8422_2325, |h, (care, value)| {
+                let code = if care { 1 + u64::from(value) } else { 3 };
+                (h ^ code).wrapping_mul(0x0000_0100_0000_01B3)
+            })
     }
 
     /// Fill with the strategy, keying random fill by the cube's content
     /// (see [`TestCube::content_hash`]); deterministic fills pass
-    /// through unchanged.
+    /// through unchanged. A fully specified cube has no X to draw for,
+    /// so it skips the hash.
     #[must_use]
     pub fn fill_keyed(&self, strategy: FillStrategy) -> Vec<bool> {
         match strategy {
+            FillStrategy::Random { .. } if self.specified_count() == self.width => {
+                self.fill(FillStrategy::Zeros)
+            }
             FillStrategy::Random { seed } => self.fill(FillStrategy::Random {
                 seed: seed ^ self.content_hash(),
             }),
@@ -229,43 +286,115 @@ impl TestCube {
     }
 
     /// Produce a fully-specified boolean pattern by filling X bits.
+    /// Random fill draws one value per X bit, in input order.
     #[must_use]
     pub fn fill(&self, strategy: FillStrategy) -> Vec<bool> {
         let mut rng = match strategy {
             FillStrategy::Random { seed } => Some(StdRng::seed_from_u64(seed)),
             _ => None,
         };
-        self.bits
-            .iter()
-            .map(|b| match b {
-                Bit::Zero => false,
-                Bit::One => true,
-                Bit::X => match strategy {
-                    FillStrategy::Zeros => false,
-                    FillStrategy::Ones => true,
-                    FillStrategy::Random { .. } => {
-                        rng.as_mut().expect("rng present for random fill").gen()
+        let mut out = Vec::with_capacity(self.width);
+        for (care, value, bits) in self.words() {
+            let word = match strategy {
+                FillStrategy::Zeros => value,
+                FillStrategy::Ones => value | !care,
+                FillStrategy::Random { .. } => {
+                    let rng = rng.as_mut().expect("rng present for random fill");
+                    let mut word = value;
+                    let mut xs = !care & active_mask(bits);
+                    while xs != 0 {
+                        // Branch-free: the draw is a coin flip.
+                        let draw = u64::from(rng.gen::<bool>()).wrapping_neg();
+                        word |= xs & xs.wrapping_neg() & draw;
+                        xs &= xs - 1;
                     }
-                },
-            })
-            .collect()
+                    word
+                }
+            };
+            for (k, byte) in word.to_le_bytes().into_iter().enumerate() {
+                let take = bits.saturating_sub(8 * k).min(8);
+                out.extend_from_slice(&BYTE_BOOLS[usize::from(byte)][..take]);
+            }
+        }
+        out
+    }
+
+    /// Append the cube's `0`/`1`/`X` characters to `out`.
+    fn write_text(&self, out: &mut String) {
+        out.extend(self.trits().map(|(care, value)| match (care, value) {
+            (false, _) => 'X',
+            (true, false) => '0',
+            (true, true) => '1',
+        }));
+    }
+
+    /// Parse one line of `0`/`1`/`x`/`X` characters, `None` on any
+    /// other character.
+    fn parse_line(line: &str) -> Option<TestCube> {
+        let mut cube = TestCube::all_x(line.len());
+        for (i, c) in line.bytes().enumerate() {
+            let (w, m) = (i / 64, 1u64 << (i % 64));
+            match c {
+                b'0' => cube.care[w] |= m,
+                b'1' => {
+                    cube.care[w] |= m;
+                    cube.value[w] |= m;
+                }
+                b'x' | b'X' => {}
+                _ => return None,
+            }
+        }
+        Some(cube)
+    }
+}
+
+/// Each byte as eight bools, least significant bit first.
+const BYTE_BOOLS: [[bool; 8]; 256] = {
+    let mut table = [[false; 8]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut j = 0;
+        while j < 8 {
+            table[byte][j] = (byte >> j) & 1 == 1;
+            j += 1;
+        }
+        byte += 1;
+    }
+    table
+};
+
+impl fmt::Debug for TestCube {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "TestCube({self})")
     }
 }
 
 impl fmt::Display for TestCube {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for b in &self.bits {
-            write!(f, "{b}")?;
-        }
-        Ok(())
+        let mut text = String::with_capacity(self.width);
+        self.write_text(&mut text);
+        f.write_str(&text)
     }
 }
 
 impl FromIterator<Bit> for TestCube {
     fn from_iter<I: IntoIterator<Item = Bit>>(iter: I) -> TestCube {
-        TestCube {
-            bits: iter.into_iter().collect(),
+        let mut cube = TestCube::default();
+        for (i, b) in iter.into_iter().enumerate() {
+            let (w, m) = (i / 64, 1u64 << (i % 64));
+            if m == 1 {
+                cube.care.push(0);
+                cube.value.push(0);
+            }
+            if b.is_specified() {
+                cube.care[w] |= m;
+            }
+            if b == Bit::One {
+                cube.value[w] |= m;
+            }
+            cube.width = i + 1;
         }
+        cube
     }
 }
 
@@ -377,8 +506,8 @@ impl TestSet {
     pub fn to_text(&self) -> String {
         let mut out = String::with_capacity(self.len() * (self.width + 1));
         for cube in &self.cubes {
-            use std::fmt::Write as _;
-            let _ = writeln!(out, "{cube}");
+            cube.write_text(&mut out);
+            out.push('\n');
         }
         out
     }
@@ -398,33 +527,24 @@ impl TestSet {
             if line.is_empty() {
                 continue;
             }
-            let bits: Result<Vec<Bit>, ()> = line
-                .chars()
-                .map(|c| match c {
-                    '0' => Ok(Bit::Zero),
-                    '1' => Ok(Bit::One),
-                    'x' | 'X' => Ok(Bit::X),
-                    _ => Err(()),
-                })
-                .collect();
-            let bits = bits.map_err(|()| crate::error::AtpgError::PatternWidth {
+            let cube = TestCube::parse_line(line).ok_or(crate::error::AtpgError::PatternWidth {
                 expected: set.as_ref().map_or(0, TestSet::width),
                 got: line.len(),
             })?;
             match &mut set {
                 None => {
-                    let mut s = TestSet::new(bits.len());
-                    s.push(TestCube::from_bits(bits));
+                    let mut s = TestSet::new(cube.width());
+                    s.push(cube);
                     set = Some(s);
                 }
                 Some(s) => {
-                    if bits.len() != s.width() {
+                    if cube.width() != s.width() {
                         return Err(crate::error::AtpgError::PatternWidth {
                             expected: s.width(),
-                            got: bits.len(),
+                            got: cube.width(),
                         });
                     }
-                    s.push(TestCube::from_bits(bits));
+                    s.push(cube);
                 }
             }
         }
@@ -473,7 +593,10 @@ mod tests {
         let b = TestCube::from_bits(vec![Bit::X, Bit::Zero, Bit::Zero, Bit::X]);
         assert!(a.compatible(&b));
         let m = a.merged(&b);
-        assert_eq!(m.bits(), &[Bit::One, Bit::Zero, Bit::Zero, Bit::X]);
+        assert_eq!(
+            m,
+            TestCube::from_bits(vec![Bit::One, Bit::Zero, Bit::Zero, Bit::X])
+        );
         assert_eq!(m.specified_count(), 3);
     }
 

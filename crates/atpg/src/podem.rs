@@ -460,10 +460,6 @@ impl<'a> Podem<'a> {
             self.propagate(fault);
         }
         self.refresh_frontier(fault);
-        // A pin fault can create an effect without changing any value
-        // (constant-driven pin, gate output still X), which produces no
-        // change event; derive the affected gate's membership explicitly.
-        self.update_frontier_membership(fault, affected);
     }
 
     /// Open a new undo frame, set input position `pos` to `v`, and imply
@@ -570,20 +566,31 @@ impl<'a> Podem<'a> {
     /// whose fanin's value) just changed, restricted to the fault cone.
     /// Membership only ever changes at such candidates, so the maintained
     /// set always equals what a whole-circuit scan would find.
+    ///
+    /// Outside the cone good equals faulty, so a touched node there
+    /// carries no fault effect and changes no membership, with one
+    /// exception: a pin fault's driver sits outside the cone, and its
+    /// value becomes D or D̄ at the faulted pin. The affected gate is
+    /// re-derived on every refresh for that, touched or not: a pin
+    /// fault can create an effect without changing any value
+    /// (constant-driven pin, gate output still X). A cone node's
+    /// fanouts are all in the cone.
     fn refresh_frontier(&mut self, fault: Fault) {
         let touched = std::mem::take(&mut self.touched);
         for &n in &touched {
-            if self.cone_stamp[n.index()] == self.cone_epoch {
-                self.update_frontier_membership(fault, n);
+            if self.cone_stamp[n.index()] != self.cone_epoch {
+                continue;
             }
+            self.update_frontier_membership(fault, n);
             for k in 0..self.index.fanout_degree(n) {
                 let g = self.index.fanouts(n)[k];
-                if self.cone_stamp[g.index()] == self.cone_epoch {
-                    self.update_frontier_membership(fault, g);
-                }
+                self.update_frontier_membership(fault, g);
             }
         }
         self.touched = touched;
+        if let FaultSite::Pin { gate, .. } = fault.site {
+            self.update_frontier_membership(fault, gate);
+        }
     }
 
     fn update_frontier_membership(&mut self, fault: Fault, g: NodeId) {

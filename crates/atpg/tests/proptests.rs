@@ -544,3 +544,193 @@ proptest! {
         }
     }
 }
+
+/// The one-trit-per-element cube the bit planes replaced: every packed
+/// operation is checked against these definitions.
+mod reference {
+    use modsoc_atpg::pattern::{Bit, FillStrategy};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    pub fn specified_count(bits: &[Bit]) -> usize {
+        bits.iter().filter(|b| b.is_specified()).count()
+    }
+
+    pub fn compatible(a: &[Bit], b: &[Bit]) -> bool {
+        a.iter().zip(b).all(|(x, y)| x.compatible(*y))
+    }
+
+    pub fn merged(a: &[Bit], b: &[Bit]) -> Vec<Bit> {
+        a.iter().zip(b).map(|(x, y)| x.merge(*y)).collect()
+    }
+
+    pub fn content_hash(bits: &[Bit]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in bits {
+            h ^= match b {
+                Bit::Zero => 1,
+                Bit::One => 2,
+                Bit::X => 3,
+            };
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        h
+    }
+
+    pub fn fill(bits: &[Bit], strategy: FillStrategy) -> Vec<bool> {
+        let mut rng = match strategy {
+            FillStrategy::Random { seed } => Some(StdRng::seed_from_u64(seed)),
+            _ => None,
+        };
+        bits.iter()
+            .map(|b| match (b, strategy) {
+                (Bit::Zero, _) | (Bit::X, FillStrategy::Zeros) => false,
+                (Bit::One, _) | (Bit::X, FillStrategy::Ones) => true,
+                (Bit::X, FillStrategy::Random { .. }) => rng.as_mut().expect("rng").gen(),
+            })
+            .collect()
+    }
+
+    pub fn fill_keyed(bits: &[Bit], strategy: FillStrategy) -> Vec<bool> {
+        match strategy {
+            FillStrategy::Random { seed } => fill(
+                bits,
+                FillStrategy::Random {
+                    seed: seed ^ content_hash(bits),
+                },
+            ),
+            other => fill(bits, other),
+        }
+    }
+
+    pub fn text(bits: &[Bit]) -> String {
+        bits.iter().map(ToString::to_string).collect()
+    }
+}
+
+/// Widths around the packed word boundaries.
+const CUBE_WIDTHS: [usize; 6] = [0, 1, 63, 64, 65, 130];
+
+/// A trit code: mostly X, as ATPG cubes are.
+fn trit(code: u8) -> Bit {
+    match code {
+        0 => Bit::Zero,
+        1 => Bit::One,
+        _ => Bit::X,
+    }
+}
+
+fn std_hash(cube: &TestCube) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    cube.hash(&mut h);
+    h.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn packed_cubes_match_the_trit_reference(
+        a_codes in proptest::collection::vec(0u8..6, 130..=130),
+        b_codes in proptest::collection::vec(0u8..6, 130..=130),
+        seed in any::<u64>(),
+        pick in any::<u64>(),
+    ) {
+        for width in CUBE_WIDTHS {
+            let a: Vec<Bit> = a_codes[..width].iter().map(|&c| trit(c)).collect();
+            let b: Vec<Bit> = b_codes[..width].iter().map(|&c| trit(c)).collect();
+            // `b` without its conflicts with `a`: always compatible.
+            let c: Vec<Bit> = a
+                .iter()
+                .zip(&b)
+                .map(|(x, y)| if x.compatible(*y) { *y } else { Bit::X })
+                .collect();
+            // `a` with its X filled from `b`, and then fully specified.
+            let full: Vec<bool> = a
+                .iter()
+                .zip(&b_codes)
+                .map(|(x, &y)| match x {
+                    Bit::X => y % 2 == 1,
+                    _ => *x == Bit::One,
+                })
+                .collect();
+            let full_bits: Vec<Bit> = full.iter().map(|&v| Bit::from_bool(v)).collect();
+            let cases = [
+                (TestCube::from_bits(a.clone()), a.clone()),
+                (TestCube::from_bits(b.clone()), b.clone()),
+                (TestCube::from_bits(c.clone()), c.clone()),
+                (TestCube::from_bools(&full), full_bits),
+            ];
+            for (cube, bits) in &cases {
+                prop_assert_eq!(cube.width(), width);
+                for (i, &bit) in bits.iter().enumerate() {
+                    prop_assert_eq!(cube.bit(i), bit, "width {} bit {}", width, i);
+                }
+                prop_assert_eq!(cube.specified_count(), reference::specified_count(bits));
+                prop_assert_eq!(cube.content_hash(), reference::content_hash(bits));
+                for fill in [
+                    FillStrategy::Zeros,
+                    FillStrategy::Ones,
+                    FillStrategy::Random { seed },
+                ] {
+                    prop_assert_eq!(cube.fill(fill), reference::fill(bits, fill), "width {}", width);
+                    prop_assert_eq!(
+                        cube.fill_keyed(fill),
+                        reference::fill_keyed(bits, fill),
+                        "width {} {:?}",
+                        width,
+                        fill
+                    );
+                }
+                prop_assert_eq!(cube.to_string(), reference::text(bits));
+                // Built bit by bit, or through the text form, the cube
+                // is the same value with the same hash.
+                let mut set_wise = TestCube::all_x(width);
+                for (i, &bit) in bits.iter().enumerate() {
+                    set_wise.set(i, Bit::One);
+                    set_wise.set(i, bit);
+                }
+                prop_assert_eq!(&set_wise, cube);
+                prop_assert_eq!(std_hash(&set_wise), std_hash(cube));
+                if width > 0 {
+                    let mut set = TestSet::new(width);
+                    set.push(cube.clone());
+                    set.push(set_wise);
+                    let text = set.to_text();
+                    prop_assert_eq!(&text, &format!("{0}\n{0}\n", reference::text(bits)));
+                    let back = TestSet::from_text(&text).expect("round trip");
+                    prop_assert_eq!(&back, &set);
+                    prop_assert_eq!(std_hash(&back.cubes()[0]), std_hash(cube));
+                }
+            }
+            for (x, xb) in &cases {
+                for (y, yb) in &cases {
+                    let compatible = reference::compatible(xb, yb);
+                    prop_assert_eq!(x.compatible(y), compatible, "width {}", width);
+                    prop_assert_eq!(x == y, xb == yb);
+                    if x == y {
+                        prop_assert_eq!(std_hash(x), std_hash(y));
+                    }
+                    if compatible {
+                        let m = x.merged(y);
+                        prop_assert_eq!(&m, &TestCube::from_bits(reference::merged(xb, yb)));
+                        let mut in_place = x.clone();
+                        in_place.merge_in_place(y);
+                        prop_assert_eq!(in_place, m);
+                    }
+                }
+            }
+            // One conflict planted in an otherwise compatible pair.
+            if width > 0 {
+                let i = (pick % width as u64) as usize;
+                let mut x = c.clone();
+                let mut y = a.clone();
+                x[i] = Bit::Zero;
+                y[i] = Bit::One;
+                let (px, py) = (TestCube::from_bits(x), TestCube::from_bits(y));
+                prop_assert!(!px.compatible(&py), "width {} conflict at {}", width, i);
+            }
+        }
+    }
+}

@@ -630,6 +630,111 @@ mod tests {
         assert_eq!(stem_regions(&build(true)), want);
     }
 
+    /// `stems` inputs, each fanning out to many gates of `layers`
+    /// layers of `width` gates; every gate reads two or three earlier
+    /// nodes, mostly from the layer before, so the stems' cones overlap
+    /// and reconverge everywhere. The last layer and every eleventh gate
+    /// are outputs, and every seventh gate fans out nowhere else.
+    fn wide_reconvergent(stems: usize, layers: usize, width: usize, seed: u64) -> Circuit {
+        let mut c = Circuit::new("stress");
+        let mut x = seed | 1;
+        let mut next = |n: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n as u64) as usize
+        };
+        let mut prev: Vec<NodeId> = (0..stems).map(|i| c.add_input(format!("s{i}"))).collect();
+        let mut all = prev.clone();
+        let kinds = [GateKind::And, GateKind::Or, GateKind::Xor, GateKind::Nand];
+        for l in 0..layers {
+            let mut layer = Vec::with_capacity(width);
+            for g in 0..width {
+                let arity = 2 + next(2);
+                let fanin: Vec<NodeId> = (0..arity)
+                    .map(|_| {
+                        if next(4) == 0 {
+                            all[next(all.len())]
+                        } else {
+                            prev[next(prev.len())]
+                        }
+                    })
+                    .collect();
+                let kind = kinds[next(kinds.len())];
+                let id = c.add_gate(format!("g{l}_{g}"), kind, &fanin).unwrap();
+                if l + 1 == layers || (l * width + g).is_multiple_of(11) {
+                    c.mark_output(id);
+                }
+                if !(l * width + g).is_multiple_of(7) {
+                    layer.push(id);
+                }
+            }
+            all.extend_from_slice(&layer);
+            prev = layer;
+        }
+        c
+    }
+
+    /// Each root's stem region straight from its definition, with sets:
+    /// the regions its walk reaches, how many pin edges of walked
+    /// regions enter each, and every reached region from which a
+    /// region entered more than once can be reached.
+    fn brute_force_stem_region(c: &Circuit, idx: &StructuralIndex, r: usize) -> Vec<u32> {
+        use std::collections::{BTreeSet, HashMap};
+        let fanouts = c.fanouts();
+        let edges = |s: usize| -> Vec<usize> {
+            let root = idx.ffr_members(s)[0];
+            if !idx.reaches_any_output(root) || c.outputs().contains(&root) {
+                return Vec::new();
+            }
+            fanouts[root.index()]
+                .iter()
+                .filter(|&&fo| c.node(fo).kind != GateKind::Dff && idx.reaches_any_output(fo))
+                .map(|&fo| idx.ffr_of(fo))
+                .collect()
+        };
+        let reach = |from: usize| -> BTreeSet<usize> {
+            let mut seen = BTreeSet::new();
+            let mut stack = vec![from];
+            while let Some(s) = stack.pop() {
+                for t in edges(s) {
+                    if seen.insert(t) {
+                        stack.push(t);
+                    }
+                }
+            }
+            seen
+        };
+        let cone = reach(r);
+        let mut entries: HashMap<usize, usize> = HashMap::new();
+        for s in cone.iter().copied().chain([r]) {
+            for t in edges(s) {
+                *entries.entry(t).or_default() += 1;
+            }
+        }
+        let multi = |t: usize| entries.get(&t).copied().unwrap_or(0) > 1;
+        cone.iter()
+            .filter(|&&t| multi(t) || reach(t).into_iter().any(multi))
+            .map(|&t| t as u32)
+            .collect()
+    }
+
+    #[test]
+    fn wide_reconvergent_stems_match_the_brute_force_walk() {
+        for (stems, layers, width, seed) in [(48, 6, 96, 1), (16, 12, 40, 2), (96, 4, 160, 3)] {
+            let c = wide_reconvergent(stems, layers, width, seed);
+            let idx = StructuralIndex::build(&c).unwrap();
+            let mut reconvergent = 0;
+            for r in 0..idx.ffr_count() {
+                let want = brute_force_stem_region(&c, &idx, r);
+                assert_eq!(idx.stem_region(r), &want[..], "seed {seed} region {r}");
+                reconvergent += usize::from(!want.is_empty());
+            }
+            // The case is a stress case only if most stems reconverge.
+            assert!(reconvergent >= stems, "{reconvergent} reconvergent roots");
+        }
+    }
+
     #[test]
     fn a_driver_on_two_pins_of_one_gate_is_reconvergent() {
         let mut c = Circuit::new("twice");

@@ -68,10 +68,12 @@ lint() {
   echo "== chaos and property suites (fixed seed)"
   # The chaos harness is seed-deterministic; PROPTEST_SEED pins the
   # vendored proptest streams on top so the whole gate is reproducible,
-  # and a failing property case (the packed-cube differentials among
-  # them) reproduces under the same seed.
+  # and a failing property case (the packed-cube differentials and the
+  # lib-internal PODEM differentials against ReferencePodem among them)
+  # reproduces under the same seed.
   PROPTEST_SEED=20080310 cargo test -q --test chaos --test parser_fuzz --test properties
   PROPTEST_SEED=20080310 cargo test -q -p modsoc-atpg --test proptests
+  PROPTEST_SEED=20080310 cargo test -q -p modsoc-atpg --lib podem::
 
   echo "== cargo doc (warnings are errors)"
   # A doc link to a deleted or private item fails here.

@@ -12,21 +12,31 @@
 //! Circuit values under PODEM are a pure function of the (assignment,
 //! fault) pair, so this implementation never resimulates the whole
 //! circuit. It keeps a persistent five-valued value array seeded from a
-//! fault-free all-X baseline and updates it *event-driven*: each input
-//! decision propagates only through the nodes it actually changes (a
-//! topologically-ordered event queue, exactly like the bit-parallel fault
-//! simulator), and every decision records its changes on an undo trail so
-//! backtracking restores the parent state in O(changes) instead of
-//! re-implying from scratch. The D-frontier is maintained incrementally
-//! from the same change events and restricted to the fault's fanout cone
-//! (the only region fault effects can reach, borrowed from the shared
+//! fault-free all-X baseline, and every change goes on an undo trail, so
+//! backtracking restores the parent state in O(changes).
+//!
+//! A decision moves one input from X to a value, and five-valued
+//! evaluation (stuck-at injection included) is *monotone*: refining an
+//! X fanin never changes a defined result. So a decision's implication
+//! changes each node at most once, from X to its final value, in any
+//! order: it runs off a plain worklist, skips every fanout that is
+//! already defined, and needs no topological order. Outside the fault's
+//! fanout cone good equals faulty, values are 0, 1 or X, and an X gate
+//! there is decided without an evaluation: a controlling fanin fixes its
+//! output, and an X fanin left keeps it X. Only cone gates and gates
+//! with no X fanin left are evaluated. Fault injection (undo frame 0)
+//! is not monotone, since it turns defined baseline values into D or
+//! D̄; it re-evaluates the cone once in topological order.
+//!
+//! The D-frontier is maintained incrementally from the same change
+//! events and restricted to the fault's fanout cone (the only region
+//! fault effects can reach, borrowed from the shared
 //! [`StructuralIndex`]), as is the X-path feasibility check. Decisions,
 //! outcomes, and generated cubes are bit-identical to a full
 //! resimulation — the test suite checks this differentially against the
-//! reference oracle.
+//! reference oracle, outcome by outcome and, along the oracle's
+//! searches, step by step.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use modsoc_netlist::{Circuit, GateKind, NodeId, StructuralIndex};
@@ -140,8 +150,9 @@ pub struct Podem<'a> {
     /// Epoch-stamped "reaches an X-valued PO through X nodes" scratch.
     xreach_stamp: Vec<u32>,
     xreach_epoch: u32,
-    /// Topologically-ordered event queue scratch.
-    heap: BinaryHeap<Reverse<(u32, u32)>>,
+    /// Worklist scratch: nodes a propagation changed whose fanouts are
+    /// still to be checked.
+    work: Vec<NodeId>,
     /// Nodes changed by the most recent propagation or undo.
     touched: Vec<NodeId>,
     /// Cumulative search-effort counters (see [`PodemSearchStats`]).
@@ -182,7 +193,7 @@ impl<'a> Podem<'a> {
             circuit.node_count(),
             "structural index does not match circuit"
         );
-        let testability = Testability::compute(circuit)?;
+        let testability = Testability::compute_in_order(circuit, index.topo())?;
         let n = circuit.node_count();
         let mut input_pos = vec![None; n];
         for (k, &pi) in circuit.inputs().iter().enumerate() {
@@ -191,15 +202,12 @@ impl<'a> Podem<'a> {
         // Fault-free baseline of the empty assignment: all-X except where
         // constants force a value.
         let mut baseline = vec![V5::X; n];
-        let mut fanin_buf: Vec<V5> = Vec::with_capacity(8);
         for &id in index.topo() {
-            let node = circuit.node(id);
-            if node.kind == GateKind::Input {
-                continue;
+            let kind = index.kind(id);
+            if kind != GateKind::Input {
+                let v = eval_gate(kind, index.fanins(id).iter().map(|f| baseline[f.index()]));
+                baseline[id.index()] = v;
             }
-            fanin_buf.clear();
-            fanin_buf.extend(node.fanin.iter().map(|f| baseline[f.index()]));
-            baseline[id.index()] = eval_gate(node.kind, &fanin_buf);
         }
         Ok(Podem {
             circuit,
@@ -220,7 +228,7 @@ impl<'a> Podem<'a> {
             cone_epoch: 0,
             xreach_stamp: vec![0; n],
             xreach_epoch: 0,
-            heap: BinaryHeap::new(),
+            work: Vec::new(),
             touched: Vec::new(),
             stats: PodemSearchStats::default(),
         })
@@ -448,58 +456,69 @@ impl<'a> Podem<'a> {
         );
 
         // Frame 0: fault injection as a delta from the fault-free
-        // baseline. A stem fault on an unassigned input injects into X
-        // and stays X, so only gate sites seed an event.
+        // baseline. Only cone values depend on the fault, but injection
+        // can turn a defined value into another (1 into D), so the cone
+        // is re-evaluated once in topological order. A stem fault on an
+        // unassigned input injects into X and stays X, so it changes
+        // nothing.
         self.frames.push(self.trail.len());
         self.touched.clear();
-        if self.index.kind(affected) != GateKind::Input {
-            self.heap.push(Reverse((
-                self.index.topo_pos(affected),
-                affected.index() as u32,
-            )));
-            self.propagate(fault);
+        if index.kind(affected) != GateKind::Input {
+            for k in 0..self.cone.len() {
+                let id = self.cone[k];
+                let v = eval_with_fault(&self.index, &self.values, fault, id);
+                if v != self.values[id.index()] {
+                    self.set_value(id, v);
+                }
+            }
         }
         self.refresh_frontier(fault);
     }
 
     /// Open a new undo frame, set input position `pos` to `v`, and imply
-    /// the consequences event-driven.
+    /// the consequences.
     fn assign_input(&mut self, fault: Fault, pos: usize, v: bool) {
         self.frames.push(self.trail.len());
         self.touched.clear();
         let pi = self.circuit.inputs()[pos];
-        let mut v5 = if v { V5::One } else { V5::Zero };
+        let mut v5 = V5::from(v);
         if fault.site == FaultSite::Stem(pi) {
             v5 = inject_stuck(v5, fault.stuck_at_one);
         }
-        if v5 != self.values[pi.index()] {
-            self.set_value(pi, v5);
-            let index = &*self.index;
-            for &fo in index.fanouts(pi) {
-                self.heap
-                    .push(Reverse((index.topo_pos(fo), fo.index() as u32)));
-            }
-            self.propagate(fault);
-        }
+        debug_assert_eq!(self.values[pi.index()], V5::X, "decisions assign X inputs");
+        self.set_value(pi, v5);
+        self.propagate(fault, pi);
         self.refresh_frontier(fault);
     }
 
-    /// Drain the event queue in topological order, recomputing each
-    /// popped node under fault injection and rippling changes forward.
-    /// Within one propagation every node settles in a single evaluation
-    /// (its fanins are final when it pops), so the trail stays compact.
-    fn propagate(&mut self, fault: Fault) {
-        while let Some(Reverse((_, raw))) = self.heap.pop() {
-            let id = NodeId::from_index(raw as usize);
-            let v = self.eval_with_fault(fault, id);
-            if v == self.values[id.index()] {
-                continue;
-            }
-            self.set_value(id, v);
-            let index = &*self.index;
-            for &fo in index.fanouts(id) {
-                self.heap
-                    .push(Reverse((index.topo_pos(fo), fo.index() as u32)));
+    /// Imply the change of `root` from X to a defined value. By
+    /// monotonicity (module docs) every node changes at most once, from
+    /// X, in whatever order the worklist yields, so a defined fanout is
+    /// skipped. A cone gate is evaluated whenever a fanin changes; a gate
+    /// outside the cone is decided by [`decide_outside_cone`]. Stuck-at
+    /// injection keeps X as X and a defined value defined, so it stays
+    /// monotone.
+    fn propagate(&mut self, fault: Fault, root: NodeId) {
+        let index = &*self.index;
+        self.work.push(root);
+        while let Some(id) = self.work.pop() {
+            let changed = self.values[id.index()];
+            for &g in index.fanouts(id) {
+                let gi = g.index();
+                if self.values[gi] != V5::X {
+                    continue;
+                }
+                let v = if self.cone_stamp[gi] == self.cone_epoch {
+                    eval_with_fault(index, &self.values, fault, g)
+                } else {
+                    decide_outside_cone(index, &self.values, g, changed)
+                };
+                if v != V5::X {
+                    self.trail.push((gi as u32, V5::X));
+                    self.values[gi] = v;
+                    self.touched.push(g);
+                    self.work.push(g);
+                }
             }
         }
     }
@@ -509,34 +528,6 @@ impl<'a> Podem<'a> {
         self.trail.push((i as u32, self.values[i]));
         self.values[i] = v;
         self.touched.push(id);
-    }
-
-    /// Five-valued evaluation of one gate with fault injection — the
-    /// per-node kernel full resimulation would run over every node.
-    fn eval_with_fault(&self, fault: Fault, id: NodeId) -> V5 {
-        let kind = self.index.kind(id);
-        let drivers = self.index.fanins(id);
-        debug_assert!(kind != GateKind::Input, "inputs never re-evaluate");
-        let mut buf = [V5::X; 16];
-        let mut vec_buf;
-        let fanin: &mut [V5] = if drivers.len() <= 16 {
-            &mut buf[..drivers.len()]
-        } else {
-            vec_buf = vec![V5::X; drivers.len()];
-            &mut vec_buf
-        };
-        for (pin, f) in drivers.iter().enumerate() {
-            let mut v = self.values[f.index()];
-            if fault.site == (FaultSite::Pin { gate: id, pin }) {
-                v = inject_stuck(v, fault.stuck_at_one);
-            }
-            fanin[pin] = v;
-        }
-        let mut v = eval_gate(kind, fanin);
-        if fault.site == FaultSite::Stem(id) {
-            v = inject_stuck(v, fault.stuck_at_one);
-        }
-        v
     }
 
     /// Pop the most recent undo frame, restoring every value it changed,
@@ -667,13 +658,10 @@ impl<'a> Podem<'a> {
                 }
             };
             return match good {
-                Some(v) if v == fault.stuck_at_one => Objective::Conflict,
-                Some(_) => {
-                    // Good value is right but the effect vanished — only
-                    // possible for a fault whose line value is fixed by
-                    // constants; treat as conflict.
-                    Objective::Conflict
-                }
+                // Either the line sits at the stuck value, or its good
+                // value is right and the effect still vanished, which only
+                // constants fixing the line can cause: a conflict both ways.
+                Some(_) => Objective::Conflict,
                 None => {
                     let target = match fault.site {
                         FaultSite::Stem(id) => id,
@@ -709,15 +697,10 @@ impl<'a> Podem<'a> {
             .min_by_key(|&f| self.testability.cc(f, noncontrolling));
         match input {
             Some(f) => {
-                let v = if node.kind.controlling_value().is_some() {
-                    noncontrolling
-                } else {
-                    self.testability.cc0(f) <= self.testability.cc1(f)
-                };
-                let v = if node.kind.controlling_value().is_some() {
-                    v
-                } else {
-                    !v // cheaper side: if cc0 cheaper, target 0
+                let v = match node.kind.controlling_value() {
+                    Some(_) => noncontrolling,
+                    // The cheaper side; 0 on a tie.
+                    None => self.testability.cc1(f) < self.testability.cc0(f),
                 };
                 Objective::Assign(f, v)
             }
@@ -822,6 +805,48 @@ impl<'a> Podem<'a> {
     }
 }
 
+/// Five-valued evaluation of gate `id` over `values` with the fault
+/// injected — the per-node kernel full resimulation would run over every
+/// node.
+fn eval_with_fault(index: &StructuralIndex, values: &[V5], fault: Fault, id: NodeId) -> V5 {
+    debug_assert!(
+        index.kind(id) != GateKind::Input,
+        "inputs never re-evaluate"
+    );
+    let faulted_pin = match fault.site {
+        FaultSite::Pin { gate, pin } if gate == id => Some(pin),
+        _ => None,
+    };
+    let fanin = index.fanins(id).iter().enumerate().map(|(pin, f)| {
+        let v = values[f.index()];
+        if faulted_pin == Some(pin) {
+            inject_stuck(v, fault.stuck_at_one)
+        } else {
+            v
+        }
+    });
+    let v = eval_gate(index.kind(id), fanin);
+    if fault.site == FaultSite::Stem(id) {
+        inject_stuck(v, fault.stuck_at_one)
+    } else {
+        v
+    }
+}
+
+/// The value of an X gate `g` outside the fault cone once its fanin
+/// value `changed` has become defined. Values there are 0, 1 or X, so a
+/// controlling fanin decides the output, and any X fanin left keeps it X
+/// without an evaluation.
+fn decide_outside_cone(index: &StructuralIndex, values: &[V5], g: NodeId, changed: V5) -> V5 {
+    let kind = index.kind(g);
+    let fanin = index.fanins(g).iter().map(|f| values[f.index()]);
+    match kind.controlling_value() {
+        Some(c) if changed == V5::from(c) => V5::from(c ^ kind.inverts()),
+        _ if fanin.clone().any(|v| v == V5::X) => V5::X,
+        _ => eval_gate(kind, fanin),
+    }
+}
+
 /// Inject a stuck-at value into a line's five-valued state: the faulty
 /// component becomes the stuck value.
 fn inject_stuck(v: V5, stuck_at_one: bool) -> V5 {
@@ -846,6 +871,14 @@ pub(crate) mod oracle {
     use crate::podem::PodemOutcome;
     use crate::testability::Testability;
     use modsoc_netlist::{Circuit, GateKind, NodeId};
+
+    /// One step of a search: an input decision, or the undoing of the
+    /// most recent one.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Step {
+        Assign(usize, bool),
+        Undo,
+    }
 
     pub struct ReferencePodem<'a> {
         circuit: &'a Circuit,
@@ -876,6 +909,19 @@ pub(crate) mod oracle {
         }
 
         pub fn generate(&self, fault: Fault) -> Result<PodemOutcome, AtpgError> {
+            self.generate_logged(fault, &[], &mut Vec::new())
+        }
+
+        /// [`ReferencePodem::generate`] under the side constraints of
+        /// [`super::Podem::generate_with_constraints_budgeted`], appending
+        /// every decision and every undone decision to `log` so that a
+        /// test can replay the search one step at a time.
+        pub fn generate_logged(
+            &self,
+            fault: Fault,
+            constraints: &[(NodeId, bool)],
+            log: &mut Vec<Step>,
+        ) -> Result<PodemOutcome, AtpgError> {
             let affected = fault.site.affected_gate();
             if affected.index() >= self.circuit.node_count() {
                 return Err(AtpgError::ForeignFault {
@@ -899,7 +945,23 @@ pub(crate) mod oracle {
             loop {
                 self.imply(fault, &assignment, &mut values);
 
-                if self.detected(&values) {
+                let mut constraint_objective = None;
+                let mut constraint_conflict = false;
+                for &(node, want) in constraints {
+                    match values[node.index()].good() {
+                        Some(v) if v != want => {
+                            constraint_conflict = true;
+                            break;
+                        }
+                        None if constraint_objective.is_none() => {
+                            constraint_objective = Some((node, want));
+                        }
+                        _ => {}
+                    }
+                }
+
+                if !constraint_conflict && constraint_objective.is_none() && self.detected(&values)
+                {
                     let bits = assignment
                         .iter()
                         .map(|a| a.map_or(Bit::X, Bit::from_bool))
@@ -907,9 +969,15 @@ pub(crate) mod oracle {
                     return Ok(PodemOutcome::Test(bits));
                 }
 
-                let objective = match self.next_objective(fault, &values) {
-                    Objective::Assign(node, value) => Some((node, value)),
-                    Objective::Conflict => None,
+                let objective = if constraint_conflict {
+                    None
+                } else if constraint_objective.is_some() {
+                    constraint_objective
+                } else {
+                    match self.next_objective(fault, &values) {
+                        Objective::Assign(node, value) => Some((node, value)),
+                        Objective::Conflict => None,
+                    }
                 };
                 let decision = objective
                     .and_then(|(node, value)| self.backtrace(node, value, &values, &assignment));
@@ -918,11 +986,13 @@ pub(crate) mod oracle {
                     Some((pi, v)) => {
                         assignment[pi] = Some(v);
                         stack.push((pi, v, false));
+                        log.push(Step::Assign(pi, v));
                     }
                     None => loop {
                         match stack.pop() {
                             Some((pi, v, tried_both)) => {
                                 assignment[pi] = None;
+                                log.push(Step::Undo);
                                 if !tried_both {
                                     backtracks += 1;
                                     if backtracks > self.backtrack_limit {
@@ -930,6 +1000,7 @@ pub(crate) mod oracle {
                                     }
                                     assignment[pi] = Some(!v);
                                     stack.push((pi, !v, true));
+                                    log.push(Step::Assign(pi, !v));
                                     break;
                                 }
                             }
@@ -940,7 +1011,7 @@ pub(crate) mod oracle {
             }
         }
 
-        fn imply(&self, fault: Fault, assignment: &[Option<bool>], values: &mut [V5]) {
+        pub fn imply(&self, fault: Fault, assignment: &[Option<bool>], values: &mut [V5]) {
             for v in values.iter_mut() {
                 *v = V5::X;
             }
@@ -970,7 +1041,7 @@ pub(crate) mod oracle {
                     }
                     fanin_buf.push(v);
                 }
-                let mut v = eval_gate(node.kind, &fanin_buf);
+                let mut v = eval_gate(node.kind, fanin_buf.iter().copied());
                 if fault.site == FaultSite::Stem(id) {
                     v = inject_stuck(v, fault.stuck_at_one);
                 }
@@ -1053,7 +1124,7 @@ pub(crate) mod oracle {
             }
         }
 
-        fn d_frontier(&self, fault: Fault, values: &[V5]) -> Vec<NodeId> {
+        pub fn d_frontier(&self, fault: Fault, values: &[V5]) -> Vec<NodeId> {
             let mut frontier = Vec::new();
             for (id, node) in self.circuit.iter() {
                 if values[id.index()] != V5::X {
@@ -1197,6 +1268,30 @@ g23 = NAND(g16, g19)
 ",
         )
         .unwrap()
+    }
+
+    /// Constant drivers give the fault-free baseline defined values, so
+    /// injecting a fault there changes values before any decision (a
+    /// constant-1 line stuck at 0 carries D down to `y2`).
+    fn constants() -> Circuit {
+        let mut c = Circuit::new("consts");
+        let a = c.add_input("a");
+        let b = c.add_input("b");
+        let x = c.add_input("x");
+        let k0 = c.add_gate("k0", GateKind::Const0, &[]).unwrap();
+        let k1 = c.add_gate("k1", GateKind::Const1, &[]).unwrap();
+        let g1 = c.add_gate("g1", GateKind::And, &[a, k1]).unwrap();
+        let g2 = c.add_gate("g2", GateKind::Or, &[k0, k1]).unwrap();
+        let h = c.add_gate("h", GateKind::Not, &[g2]).unwrap();
+        let y2 = c.add_gate("y2", GateKind::Buf, &[h]).unwrap();
+        let g3 = c.add_gate("g3", GateKind::Nand, &[g2, b]).unwrap();
+        let g4 = c.add_gate("g4", GateKind::Xor, &[g1, x]).unwrap();
+        let y1 = c.add_gate("y1", GateKind::And, &[g3, g4]).unwrap();
+        let g5 = c.add_gate("g5", GateKind::Nor, &[k0, g1]).unwrap();
+        for o in [y1, y2, g5] {
+            c.mark_output(o);
+        }
+        c
     }
 
     #[test]
@@ -1419,6 +1514,141 @@ y = OR(t3, t2)
                 }
             }
         }
+    }
+
+    /// Replay `fault`'s reference search on `podem` one step at a time:
+    /// after fault injection, every decision and every undo, the
+    /// incremental values must equal the whole-circuit implication of the
+    /// assignment, and the maintained D-frontier a whole-circuit scan.
+    /// The incremental search itself must reach the reference outcome.
+    /// Returns the number of undo steps replayed.
+    fn replay_against_the_oracle(
+        podem: &mut Podem<'_>,
+        reference: &oracle::ReferencePodem<'_>,
+        fault: Fault,
+        constraints: &[(NodeId, bool)],
+    ) -> usize {
+        let circuit = podem.circuit;
+        let mut log = Vec::new();
+        let want = reference
+            .generate_logged(fault, constraints, &mut log)
+            .unwrap();
+        let got = podem
+            .generate_with_constraints_budgeted(fault, constraints, None)
+            .unwrap();
+        assert_eq!(got, want, "{}", fault.describe(circuit));
+
+        let mut assignment = vec![None; circuit.input_count()];
+        let mut decided = Vec::new();
+        let mut implied = vec![V5::X; circuit.node_count()];
+        let mut check = |podem: &Podem<'_>, assignment: &[Option<bool>], step: usize| {
+            reference.imply(fault, assignment, &mut implied);
+            assert!(
+                podem.values == implied,
+                "{}: values diverge after step {step}",
+                fault.describe(circuit)
+            );
+            let frontier: Vec<NodeId> = circuit
+                .iter()
+                .map(|(id, _)| id)
+                .filter(|g| podem.in_frontier[g.index()])
+                .collect();
+            assert_eq!(
+                frontier,
+                reference.d_frontier(fault, &implied),
+                "{}: D-frontier diverges after step {step}",
+                fault.describe(circuit)
+            );
+        };
+        podem.begin_fault(fault);
+        check(podem, &assignment, 0);
+        for (k, &step) in log.iter().enumerate() {
+            match step {
+                oracle::Step::Assign(pi, v) => {
+                    assignment[pi] = Some(v);
+                    decided.push(pi);
+                    podem.assign_input(fault, pi, v);
+                }
+                oracle::Step::Undo => {
+                    podem.undo_frame(fault);
+                    assignment[decided.pop().expect("an open decision")] = None;
+                }
+            }
+            check(podem, &assignment, k + 1);
+        }
+        podem.unwind_all();
+        log.iter().filter(|&&s| s == oracle::Step::Undo).count()
+    }
+
+    /// Replay every uncollapsed stuck-at fault of `circuit` (stems on
+    /// inputs and gates, fanout-branch pins); returns the undo steps.
+    fn replay_every_fault(circuit: &Circuit, backtrack_limit: u32) -> usize {
+        let mut podem = Podem::new(circuit, backtrack_limit).unwrap();
+        let reference = oracle::ReferencePodem::new(circuit, backtrack_limit).unwrap();
+        crate::fault::enumerate_faults(circuit)
+            .into_iter()
+            .map(|f| replay_against_the_oracle(&mut podem, &reference, f, &[]))
+            .sum()
+    }
+
+    // The differentials above compare outcomes and cubes; these compare
+    // the state after every step, so a wrong skip in the implication
+    // that happens not to change the decision path still shows.
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+        #[test]
+        fn every_step_matches_whole_circuit_implication(
+            inputs in 4usize..8,
+            outputs in 2usize..6,
+            scan in 2usize..10,
+            overlap_pct in 0usize..100,
+            xor_pct in 0usize..60,
+            seed in 0u64..1024,
+        ) {
+            let mut profile =
+                modsoc_circuitgen::CoreProfile::new("step", inputs, outputs, scan).with_seed(seed);
+            profile.overlap = overlap_pct as f64 / 100.0;
+            profile.xor_fraction = xor_pct as f64 / 100.0;
+            let circuit = modsoc_circuitgen::generate(&profile).expect("profile generates");
+            let model = circuit.to_test_model().expect("test model").circuit;
+            replay_every_fault(&model, 24);
+        }
+    }
+
+    #[test]
+    fn every_step_matches_on_xor_rich_reconvergent_cores_and_a_tdf_search() {
+        let mut undos = replay_every_fault(&c17(), 1000) + replay_every_fault(&constants(), 1000);
+        for (xor, seed) in [(0.6, 5), (0.9, 11)] {
+            let mut profile = modsoc_circuitgen::CoreProfile::new("xr", 6, 4, 8).with_seed(seed);
+            profile.overlap = 1.0;
+            profile.xor_fraction = xor;
+            let model = modsoc_circuitgen::generate(&profile)
+                .unwrap()
+                .to_test_model()
+                .unwrap()
+                .circuit;
+            undos += replay_every_fault(&model, 24);
+        }
+        assert!(undos > 0, "no search backtracked");
+
+        // Transition faults: a frame-2 stuck-at search constrained by its
+        // frame-1 initialization value, on the two-frame unrolling, where
+        // shared inputs and frame-1 captures make the fanout reconverge.
+        let core =
+            modsoc_circuitgen::generate(&modsoc_circuitgen::profile::iscas::s713(3)).unwrap();
+        let model = core.to_test_model().unwrap();
+        let two = crate::tdf::unroll_two_frames(&model).unwrap();
+        let mut podem = Podem::new(&two.circuit, 24).unwrap();
+        let reference = oracle::ReferencePodem::new(&two.circuit, 24).unwrap();
+        for tf in &crate::tdf::enumerate_transition_faults(&model.circuit) {
+            let stuck = crate::tdf::frame2_stuck(&two, tf);
+            let constraint = (two.frame1[tf.site.index()], stuck.stuck_at_one);
+            replay_against_the_oracle(&mut podem, &reference, stuck, &[constraint]);
+        }
+        assert!(
+            podem.search_stats().tests > 0,
+            "no constrained search found a test"
+        );
     }
 
     /// What one budgeted search returns and costs: its outcome, its

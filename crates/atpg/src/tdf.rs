@@ -354,7 +354,7 @@ fn run_tdf_over(
 /// The stuck-at fault that stands for `tf` in the unrolling: its
 /// frame-2 line stuck at the frame-1 initialization value (the late
 /// transition looks stuck for one cycle).
-fn frame2_stuck(two: &TwoFrame, tf: &TransitionFault) -> Fault {
+pub(crate) fn frame2_stuck(two: &TwoFrame, tf: &TransitionFault) -> Fault {
     Fault {
         site: FaultSite::Stem(two.frame2[tf.site.index()]),
         stuck_at_one: !tf.slow_to_rise,

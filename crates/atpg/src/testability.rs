@@ -28,18 +28,26 @@ impl Testability {
     /// Propagates netlist validation errors (including sequential
     /// circuits).
     pub fn compute(circuit: &Circuit) -> Result<Testability, AtpgError> {
+        Testability::compute_in_order(circuit, &circuit.topo_order()?)
+    }
+
+    /// [`Testability::compute`] over a topological order the caller
+    /// already holds (PODEM passes its [`modsoc_netlist::StructuralIndex`]'s).
+    pub(crate) fn compute_in_order(
+        circuit: &Circuit,
+        order: &[NodeId],
+    ) -> Result<Testability, AtpgError> {
         if let Some(&ff) = circuit.dffs().first() {
             return Err(modsoc_netlist::NetlistError::NotCombinational {
                 node: circuit.node(ff).name.clone(),
             }
             .into());
         }
-        let order = circuit.topo_order()?;
         let n = circuit.node_count();
         let mut cc0 = vec![CAP; n];
         let mut cc1 = vec![CAP; n];
 
-        for &id in &order {
+        for &id in order {
             let node = circuit.node(id);
             let i = id.index();
             match node.kind {

@@ -105,6 +105,17 @@ fn or_opt(a: Option<bool>, b: Option<bool>) -> Option<bool> {
     }
 }
 
+impl From<bool> for V5 {
+    /// The fault-free value of a defined line: 0 or 1 in both circuits.
+    fn from(v: bool) -> V5 {
+        if v {
+            V5::One
+        } else {
+            V5::Zero
+        }
+    }
+}
+
 impl std::ops::Not for V5 {
     type Output = V5;
 
@@ -128,24 +139,26 @@ fn xor_opt(a: Option<bool>, b: Option<bool>) -> Option<bool> {
     }
 }
 
-/// Evaluate a gate over five-valued fanin values.
+/// Evaluate a gate over five-valued fanin values, given in pin order.
 ///
 /// `Input` and `Dff` act as identity (the caller supplies their value);
-/// constants ignore fanins.
+/// constants ignore fanins. The fanins are folded as they are produced,
+/// so a caller can evaluate straight from its own value storage.
 #[must_use]
-pub fn eval_gate(kind: GateKind, fanin: &[V5]) -> V5 {
+pub fn eval_gate(kind: GateKind, fanin: impl IntoIterator<Item = V5>) -> V5 {
+    let mut fanin = fanin.into_iter();
     match kind {
-        GateKind::Input => fanin.first().copied().unwrap_or(V5::X),
+        GateKind::Input => fanin.next().unwrap_or(V5::X),
         GateKind::Const0 => V5::Zero,
         GateKind::Const1 => V5::One,
-        GateKind::Buf | GateKind::Dff => fanin[0],
-        GateKind::Not => !fanin[0],
-        GateKind::And => fanin.iter().fold(V5::One, |acc, &v| acc.and(v)),
-        GateKind::Nand => !fanin.iter().fold(V5::One, |acc, &v| acc.and(v)),
-        GateKind::Or => fanin.iter().fold(V5::Zero, |acc, &v| acc.or(v)),
-        GateKind::Nor => !fanin.iter().fold(V5::Zero, |acc, &v| acc.or(v)),
-        GateKind::Xor => fanin.iter().fold(V5::Zero, |acc, &v| acc.xor(v)),
-        GateKind::Xnor => !fanin.iter().fold(V5::Zero, |acc, &v| acc.xor(v)),
+        GateKind::Buf | GateKind::Dff => fanin.next().expect("a buffer has one fanin"),
+        GateKind::Not => !fanin.next().expect("an inverter has one fanin"),
+        GateKind::And => fanin.fold(V5::One, V5::and),
+        GateKind::Nand => !fanin.fold(V5::One, V5::and),
+        GateKind::Or => fanin.fold(V5::Zero, V5::or),
+        GateKind::Nor => !fanin.fold(V5::Zero, V5::or),
+        GateKind::Xor => fanin.fold(V5::Zero, V5::xor),
+        GateKind::Xnor => !fanin.fold(V5::Zero, V5::xor),
     }
 }
 
@@ -268,7 +281,7 @@ mod tests {
                     let aw = if a == V5::One { u64::MAX } else { 0 };
                     let bw = if b == V5::One { u64::MAX } else { 0 };
                     let want = kind.eval64(&[aw, bw]) & 1 == 1;
-                    let got = eval_gate(kind, &[a, b]);
+                    let got = eval_gate(kind, [a, b]);
                     assert_eq!(got.good(), Some(want), "{kind} {a}{b}");
                 }
             }
@@ -278,9 +291,80 @@ mod tests {
     #[test]
     fn nand_propagates_d() {
         // NAND(D, 1) = D'.
-        assert_eq!(eval_gate(GateKind::Nand, &[V5::D, V5::One]), V5::Dbar);
+        assert_eq!(eval_gate(GateKind::Nand, [V5::D, V5::One]), V5::Dbar);
         // NAND(D, 0) = 1 (fault masked).
-        assert_eq!(eval_gate(GateKind::Nand, &[V5::D, V5::Zero]), V5::One);
+        assert_eq!(eval_gate(GateKind::Nand, [V5::D, V5::Zero]), V5::One);
+    }
+
+    /// Every gate kind PODEM evaluates, with each fanin count from 1 to 4
+    /// (single-input kinds take exactly one).
+    fn gate_shapes() -> impl Iterator<Item = (GateKind, usize)> {
+        use modsoc_netlist::GateKind as GK;
+        [(GK::Buf, 1), (GK::Not, 1)].into_iter().chain(
+            [GK::And, GK::Nand, GK::Or, GK::Nor, GK::Xor, GK::Xnor]
+                .into_iter()
+                .flat_map(|kind| (1..=4).map(move |n| (kind, n))),
+        )
+    }
+
+    /// Every fanin vector of length `n` over `alphabet`.
+    fn vectors(alphabet: &[V5], n: usize) -> Vec<Vec<V5>> {
+        (0..n).fold(vec![Vec::new()], |acc, _| {
+            acc.iter()
+                .flat_map(|prefix| {
+                    alphabet.iter().map(move |&a| {
+                        let mut v = prefix.clone();
+                        v.push(a);
+                        v
+                    })
+                })
+                .collect()
+        })
+    }
+
+    // PODEM's implication visits each node at most once per decision
+    // because a decision only refines an input from X, and refinement
+    // can turn an X result defined but never change a defined one.
+    #[test]
+    fn refining_an_x_fanin_never_changes_a_defined_result() {
+        for (kind, n) in gate_shapes() {
+            for v in vectors(&ALL, n) {
+                let out = eval_gate(kind, v.iter().copied());
+                if out == V5::X {
+                    continue;
+                }
+                for pin in (0..n).filter(|&pin| v[pin] == V5::X) {
+                    for r in [V5::Zero, V5::One, V5::D, V5::Dbar] {
+                        let mut refined = v.clone();
+                        refined[pin] = r;
+                        assert_eq!(
+                            eval_gate(kind, refined),
+                            out,
+                            "{kind} {v:?}: pin {pin} := {r}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    // Outside a fault's cone every value is 0, 1 or X, and PODEM decides
+    // a gate there from its controlling value and its X fanins alone.
+    #[test]
+    fn three_valued_results_follow_controlling_values_then_xs() {
+        for (kind, n) in gate_shapes() {
+            for v in vectors(&[V5::Zero, V5::One, V5::X], n) {
+                let out = eval_gate(kind, v.iter().copied());
+                let controlled = kind
+                    .controlling_value()
+                    .filter(|&c| v.contains(&V5::from(c)));
+                match controlled {
+                    Some(c) => assert_eq!(out, V5::from(c ^ kind.inverts()), "{kind} {v:?}"),
+                    None if v.contains(&V5::X) => assert_eq!(out, V5::X, "{kind} {v:?}"),
+                    None => assert!(matches!(out, V5::Zero | V5::One), "{kind} {v:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use modsoc_soc::{CoreId, Soc};
 use crate::error::AnalysisError;
 use crate::tdv::{
     benefit_eq8, benefit_exact, core_tdv, isocost, modular_tdv, monolithic_tdv,
-    monolithic_tdv_optimistic, TdvOptions, TdvVolume,
+    monolithic_tdv_optimistic, penalty, TdvOptions, TdvVolume,
 };
 
 /// One per-core line of the analysis (a row of Tables 1–3).
@@ -20,6 +20,18 @@ pub struct CoreTdvRow {
     pub isocost: u64,
     /// Stand-alone test data volume (Equation 4 term).
     pub volume: TdvVolume,
+}
+
+/// Core `id`'s row, or `None` when its `ISOCOST`, volume or total
+/// overflows `u64`. The strict analysis and the guarded per-core one
+/// (`runctl::analyze_soc_guarded`) both build their rows here.
+pub(crate) fn core_row(soc: &Soc, id: CoreId, options: &TdvOptions) -> Option<CoreTdvRow> {
+    Some(CoreTdvRow {
+        id,
+        name: soc.core(id).name.clone(),
+        isocost: isocost(soc, id, options)?,
+        volume: core_tdv(soc, id, options)?,
+    })
 }
 
 /// The complete TDV analysis of one SOC.
@@ -71,10 +83,12 @@ impl SocTdvAnalysis {
     ///
     /// # Errors
     ///
-    /// Propagates SOC validation errors.
+    /// Returns [`AnalysisError::Overflow`] when a core's row or a
+    /// SOC-level quantity overflows `u64`, and propagates SOC validation
+    /// errors.
     pub fn compute(soc: &Soc, options: &TdvOptions) -> Result<SocTdvAnalysis, AnalysisError> {
         soc.validate()?;
-        Ok(Self::build(soc, options, soc.max_core_patterns(), false))
+        Self::build(soc, options, soc.max_core_patterns(), false)
     }
 
     /// Analyse with a measured monolithic pattern count (from a real
@@ -83,7 +97,9 @@ impl SocTdvAnalysis {
     /// # Errors
     ///
     /// Returns [`AnalysisError::TmonoBelowBound`] if `t_mono` undercuts
-    /// the Equation 2 lower bound, and propagates validation errors.
+    /// the Equation 2 lower bound, [`AnalysisError::Overflow`] as
+    /// [`SocTdvAnalysis::compute`] does, and propagates validation
+    /// errors.
     pub fn compute_with_measured_tmono(
         soc: &Soc,
         options: &TdvOptions,
@@ -94,33 +110,41 @@ impl SocTdvAnalysis {
         if t_mono < max_core {
             return Err(AnalysisError::TmonoBelowBound { t_mono, max_core });
         }
-        Ok(Self::build(soc, options, t_mono, true))
+        Self::build(soc, options, t_mono, true)
     }
 
-    fn build(soc: &Soc, options: &TdvOptions, t_mono: u64, measured: bool) -> SocTdvAnalysis {
+    /// The one place where an equation's overflow becomes an error.
+    fn build(
+        soc: &Soc,
+        options: &TdvOptions,
+        t_mono: u64,
+        measured: bool,
+    ) -> Result<SocTdvAnalysis, AnalysisError> {
+        let overflow = |what: String| AnalysisError::Overflow { what };
         let rows = soc
             .iter()
-            .map(|(id, c)| CoreTdvRow {
-                id,
-                name: c.name.clone(),
-                isocost: isocost(soc, id, options),
-                volume: core_tdv(soc, id, options),
+            .map(|(id, c)| {
+                core_row(soc, id, options).ok_or_else(|| overflow(format!("core `{}`", c.name)))
             })
-            .collect();
-        SocTdvAnalysis {
+            .collect::<Result<_, _>>()?;
+        let soc_level = |quantity: &str| overflow(format!("the SOC-level {quantity}"));
+        Ok(SocTdvAnalysis {
             soc_name: soc.name().to_string(),
             options: *options,
             rows,
             t_mono,
             t_mono_is_measured: measured,
-            modular: modular_tdv(soc, options),
-            monolithic: monolithic_tdv(soc, t_mono),
-            monolithic_optimistic: monolithic_tdv_optimistic(soc),
-            penalty: crate::tdv::penalty(soc, options),
-            benefit_eq8: benefit_eq8(soc, t_mono),
-            benefit_exact: benefit_exact(soc, t_mono, options),
+            modular: modular_tdv(soc, options).ok_or_else(|| soc_level("modular TDV (Eq. 4)"))?,
+            monolithic: monolithic_tdv(soc, t_mono)
+                .ok_or_else(|| soc_level("monolithic TDV (Eq. 1)"))?,
+            monolithic_optimistic: monolithic_tdv_optimistic(soc)
+                .ok_or_else(|| soc_level("optimistic monolithic TDV (Eq. 3)"))?,
+            penalty: penalty(soc, options).ok_or_else(|| soc_level("penalty (Eq. 7)"))?,
+            benefit_eq8: benefit_eq8(soc, t_mono).ok_or_else(|| soc_level("benefit (Eq. 8)"))?,
+            benefit_exact: benefit_exact(soc, t_mono, options)
+                .ok_or_else(|| soc_level("exact benefit (Eq. 6)"))?,
             pattern_stats: pattern_count_stats(soc),
-        }
+        })
     }
 
     /// SOC name.
@@ -367,7 +391,7 @@ mod tests {
     fn eq8_residual_is_chip_pin_term() {
         let soc = itc02::p34392();
         let a = SocTdvAnalysis::compute(&soc, &TdvOptions::tables_3_4()).unwrap();
-        let (i, o, b) = soc.chip_pins();
+        let (i, o, b) = soc.chip_pins().unwrap();
         assert_eq!(a.eq8_residual(), (i + o + 2 * b) * a.t_mono());
     }
 }

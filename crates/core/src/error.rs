@@ -26,6 +26,12 @@ pub enum AnalysisError {
         /// What was wrong with the spec.
         message: String,
     },
+    /// A TDV equation overflows `u64` (corrupt counts): a core's row
+    /// (Equations 4–5) or a SOC-level quantity (Equations 1, 3, 6–8).
+    Overflow {
+        /// What overflows: `` core `NAME` `` or the SOC-level quantity.
+        what: String,
+    },
     /// A caller that requires every core of a guarded run to complete
     /// got one that failed or returned budget-partial work.
     Incomplete {
@@ -46,6 +52,9 @@ impl fmt::Display for AnalysisError {
                 f,
                 "monolithic pattern count {t_mono} is below the equation 2 bound {max_core}"
             ),
+            AnalysisError::Overflow { what } => {
+                write!(f, "{what} overflows the TDV equations (corrupt counts?)")
+            }
             AnalysisError::Campaign { message } => write!(f, "campaign spec error: {message}"),
             AnalysisError::Incomplete { core, outcome } => {
                 write!(f, "core {core} did not complete: {outcome}")
@@ -60,8 +69,10 @@ impl std::error::Error for AnalysisError {
             AnalysisError::Soc(e) => Some(e),
             AnalysisError::Netlist(e) => Some(e),
             AnalysisError::Atpg(e) => Some(e),
-            AnalysisError::TmonoBelowBound { .. } => None,
-            AnalysisError::Campaign { .. } | AnalysisError::Incomplete { .. } => None,
+            AnalysisError::TmonoBelowBound { .. }
+            | AnalysisError::Overflow { .. }
+            | AnalysisError::Campaign { .. }
+            | AnalysisError::Incomplete { .. } => None,
         }
     }
 }

@@ -646,7 +646,7 @@ mod tests {
         assert_eq!(t.outputs, netlist.chip_output_count() as u64);
         assert_eq!(
             exp.soc.total_scan_cells(),
-            netlist.total_scan_cells() as u64
+            Some(netlist.total_scan_cells() as u64)
         );
     }
 

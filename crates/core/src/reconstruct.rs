@@ -562,7 +562,7 @@ mod tests {
         let row = table4().iter().find(|r| r.name == "g12710").unwrap();
         let soc = reconstruct_table4(row).unwrap();
         let total_io: u64 = soc.iter().map(|(_, c)| c.inputs + c.outputs).sum();
-        let total_scan = soc.total_scan_cells();
+        let total_scan = soc.total_scan_cells().unwrap();
         assert!(
             total_io > total_scan,
             "io {total_io} should exceed scan {total_scan}"

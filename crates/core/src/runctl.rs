@@ -22,9 +22,9 @@ use modsoc_soc::Soc;
 
 pub use modsoc_atpg::budget::{BudgetExhausted, ExhaustReason, RunBudget};
 
-use crate::analysis::CoreTdvRow;
+use crate::analysis::{core_row, CoreTdvRow};
 use crate::error::AnalysisError;
-use crate::tdv::{core_tdv_checked, isocost_split_checked, TdvOptions};
+use crate::tdv::TdvOptions;
 
 /// Why a core's slice of the pipeline failed (as opposed to completing
 /// or returning budget-partial work).
@@ -233,24 +233,15 @@ pub fn analyze_soc_guarded(
     let ids: Vec<_> = soc.iter().collect();
     let computed =
         crate::parallel::WorkerPool::new(jobs).map_with_sink(&ids, sink, |_, (id, _)| {
-            guard(|| {
-                let volume = core_tdv_checked(soc, *id, options)?;
-                let (iso_s, iso_r) = isocost_split_checked(soc, *id, options)?;
-                Some((volume, iso_s.checked_add(iso_r)?))
-            })
+            guard(|| core_row(soc, *id, options))
         });
 
     let mut rows = Vec::new();
     let mut outcomes = Vec::new();
-    for ((id, core), computed) in ids.into_iter().zip(computed) {
+    for ((_, core), computed) in ids.into_iter().zip(computed) {
         match computed {
-            Ok(Some((volume, isocost))) => {
-                rows.push(CoreTdvRow {
-                    id,
-                    name: core.name.clone(),
-                    isocost,
-                    volume,
-                });
+            Ok(Some(row)) => {
+                rows.push(row);
                 outcomes.push(CoreOutcome {
                     core: core.name.clone(),
                     kind: CoreOutcomeKind::Complete,

@@ -35,10 +35,9 @@
 //!   bytes are carried over between requests instead of being dropped.
 //! * **Priority lanes** — parsed requests land in one of two admission
 //!   lanes (`/experiment` = heavy, everything else = light) drained by
-//!   weighted round-robin with a deficit-token scheme
-//!   ([`ServeConfig::lane_weights`]), so cheap `/analyze` probes are
-//!   not starved behind long experiment runs. Lane depth and wait time
-//!   are exported through `/metrics`.
+//!   weighted round-robin with a deficit-token scheme (4:1), so cheap
+//!   `/analyze` probes are not starved behind long experiment runs.
+//!   Lane depth and wait time are exported through `/metrics`.
 //! * **Request batching** — with [`ServeConfig::batch_max`] > 1,
 //!   coalesce leaders for *distinct* experiment keys with the same
 //!   [`ExperimentOptions::fingerprint`] rendezvous for a short window
@@ -91,7 +90,7 @@ use crate::experiment::{run_soc_experiment_guarded, ExperimentOptions};
 use crate::parallel::WorkerPool;
 use crate::report::render_analyze_report;
 use crate::runctl::{guard, guard_result, CoreFailure};
-use crate::tdv::{core_tdv_checked, TdvOptions};
+use crate::tdv::TdvOptions;
 use crate::RunBudget;
 use modsoc_metrics::json::{self, JsonValue};
 use modsoc_metrics::{Counter, MetricsSink, MetricsSnapshot, Phase, PhaseTimer, RecordingSink};
@@ -173,12 +172,12 @@ pub struct ServeConfig {
     /// How long a batch leader waits for compatible units to rendezvous
     /// before dispatching whatever has arrived.
     pub batch_window: Duration,
-    /// Weighted round-robin shares for the (light, heavy) admission
-    /// lanes when both are non-empty. `(4, 1)` = four light dispatches
-    /// per heavy one under contention; an empty lane never blocks the
-    /// other (work-conserving).
-    pub lane_weights: (u64, u64),
 }
+
+/// Weighted round-robin shares for the (light, heavy) admission lanes
+/// when both are non-empty: four light dispatches per heavy one under
+/// contention. An empty lane never blocks the other (work-conserving).
+const LANE_WEIGHTS: (u64, u64) = (4, 1);
 
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
@@ -200,7 +199,6 @@ impl Default for ServeConfig {
             idle_timeout: Duration::from_secs(2),
             batch_max: 1,
             batch_window: Duration::from_millis(3),
-            lane_weights: (4, 1),
         }
     }
 }
@@ -581,7 +579,7 @@ fn worker_loop(shared: &Shared) {
 fn next_work(shared: &Shared) -> Option<Work> {
     let mut sched = lock_clean(&shared.sched);
     loop {
-        if let Some(item) = pick_lane(&mut sched, shared.config.lane_weights) {
+        if let Some(item) = pick_lane(&mut sched) {
             return Some(Work::Compute(item));
         }
         if let Some(conn) = sched.read_q.pop_front() {
@@ -599,15 +597,14 @@ fn next_work(shared: &Shared) -> Option<Work> {
 }
 
 /// Weighted round-robin with refilling tokens: when both lanes hold
-/// work, dispatches split `light:heavy = lane_weights`; an empty lane
-/// cedes its turn (never the whole scheduler) to the other.
-fn pick_lane(sched: &mut Sched, weights: (u64, u64)) -> Option<ComputeItem> {
+/// work, dispatches split `light:heavy =` [`LANE_WEIGHTS`]; an empty
+/// lane cedes its turn (never the whole scheduler) to the other.
+fn pick_lane(sched: &mut Sched) -> Option<ComputeItem> {
     if sched.light.is_empty() && sched.heavy.is_empty() {
         return None;
     }
     if sched.light_tokens == 0 && sched.heavy_tokens == 0 {
-        sched.light_tokens = weights.0.max(1);
-        sched.heavy_tokens = weights.1.max(1);
+        (sched.light_tokens, sched.heavy_tokens) = LANE_WEIGHTS;
     }
     if !sched.light.is_empty() && (sched.light_tokens > 0 || sched.heavy.is_empty()) {
         sched.light_tokens = sched.light_tokens.saturating_sub(1);
@@ -1409,14 +1406,8 @@ fn metrics_response(shared: &Shared) -> Response {
         (
             "lanes".to_string(),
             JsonValue::Object(vec![
-                (
-                    "light".to_string(),
-                    lane(light_depth, shared.config.lane_weights.0),
-                ),
-                (
-                    "heavy".to_string(),
-                    lane(heavy_depth, shared.config.lane_weights.1),
-                ),
+                ("light".to_string(), lane(light_depth, LANE_WEIGHTS.0)),
+                ("heavy".to_string(), lane(heavy_depth, LANE_WEIGHTS.1)),
             ]),
         ),
         (
@@ -1500,14 +1491,6 @@ fn handle_analyze(shared: &Shared, body: &[u8]) -> Response {
         };
         if let Some(r) = reuse {
             options = options.with_functional_reuse(r);
-        }
-        for (id, core) in soc.iter() {
-            if core_tdv_checked(&soc, id, &options).is_none() {
-                return Err(format!(
-                    "core `{}` overflows the TDV equations (corrupt counts?)",
-                    core.name
-                ));
-            }
         }
         let analysis = match measured_tmono {
             Some(t) => SocTdvAnalysis::compute_with_measured_tmono(&soc, &options, t)
@@ -2272,6 +2255,37 @@ mod tests {
     }
 
     #[test]
+    fn analyze_overflow_is_unprocessable() {
+        // A poisoned core, and three cores whose rows fit but whose
+        // SOC-level sums overflow u64: both are 422, never a clamped 200.
+        let (addr, handle, join) = start(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        let t = Duration::from_secs(5);
+        let m = u64::MAX;
+        let big = "i=4 o=3 s=3000000000 t=2000000000";
+        for (soc_text, what) in [
+            (
+                format!("soc p\ncore a i=4 o=3 s=20 t=100\ncore p i=1 o=1 s={m} t={m}\n"),
+                "core `p` overflows",
+            ),
+            (
+                format!("soc big\ncore a {big}\ncore b {big}\ncore c {big}\n"),
+                "SOC-level modular TDV (Eq. 4) overflows",
+            ),
+        ] {
+            let body = JsonValue::Object(vec![("soc".to_string(), JsonValue::String(soc_text))])
+                .to_compact();
+            let resp = http_request(&addr, "POST", "/analyze", Some(&body), t).unwrap();
+            assert_eq!(resp.status, 422, "{}", resp.body_text());
+            assert!(resp.body_text().contains(what), "{}", resp.body_text());
+        }
+        handle.shutdown();
+        join.join().unwrap();
+    }
+
+    #[test]
     fn experiment_runs_and_coalesces_identical_requests() {
         let (addr, handle, join) = start(ServeConfig {
             workers: 4,
@@ -2560,6 +2574,51 @@ mod tests {
         assert_eq!((connects, reused), (1, 1));
         handle.shutdown();
         join.join().unwrap();
+    }
+
+    #[test]
+    fn pick_lane_serves_four_light_per_heavy_and_an_empty_lane_cedes() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let item = |lane: Lane, path: String| ComputeItem {
+            conn: Conn {
+                stream: stream.try_clone().unwrap(),
+                buf: Vec::new(),
+                served: 0,
+                idle_deadline: Instant::now(),
+                read_deadline: None,
+            },
+            req: Request {
+                method: "GET".to_string(),
+                path,
+                body: Vec::new(),
+                close: false,
+            },
+            lane,
+            enqueued: Instant::now(),
+        };
+        // Fill a fresh scheduler and drain it in dispatch order.
+        let order = |light: usize, heavy: usize| -> Vec<String> {
+            let mut sched = Sched::default();
+            for k in 0..light {
+                sched.light.push_back(item(Lane::Light, format!("l{k}")));
+            }
+            for k in 0..heavy {
+                sched.heavy.push_back(item(Lane::Heavy, format!("h{k}")));
+            }
+            std::iter::from_fn(|| pick_lane(&mut sched))
+                .map(|item| item.req.path)
+                .collect()
+        };
+        // Both lanes busy: four light, then one heavy. Once the light
+        // lane runs dry it cedes its turns to the heavy one.
+        assert_eq!(
+            order(6, 3),
+            ["l0", "l1", "l2", "l3", "h0", "l4", "l5", "h1", "h2"]
+        );
+        // An empty heavy lane cedes its turns to the light one.
+        assert_eq!(order(6, 0), ["l0", "l1", "l2", "l3", "l4", "l5"]);
+        assert_eq!(order(0, 2), ["h0", "h1"]);
     }
 
     #[test]

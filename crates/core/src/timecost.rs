@@ -75,11 +75,10 @@ pub fn time_cost(
 
     // Monolithic: one flat design, scan split over `width` chains (one
     // chain per TAM wire — the paper's balanced-chain assumption).
-    let (i, o, b) = soc.chip_pins();
-    let flat = WrapperCore::from_core_spec(
-        &modsoc_soc::CoreSpec::leaf("flat", i, o, b, soc.total_scan_cells(), tdv.t_mono()),
-        width,
-    );
+    let flat = soc
+        .flattened_spec(tdv.t_mono())
+        .expect("the TDV analysis checked the chip pins and scan cells");
+    let flat = WrapperCore::from_core_spec(&flat, width);
     let monolithic_time = design_wrapper(&flat, width).test_time_self();
 
     Ok(TimeCost {

@@ -398,9 +398,14 @@ impl Circuit {
     ///
     /// Propagates cycle detection from [`Circuit::topo_order`].
     pub fn levels(&self) -> Result<Vec<u32>, NetlistError> {
-        let order = self.topo_order()?;
+        Ok(self.levels_in(&self.topo_order()?))
+    }
+
+    /// [`Circuit::levels`] over a topological order the caller already
+    /// holds.
+    pub(crate) fn levels_in(&self, order: &[NodeId]) -> Vec<u32> {
         let mut level = vec![0u32; self.nodes.len()];
-        for id in order {
+        for &id in order {
             let node = &self.nodes[id.index()];
             if node.kind == GateKind::Dff || node.fanin.is_empty() {
                 level[id.index()] = 0;
@@ -413,7 +418,7 @@ impl Circuit {
                     .unwrap_or(0);
             }
         }
-        Ok(level)
+        level
     }
 
     /// Build the fanout lists (combinational *and* sequential edges).

@@ -87,7 +87,7 @@ impl StructuralIndex {
     pub fn build(circuit: &Circuit) -> Result<StructuralIndex, NetlistError> {
         let n = circuit.node_count();
         let topo = circuit.topo_order()?;
-        let levels = circuit.levels()?;
+        let levels = circuit.levels_in(&topo);
         let mut topo_pos = vec![0u32; n];
         for (pos, id) in topo.iter().enumerate() {
             topo_pos[id.index()] = pos as u32;

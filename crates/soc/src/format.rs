@@ -253,7 +253,7 @@ core b i=2 o=2 b=0 s=8 t=90
         let top = soc.find("top").unwrap();
         assert_eq!(soc.core(top).children.len(), 2);
         assert_eq!(soc.top_level_cores(), vec![top]);
-        assert_eq!(soc.chip_pins(), (8, 4, 1));
+        assert_eq!(soc.chip_pins(), Some((8, 4, 1)));
     }
 
     #[test]

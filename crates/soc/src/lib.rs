@@ -29,7 +29,7 @@
 //! soc.add_core(CoreSpec::parent("top", 32, 16, 0, 0, 4, vec![a, b]))?;
 //! soc.validate()?;
 //! assert_eq!(soc.max_core_patterns(), 300);
-//! assert_eq!(soc.total_scan_cells(), 160);
+//! assert_eq!(soc.total_scan_cells(), Some(160));
 //! # Ok(())
 //! # }
 //! ```

@@ -101,32 +101,29 @@ impl Soc {
     }
 
     /// Chip-level pin counts `(I, O, B)`: the summed terminals of the
-    /// top-level cores.
+    /// top-level cores; `None` when a sum overflows `u64` (a corrupt
+    /// `.soc` can carry near-`u64::MAX` counts).
     #[must_use]
-    pub fn chip_pins(&self) -> (u64, u64, u64) {
-        // Saturating: corrupted `.soc` files can carry near-`u64::MAX`
-        // counts, and aggregate views must not panic on them (the
-        // analysis layer flags such cores with its checked variants).
+    pub fn chip_pins(&self) -> Option<(u64, u64, u64)> {
         self.top_level_cores()
             .into_iter()
             .map(|id| self.core(id))
-            .fold((0, 0, 0), |(i, o, b), c| {
-                (
-                    i.saturating_add(c.inputs),
-                    o.saturating_add(c.outputs),
-                    b.saturating_add(c.bidirs),
-                )
+            .try_fold((0u64, 0u64, 0u64), |(i, o, b), c| {
+                Some((
+                    i.checked_add(c.inputs)?,
+                    o.checked_add(c.outputs)?,
+                    b.checked_add(c.bidirs)?,
+                ))
             })
     }
 
-    /// Total scan cells over all cores — `S_chip` in Equation 1
-    /// (saturating at `u64::MAX` on absurd inputs).
+    /// Total scan cells over all cores — `S_chip` in Equation 1; `None`
+    /// when the sum overflows `u64`.
     #[must_use]
-    pub fn total_scan_cells(&self) -> u64 {
+    pub fn total_scan_cells(&self) -> Option<u64> {
         self.cores
             .iter()
-            .map(|c| c.scan_cells)
-            .fold(0u64, u64::saturating_add)
+            .try_fold(0u64, |sum, c| sum.checked_add(c.scan_cells))
     }
 
     /// Maximum per-core pattern count — the paper's lower bound on the
@@ -139,22 +136,23 @@ impl Soc {
     /// The flattened single-core view of this SOC: one core with the
     /// chip pins and the summed scan cells, tested with `t_mono`
     /// patterns — the "monolithic entity (with isolation logic ripped
-    /// out)" of the paper's §3, as a [`CoreSpec`].
+    /// out)" of the paper's §3, as a [`CoreSpec`]; `None` when the chip
+    /// pins or scan cells overflow `u64`.
     ///
     /// Feeding the result back through the modular TDV equation
     /// reproduces Equation 1 exactly (a handy cross-check used in the
     /// test suite).
     #[must_use]
-    pub fn flattened_spec(&self, t_mono: u64) -> CoreSpec {
-        let (i, o, b) = self.chip_pins();
-        CoreSpec::leaf(
+    pub fn flattened_spec(&self, t_mono: u64) -> Option<CoreSpec> {
+        let (i, o, b) = self.chip_pins()?;
+        Some(CoreSpec::leaf(
             format!("{}.flat", self.name),
             i,
             o,
             b,
-            self.total_scan_cells(),
+            self.total_scan_cells()?,
             t_mono,
-        )
+        ))
     }
 
     /// Validate the hierarchy: at least one core, every core embedded at
@@ -224,14 +222,11 @@ impl Soc {
 
 impl fmt::Display for Soc {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (i, o, b) = self.chip_pins();
-        write!(
-            f,
-            "{}: {} cores, chip I={i} O={o} B={b}, S_total={}",
-            self.name,
-            self.core_count(),
-            self.total_scan_cells()
-        )
+        write!(f, "{}: {} cores, ", self.name, self.core_count())?;
+        match (self.chip_pins(), self.total_scan_cells()) {
+            (Some((i, o, b)), Some(s)) => write!(f, "chip I={i} O={o} B={b}, S_total={s}"),
+            _ => write!(f, "chip pins or S_total overflow u64"),
+        }
     }
 }
 
@@ -262,8 +257,8 @@ mod tests {
         s.validate().unwrap();
         assert_eq!(s.core_count(), 3);
         assert_eq!(s.top_level_cores(), vec![CoreId::from_index(2)]);
-        assert_eq!(s.chip_pins(), (30, 12, 0));
-        assert_eq!(s.total_scan_cells(), 120);
+        assert_eq!(s.chip_pins(), Some((30, 12, 0)));
+        assert_eq!(s.total_scan_cells(), Some(120));
         assert_eq!(s.max_core_patterns(), 200);
         assert_eq!(s.find("b"), Some(CoreId::from_index(1)));
         assert_eq!(s.find("zz"), None);
@@ -274,8 +269,15 @@ mod tests {
         let mut s = Soc::new("flat");
         s.add_core(CoreSpec::leaf("a", 3, 1, 0, 5, 10)).unwrap();
         s.add_core(CoreSpec::leaf("b", 4, 2, 1, 5, 20)).unwrap();
-        assert_eq!(s.chip_pins(), (7, 3, 1));
+        assert_eq!(s.chip_pins(), Some((7, 3, 1)));
         assert_eq!(s.top_level_cores().len(), 2);
+        // Sums that overflow u64 are reported, not clamped.
+        let m = u64::MAX;
+        s.add_core(CoreSpec::leaf("c", m, 0, 0, m, 1)).unwrap();
+        assert_eq!(s.chip_pins(), None);
+        assert_eq!(s.total_scan_cells(), None);
+        assert_eq!(s.flattened_spec(1), None);
+        assert!(s.to_string().ends_with("chip pins or S_total overflow u64"));
     }
 
     #[test]
@@ -331,7 +333,7 @@ mod tests {
     #[test]
     fn flattened_spec_sums_the_chip() {
         let s = sample();
-        let flat = s.flattened_spec(500);
+        let flat = s.flattened_spec(500).unwrap();
         assert_eq!(flat.inputs, 30);
         assert_eq!(flat.outputs, 12);
         assert_eq!(flat.scan_cells, 120);

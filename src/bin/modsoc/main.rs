@@ -84,8 +84,7 @@ const SPECS: &[Spec] = &[
         opt("--read-timeout-ms", "N"), opt("--write-timeout-ms", "N"),
         opt("--retry-after-secs", "N"), opt("--jobs", "N"), switch("--keep-alive"),
         opt("--keep-alive-max", "N"), opt("--idle-timeout-ms", "N"), opt("--batch-max", "N"),
-        opt("--batch-window-ms", "N"), opt("--lane-weights", "L:H"), opt("--store", "DIR"),
-        switch("--no-store-read"),
+        opt("--batch-window-ms", "N"), opt("--store", "DIR"), switch("--no-store-read"),
     ], run: serve::serve },
     Spec { name: "loadgen", positional: None, flags: &[
         req("--addr", "HOST:PORT"), opt("--requests", "N"), opt("--concurrency", "N"),

@@ -16,8 +16,7 @@ use modsoc::analysis::report::{
     fmt_u64, render_analyze_report, render_core_table, render_metrics_table, render_outcome_table,
 };
 use modsoc::analysis::runctl::analyze_soc_guarded;
-use modsoc::analysis::tdv::core_tdv_checked;
-use modsoc::analysis::{RunBudget, SocTdvAnalysis, TdvOptions};
+use modsoc::analysis::{AnalysisError, RunBudget, SocTdvAnalysis, TdvOptions};
 use modsoc::metrics::NullSink;
 use modsoc::soc::format::parse_soc;
 use modsoc::soc::Soc;
@@ -31,12 +30,11 @@ fn soc_analysis(
     soc: &Soc,
     options: &TdvOptions,
     measured_tmono: Option<u64>,
-) -> Result<SocTdvAnalysis, String> {
+) -> Result<SocTdvAnalysis, AnalysisError> {
     match measured_tmono {
         Some(t) => SocTdvAnalysis::compute_with_measured_tmono(soc, options, t),
         None => SocTdvAnalysis::compute(soc, options),
     }
-    .map_err(|e| e.to_string())
 }
 
 pub(crate) fn analyze(a: &Args) -> Result<RunStatus, String> {
@@ -67,11 +65,21 @@ pub(crate) fn analyze(a: &Args) -> Result<RunStatus, String> {
         // who failed and why. Per-core arithmetic fans across the pool;
         // the output is identical at any --jobs value.
         let completion = analyze_soc_guarded(&soc, &options, jobs, &sink);
-        // Every core is healthy, so the full analysis is valid too.
-        let analysis = completion
-            .is_complete()
-            .then(|| soc_analysis(&soc, &options, measured_tmono))
-            .transpose()?;
+        // Every core is healthy, so the full analysis is valid too,
+        // unless a SOC-level quantity overflows.
+        let analysis = if completion.is_complete() {
+            match soc_analysis(&soc, &options, measured_tmono) {
+                Ok(analysis) => Ok(analysis),
+                Err(e @ AnalysisError::Overflow { .. }) => Err(e.to_string()),
+                Err(e) => return Err(e.to_string()),
+            }
+        } else {
+            Err(format!(
+                "{} of {} cores failed",
+                completion.failed_cores().len(),
+                completion.per_core_outcomes.len()
+            ))
+        };
         println!("{soc}");
         for row in &completion.result {
             println!(
@@ -81,7 +89,7 @@ pub(crate) fn analyze(a: &Args) -> Result<RunStatus, String> {
                 fmt_u64(row.volume.total())
             );
         }
-        if let Some(analysis) = analysis.as_ref().filter(|an| an.t_mono_is_measured()) {
+        if let Some(analysis) = analysis.as_ref().ok().filter(|an| an.t_mono_is_measured()) {
             // The strict table's SOC-level lines: totals, the measured
             // monolithic row and the reduction ratios.
             let table = render_core_table(&soc, analysis);
@@ -92,39 +100,30 @@ pub(crate) fn analyze(a: &Args) -> Result<RunStatus, String> {
         println!();
         println!("{}", render_outcome_table(&completion.per_core_outcomes));
         let status = match &analysis {
-            Some(analysis) => {
+            Ok(analysis) => {
                 println!(
                     "modular change vs optimistic monolithic: {:+.1}%",
                     analysis.modular_change_pct()
                 );
                 RunStatus::Complete
             }
-            None => {
-                eprintln!(
-                    "warning: {} of {} cores failed; SOC-level totals suppressed",
-                    completion.failed_cores().len(),
-                    completion.per_core_outcomes.len()
-                );
+            Err(why) => {
+                eprintln!("warning: {why}; SOC-level totals suppressed");
                 RunStatus::Partial
             }
         };
         (status, completion.per_core_outcomes)
     } else {
-        // Strict mode: a core whose parameters overflow the TDV equations
-        // is a hard error (the saturating equations would silently
-        // flatten it).
-        for (id, core) in soc.iter() {
-            if core_tdv_checked(&soc, id, &options).is_none() {
-                return Err(format!(
-                    "core `{}` overflows the TDV equations (corrupt counts?); \
-                     rerun with --keep-going to analyze the remaining cores",
-                    core.name
-                ));
-            }
-        }
+        // Strict mode: a core or SOC-level quantity that overflows the
+        // TDV equations is a hard error.
         let analysis = {
             let _t = PhaseTimer::start(&sink, Phase::TdvAnalysis);
-            soc_analysis(&soc, &options, measured_tmono)?
+            soc_analysis(&soc, &options, measured_tmono).map_err(|e| match e {
+                AnalysisError::Overflow { .. } => {
+                    format!("{e}; rerun with --keep-going for the per-core rows that fit")
+                }
+                e => e.to_string(),
+            })?
         };
         // One shared renderer with `modsoc serve`'s text mode, so the CI
         // serve gate can byte-diff a served report against this stdout.

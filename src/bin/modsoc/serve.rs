@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use modsoc::analysis::serve::{http_request, HttpClient, HttpResponse, ServeConfig, Server};
 
-use crate::{parse_num, read_file, write_file, Args, RunStatus};
+use crate::{read_file, write_file, Args, RunStatus};
 
 /// Best-effort signal dispositions. The bin target carries the
 /// workspace's only `unsafe` blocks: `signal(2)` registrations (no libc
@@ -78,9 +78,6 @@ pub(crate) fn serve(a: &Args) -> Result<RunStatus, String> {
         idle_timeout: a.ms_or("--idle-timeout-ms", d.idle_timeout)?,
         batch_max: a.num_or("--batch-max", d.batch_max)?,
         batch_window: a.ms_or("--batch-window-ms", d.batch_window)?,
-        lane_weights: a
-            .get("--lane-weights")
-            .map_or(Ok(d.lane_weights), lane_weights)?,
     };
     let requested = config.addr.clone();
     let server = Server::bind(config).map_err(|e| format!("binding {requested}: {e}"))?;
@@ -127,21 +124,6 @@ pub(crate) fn serve(a: &Args) -> Result<RunStatus, String> {
         snapshot.counter(Counter::ServeLaneHeavy),
     );
     Ok(RunStatus::Complete)
-}
-
-/// Parse `--lane-weights LIGHT:HEAVY`, both at least one.
-fn lane_weights(w: &str) -> Result<(u64, u64), String> {
-    let (light, heavy) = w
-        .split_once(':')
-        .ok_or("--lane-weights wants LIGHT:HEAVY, e.g. 4:1")?;
-    let weights = (
-        parse_num(light, "--lane-weights")?,
-        parse_num(heavy, "--lane-weights")?,
-    );
-    if weights.0 == 0 || weights.1 == 0 {
-        return Err("--lane-weights must both be >= 1".into());
-    }
-    Ok(weights)
 }
 
 /// Advance an xorshift64 state (the workload mix generator; seeded,

@@ -314,6 +314,58 @@ fn analyze_poisoned_core_errors_strict_but_degrades_with_keep_going() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Three cores whose rows each fit in `u64` but whose SOC-level sums do
+/// not: the totals must be reported as an overflow, never clamped.
+const SOC_LEVEL_OVERFLOW: &str = "soc big\n\
+     core a i=4 o=3 s=3000000000 t=2000000000\n\
+     core b i=4 o=3 s=3000000000 t=2000000000\n\
+     core c i=4 o=3 s=3000000000 t=2000000000\n";
+
+#[test]
+fn analyze_soc_level_overflow_errors_strict_and_suppresses_totals_with_keep_going() {
+    let dir = std::env::temp_dir().join(format!("modsoc_cli_ovf_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let soc_path = dir.join("big.soc");
+    std::fs::write(&soc_path, SOC_LEVEL_OVERFLOW).expect("write soc");
+    let path = soc_path.to_str().expect("utf8 path");
+
+    // Strict mode: hard error, exit 1, and no clamped total on stdout.
+    let out = modsoc(&["analyze", path]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("SOC-level modular TDV (Eq. 4) overflows"),
+        "{err}"
+    );
+    assert!(err.contains("--keep-going"), "{err}");
+    assert!(out.stdout.is_empty());
+
+    // Degraded mode: every row, no SOC-level line, exit 2.
+    let out = modsoc(&["analyze", path, "--keep-going"]);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        text.matches("TDV 12,000,000,014,000,000,000").count(),
+        3,
+        "{text}"
+    );
+    for suppressed in [
+        "18,446,744,073,709,551,615",
+        "SOC (modular)",
+        "modular change",
+    ] {
+        assert!(!text.contains(suppressed), "{text}");
+    }
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("SOC-level totals suppressed"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn analyze_keep_going_on_healthy_soc_exits_0() {
     let dir = std::env::temp_dir().join(format!("modsoc_cli_kg0_{}", std::process::id()));

@@ -91,7 +91,7 @@ pub struct RunBudget {
     pub max_backtracks_total: Option<u64>,
     /// Cap on generated patterns; generation stops once reached.
     pub max_patterns: Option<usize>,
-    /// Cooperative cancellation flag; see [`RunBudget::cancel_handle`].
+    /// Cooperative cancellation flag; see [`RunBudget::cancel`].
     pub cancel: Arc<AtomicBool>,
     backtracks_used: Arc<AtomicU64>,
 }
@@ -134,13 +134,6 @@ impl RunBudget {
         self
     }
 
-    /// A handle that cancels this run (and every clone of this budget)
-    /// from another thread.
-    #[must_use]
-    pub fn cancel_handle(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.cancel)
-    }
-
     /// Raise the cancellation flag.
     pub fn cancel(&self) {
         self.cancel.store(true, Ordering::Relaxed);
@@ -156,16 +149,6 @@ impl RunBudget {
     #[must_use]
     pub fn backtracks_used(&self) -> u64 {
         self.backtracks_used.load(Ordering::Relaxed)
-    }
-
-    /// Whether no limit is configured at all (the fast path can skip
-    /// per-iteration checks).
-    #[must_use]
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none()
-            && self.max_backtracks_total.is_none()
-            && self.max_patterns.is_none()
-            && !self.is_cancelled()
     }
 
     /// Check the deadline and cancellation flag.
@@ -256,7 +239,6 @@ mod tests {
     #[test]
     fn unlimited_never_trips() {
         let b = RunBudget::unlimited();
-        assert!(b.is_unlimited());
         assert_eq!(b.check(), None);
         assert_eq!(b.check_with_patterns(usize::MAX), None);
         for _ in 0..100 {
@@ -295,9 +277,8 @@ mod tests {
     fn cancellation_shared_across_clones() {
         let b = RunBudget::unlimited();
         let clone = b.clone();
-        let handle = b.cancel_handle();
         assert_eq!(clone.check(), None);
-        handle.store(true, Ordering::Relaxed);
+        b.cancel();
         assert_eq!(clone.check(), Some(ExhaustReason::Cancelled));
         assert_eq!(b.check(), Some(ExhaustReason::Cancelled));
     }

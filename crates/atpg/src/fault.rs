@@ -154,44 +154,6 @@ pub fn enumerate_faults_with(circuit: &Circuit, index: &StructuralIndex) -> Vec<
     faults
 }
 
-/// Exhaustively decide a fault's testability on a small combinational
-/// circuit (≤ 20 inputs): simulate every input vector and report
-/// whether any detects it.
-///
-/// The reference oracle the PODEM and fault-simulation tests check
-/// against; also useful for certifying redundancy claims on glue logic.
-///
-/// # Errors
-///
-/// Propagates simulator errors; refuses circuits with more than 20
-/// inputs (over a million vectors) via
-/// [`crate::AtpgError::PatternWidth`].
-pub fn exhaustively_testable(
-    circuit: &Circuit,
-    fault: Fault,
-) -> Result<bool, crate::error::AtpgError> {
-    let width = circuit.input_count();
-    if width > 20 {
-        return Err(crate::error::AtpgError::PatternWidth {
-            expected: 20,
-            got: width,
-        });
-    }
-    let mut fsim = crate::fault_sim::FaultSimulator::new(circuit)?;
-    let total = 1usize << width;
-    let mut row = 0usize;
-    while row < total {
-        let batch: Vec<Vec<bool>> = (row..(row + 64).min(total))
-            .map(|r| (0..width).map(|i| (r >> i) & 1 == 1).collect())
-            .collect();
-        row += batch.len();
-        if fsim.detection_masks(&batch, &[fault])?[0] != 0 {
-            return Ok(true);
-        }
-    }
-    Ok(false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,26 +221,6 @@ mod tests {
         assert!(faults
             .iter()
             .all(|f| f.site.affected_gate() != k || matches!(f.site, FaultSite::Pin { .. })));
-    }
-
-    #[test]
-    fn exhaustive_oracle_on_redundant_logic() {
-        let mut c = Circuit::new("red");
-        let a = c.add_input("a");
-        let n = c.add_gate("n", GateKind::Not, &[a]).unwrap();
-        let g = c.add_gate("g", GateKind::Or, &[a, n]).unwrap();
-        c.mark_output(g);
-        assert!(!exhaustively_testable(&c, Fault::stem_sa1(g)).unwrap());
-        assert!(exhaustively_testable(&c, Fault::stem_sa0(g)).unwrap());
-    }
-
-    #[test]
-    fn exhaustive_oracle_refuses_wide_circuits() {
-        let mut c = Circuit::new("wide");
-        let inputs: Vec<_> = (0..21).map(|i| c.add_input(format!("i{i}"))).collect();
-        let g = c.add_gate("g", GateKind::And, &inputs).unwrap();
-        c.mark_output(g);
-        assert!(exhaustively_testable(&c, Fault::stem_sa0(g)).is_err());
     }
 
     #[test]

@@ -64,7 +64,6 @@ pub(crate) fn core_row(soc: &Soc, id: CoreId, options: &TdvOptions) -> Option<Co
 #[derive(Debug, Clone, PartialEq)]
 pub struct SocTdvAnalysis {
     soc_name: String,
-    options: TdvOptions,
     rows: Vec<CoreTdvRow>,
     t_mono: u64,
     t_mono_is_measured: bool,
@@ -130,7 +129,6 @@ impl SocTdvAnalysis {
         let soc_level = |quantity: &str| overflow(format!("the SOC-level {quantity}"));
         Ok(SocTdvAnalysis {
             soc_name: soc.name().to_string(),
-            options: *options,
             rows,
             t_mono,
             t_mono_is_measured: measured,
@@ -151,12 +149,6 @@ impl SocTdvAnalysis {
     #[must_use]
     pub fn soc_name(&self) -> &str {
         &self.soc_name
-    }
-
-    /// The options the analysis ran with.
-    #[must_use]
-    pub fn options(&self) -> &TdvOptions {
-        &self.options
     }
 
     /// Per-core rows, in SOC core order.
@@ -212,13 +204,6 @@ impl SocTdvAnalysis {
     #[must_use]
     pub fn benefit(&self) -> u64 {
         self.benefit_exact
-    }
-
-    /// The Equation 6 residual of the printed Equation 8:
-    /// `benefit() − benefit_eq8()` — the chip-pin term.
-    #[must_use]
-    pub fn eq8_residual(&self) -> u64 {
-        self.benefit_exact - self.benefit_eq8.min(self.benefit_exact)
     }
 
     /// TDV reduction ratio of modular testing against the monolithic
@@ -392,6 +377,7 @@ mod tests {
         let soc = itc02::p34392();
         let a = SocTdvAnalysis::compute(&soc, &TdvOptions::tables_3_4()).unwrap();
         let (i, o, b) = soc.chip_pins().unwrap();
-        assert_eq!(a.eq8_residual(), (i + o + 2 * b) * a.t_mono());
+        // The Equation 6 residual of the printed Equation 8.
+        assert_eq!(a.benefit() - a.benefit_eq8(), (i + o + 2 * b) * a.t_mono());
     }
 }

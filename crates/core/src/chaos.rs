@@ -5,13 +5,13 @@
 //! includes it as well; this module includes it for the crate's own unit
 //! tests and supplies the pipeline items it drives.
 
+use modsoc_atpg::pool::WorkerPool;
 use modsoc_atpg::{Atpg, AtpgOptions};
 use modsoc_metrics::NullSink;
 use modsoc_netlist::bench_format::parse_bench;
 use modsoc_soc::format::parse_soc;
 
 use crate::analysis::SocTdvAnalysis;
-use crate::parallel::WorkerPool;
 use crate::runctl::{analyze_soc_guarded, guard, guard_result, CoreFailure, RunBudget};
 use crate::tdv::TdvOptions;
 

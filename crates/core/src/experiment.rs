@@ -18,6 +18,7 @@
 
 use std::sync::Arc;
 
+use modsoc_atpg::pool::WorkerPool;
 use modsoc_atpg::{Atpg, AtpgOptions, AtpgResult};
 use modsoc_circuitgen::SocNetlist;
 use modsoc_metrics::{MetricsSink, NullSink, Phase, PhaseTimer};
@@ -27,7 +28,6 @@ use modsoc_store::ResultStore;
 
 use crate::analysis::SocTdvAnalysis;
 use crate::error::AnalysisError;
-use crate::parallel::WorkerPool;
 use crate::runctl::{
     guard_result, BudgetExhausted, Completion, CoreFailure, CoreOutcome, CoreOutcomeKind, RunBudget,
 };

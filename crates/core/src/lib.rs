@@ -25,8 +25,8 @@
 //! * [`runctl`] — run control: [`RunBudget`] deadlines/cancellation,
 //!   panic isolation, and per-core graceful degradation so one poisoned
 //!   core cannot take down a whole experiment.
-//! * [`parallel`] — a deterministic scoped worker pool
-//!   ([`WorkerPool`], re-exported from `modsoc_atpg::pool`): per-core
+//! * [`WorkerPool`] — the deterministic scoped worker pool, re-exported
+//!   from `modsoc_atpg::pool`: per-core
 //!   ATPG jobs, fault-list chunks and chaos cases fan out across
 //!   `std::thread` workers with an order-preserving merge, so reports
 //!   are byte-identical at any `--jobs` value.
@@ -76,7 +76,6 @@ pub mod campaign;
 pub mod error;
 pub mod experiment;
 pub mod metrics;
-pub mod parallel;
 pub mod reconstruct;
 pub mod remote;
 pub mod report;
@@ -88,7 +87,7 @@ pub mod timecost;
 pub use analysis::{CoreTdvRow, SocTdvAnalysis};
 pub use campaign::{run_campaign, CampaignReport, CampaignSpec, ClaimOptions, UnitStatus};
 pub use error::AnalysisError;
-pub use parallel::WorkerPool;
+pub use modsoc_atpg::pool::WorkerPool;
 pub use remote::HttpBackend;
 pub use runctl::{
     BudgetExhausted, Completion, CoreFailure, CoreOutcome, CoreOutcomeKind, ExhaustReason,

@@ -232,7 +232,7 @@ pub fn analyze_soc_guarded(
         modsoc_metrics::PhaseTimer::start(sink, modsoc_metrics::Phase::TdvAnalysis);
     let ids: Vec<_> = soc.iter().collect();
     let computed =
-        crate::parallel::WorkerPool::new(jobs).map_with_sink(&ids, sink, |_, (id, _)| {
+        modsoc_atpg::pool::WorkerPool::new(jobs).map_with_sink(&ids, sink, |_, (id, _)| {
             guard(|| core_row(soc, *id, options))
         });
 

@@ -87,11 +87,11 @@
 use crate::analysis::SocTdvAnalysis;
 use crate::campaign::{build_unit_netlist, unit_key, CampaignUnit};
 use crate::experiment::{run_soc_experiment_guarded, ExperimentOptions};
-use crate::parallel::WorkerPool;
 use crate::report::render_analyze_report;
 use crate::runctl::{guard, guard_result, CoreFailure};
 use crate::tdv::TdvOptions;
 use crate::RunBudget;
+use modsoc_atpg::pool::WorkerPool;
 use modsoc_metrics::json::{self, JsonValue};
 use modsoc_metrics::{Counter, MetricsSink, MetricsSnapshot, Phase, PhaseTimer, RecordingSink};
 use modsoc_soc::format::parse_soc;
@@ -1913,13 +1913,14 @@ impl HttpResponse {
     }
 }
 
-/// Issue one HTTP/1.1 request (`Connection: close`) and read the full
-/// response.
+/// Issue one HTTP/1.1 request (`Connection: close`) and read its
+/// response with the keep-alive client's reader.
 ///
 /// # Errors
 ///
-/// Propagates connect/read/write failures; a malformed status line is
-/// reported as [`io::ErrorKind::InvalidData`].
+/// Propagates connect/read/write failures; a malformed or truncated
+/// response is reported as [`io::ErrorKind::InvalidData`] or
+/// [`io::ErrorKind::UnexpectedEof`].
 pub fn http_request(
     addr: &str,
     method: &str,
@@ -1944,9 +1945,7 @@ pub fn http_request(
     // Half-close: tells the server the body is finished (its drain of a
     // rejected oversized body hits EOF instead of its read timeout).
     let _ = stream.shutdown(std::net::Shutdown::Write);
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    parse_http_response(&raw)
+    read_response(&mut stream, &mut Vec::new())
 }
 
 /// Parse a response head (status line + headers, no terminator).
@@ -1966,22 +1965,6 @@ fn parse_response_head(head: &str) -> io::Result<(u16, Vec<(String, String)>)> {
         })
         .collect();
     Ok((status, headers))
-}
-
-fn parse_http_response(raw: &[u8]) -> io::Result<HttpResponse> {
-    let bad = |m: &str| io::Error::new(io::ErrorKind::InvalidData, m.to_string());
-    let head_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or_else(|| bad("response has no header terminator"))?;
-    let head =
-        std::str::from_utf8(&raw[..head_end]).map_err(|_| bad("response head is not UTF-8"))?;
-    let (status, headers) = parse_response_head(head)?;
-    Ok(HttpResponse {
-        status,
-        headers,
-        body: raw[head_end + 4..].to_vec(),
-    })
 }
 
 /// A persistent HTTP/1.1 client: issues many requests over one socket
@@ -2105,6 +2088,13 @@ fn client_roundtrip(
     stream.write_all(head.as_bytes())?;
     stream.write_all(body.as_bytes())?;
     stream.flush()?;
+    read_response(stream, carry)
+}
+
+/// Read one response from `stream`, framed by its `Content-Length`
+/// (read to EOF when it has none). `carry` holds bytes already read
+/// past the previous response; bytes past this one stay in it.
+fn read_response(stream: &mut impl Read, carry: &mut Vec<u8>) -> io::Result<HttpResponse> {
     let bad = |m: &str| io::Error::new(io::ErrorKind::InvalidData, m.to_string());
     let eof = || {
         io::Error::new(
@@ -2462,7 +2452,12 @@ mod tests {
             stream.read_to_end(&mut raw).unwrap();
             handle.shutdown();
             join.join().unwrap();
-            assert_eq!(parse_http_response(&raw).unwrap().status, 200);
+            assert_eq!(
+                read_response(&mut &raw[..], &mut Vec::new())
+                    .unwrap()
+                    .status,
+                200
+            );
             raw
         })
     }
@@ -2486,9 +2481,10 @@ mod tests {
             }
         }
 
-        /// Byte-level mutations of a real response: the client's parsers
-        /// never panic, and an accepted response's body is exactly the
-        /// bytes after its first blank line.
+        /// Byte-level mutations of a real response: the client's reader
+        /// never panics, and an accepted response's body is exactly the
+        /// bytes after its first blank line, cut to its `Content-Length`
+        /// when it has one.
         #[test]
         fn mutated_responses_never_panic_the_client_parser(
             edits in proptest::collection::vec(
@@ -2498,20 +2494,24 @@ mod tests {
         ) {
             let bytes = mutate(real_response().to_vec(), edits);
             let _ = parse_response_head(&String::from_utf8_lossy(&bytes));
-            if let Ok(resp) = parse_http_response(&bytes) {
+            if let Ok(resp) = read_response(&mut &bytes[..], &mut Vec::new()) {
                 let end = bytes.windows(4).position(|w| w == b"\r\n\r\n").unwrap();
-                proptest::prop_assert_eq!(resp.body, bytes[end + 4..].to_vec());
+                let rest = &bytes[end + 4..];
+                let framed = resp.header("content-length").and_then(|v| v.parse::<usize>().ok());
+                let expected = framed.map_or(rest, |len| &rest[..len]);
+                proptest::prop_assert_eq!(resp.body, expected.to_vec());
             }
         }
     }
 
     #[test]
     fn request_parser_rejects_garbage() {
-        let raw = parse_http_response(b"HTTP/1.1 200 OK\r\ncontent-type: a\r\n\r\nhi").unwrap();
-        assert_eq!(raw.status, 200);
-        assert_eq!(raw.header("Content-Type"), Some("a"));
-        assert_eq!(raw.body_text(), "hi");
-        assert!(parse_http_response(b"garbage").is_err());
+        let read = |raw: &[u8]| read_response(&mut &raw[..], &mut Vec::new());
+        let resp = read(b"HTTP/1.1 200 OK\r\ncontent-type: a\r\n\r\nhi").unwrap();
+        assert_eq!(resp.status, 200);
+        assert_eq!(resp.header("Content-Type"), Some("a"));
+        assert_eq!(resp.body_text(), "hi");
+        assert!(read(b"garbage").is_err());
     }
 
     #[test]

@@ -130,7 +130,7 @@ fn volume(stimulus: u64, response: u64) -> Option<TdvVolume> {
 #[must_use]
 pub fn isocost_split(soc: &Soc, id: CoreId, options: &TdvOptions) -> Option<(u64, u64)> {
     let core = soc.core(id);
-    let is_top = soc.top_level_cores().contains(&id);
+    let is_top = soc.is_top_level(id);
     let (mut stimulus, mut response) = match (options.chip_pin_policy, is_top) {
         (ChipPinPolicy::Exclude, true) => (0, 0),
         _ => (
@@ -414,6 +414,28 @@ mod tests {
         let leaf = soc.find("core1_s713").unwrap();
         assert_eq!(isocost(&soc, leaf, &TdvOptions::tables_1_2()), Some(58));
         assert_eq!(isocost(&soc, leaf, &TdvOptions::tables_3_4()), Some(58));
+
+        // Two levels: only `top` is top-level. `mid` is a parent but is
+        // embedded, so Exclude drops top's own pins and keeps mid's.
+        let mut soc = Soc::new("nested");
+        let leaf = soc
+            .add_core(CoreSpec::leaf("leaf", 2, 3, 0, 8, 10))
+            .unwrap();
+        let mid = soc
+            .add_core(CoreSpec::parent("mid", 4, 5, 1, 0, 10, vec![leaf]))
+            .unwrap();
+        let top = soc
+            .add_core(CoreSpec::parent("top", 6, 7, 0, 0, 10, vec![mid]))
+            .unwrap();
+        let exclude = TdvOptions::tables_1_2();
+        // top: only mid's terminals, (O + B, I + B).
+        assert_eq!(isocost_split(&soc, top, &exclude), Some((6, 5)));
+        // mid: its own (I + B, O + B) plus leaf's (O, I).
+        assert_eq!(isocost_split(&soc, mid, &exclude), Some((8, 8)));
+        assert_eq!(isocost_split(&soc, leaf, &exclude), Some((2, 3)));
+        // Include adds top's own pins.
+        let include = TdvOptions::tables_3_4();
+        assert_eq!(isocost_split(&soc, top, &include), Some((12, 12)));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! table takes minutes instead of seconds. This crate is the counter and
 //! timer substrate that makes those runs observable without adding any
 //! external dependency, in the same hand-rolled style as
-//! `modsoc_core::parallel` and `modsoc_core::runctl`:
+//! `modsoc_atpg::pool` and `modsoc_core::runctl`:
 //!
 //! * [`Counter`] — a *fixed*, enum-indexed set of run counters (PODEM
 //!   decisions/backtracks, fault-sim events, pool tasks, …). Fixed so a
@@ -31,9 +31,7 @@
 //! engine is deterministic: a `--jobs 1` and a `--jobs N` run of the
 //! same workload produce identical values (the instrumented code only
 //! counts partition-invariant quantities). Wall-clock fields
-//! (`*_nanos`, worker rows) are explicitly exempt —
-//! [`MetricsSnapshot::deterministic_eq`] compares exactly the
-//! deterministic subset.
+//! (`*_nanos`, worker rows) are explicitly exempt.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -573,14 +571,6 @@ impl MetricsSnapshot {
         self.phase_nanos.get(p.index()).copied().unwrap_or(0) as f64 / 1e6
     }
 
-    /// Whether the *deterministic* sections (counters and phase call
-    /// counts) are equal; wall times and worker rows are exempt by
-    /// contract.
-    #[must_use]
-    pub fn deterministic_eq(&self, other: &MetricsSnapshot) -> bool {
-        self.counters == other.counters && self.phase_calls == other.phase_calls
-    }
-
     /// Element-wise add `other` into `self` (worker rows are appended).
     /// Used to aggregate per-core snapshots into run totals — addition is
     /// order-invariant, so totals stay deterministic.
@@ -739,7 +729,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_absorb_sums_and_deterministic_eq_ignores_wall() {
+    fn snapshot_absorb_sums_counters_phases_and_workers() {
         let a_sink = RecordingSink::new();
         a_sink.add(Counter::PoolTasks, 2);
         a_sink.time(Phase::ModularDispatch, 10);
@@ -754,16 +744,6 @@ mod tests {
         assert_eq!(total.counter(Counter::PoolTasks), 5);
         assert_eq!(total.phase_calls(Phase::ModularDispatch), 2);
         assert_eq!(total.workers.len(), 1);
-
-        // Same counters, wildly different wall time: deterministically equal.
-        let mut other = total.clone();
-        other.phase_nanos[Phase::ModularDispatch.index()] = 123_456_789;
-        other.workers.clear();
-        assert!(total.deterministic_eq(&other));
-        assert_ne!(total, other);
-
-        // A counter drift is a determinism violation.
-        other.counters[Counter::PoolTasks.index()] += 1;
-        assert!(!total.deterministic_eq(&other));
+        assert_eq!(total.phase_nanos[Phase::ModularDispatch.index()], 100_009);
     }
 }

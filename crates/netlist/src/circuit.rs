@@ -36,15 +36,6 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Direction of a port on a circuit treated as a module.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PortDirection {
-    /// Primary input.
-    Input,
-    /// Primary output.
-    Output,
-}
-
 /// One node of the circuit graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Node {
@@ -88,11 +79,6 @@ impl Circuit {
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Rename the circuit.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
     }
 
     /// Number of nodes (inputs + gates + flip-flops).

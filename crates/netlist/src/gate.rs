@@ -81,12 +81,6 @@ impl GateKind {
         )
     }
 
-    /// Whether this kind is sequential (a flip-flop).
-    #[must_use]
-    pub fn is_sequential(self) -> bool {
-        self == GateKind::Dff
-    }
-
     /// Evaluate the gate on bit-parallel two-valued fanin words.
     ///
     /// Each `u64` carries 64 independent simulation slots. `Input` and `Dff`

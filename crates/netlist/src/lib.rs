@@ -51,7 +51,7 @@ pub mod wide;
 pub mod wrapper;
 
 pub use canonical::canonical_bytes;
-pub use circuit::{Circuit, NodeId, PortDirection};
+pub use circuit::{Circuit, NodeId};
 pub use error::NetlistError;
 pub use gate::GateKind;
 pub use index::StructuralIndex;

@@ -25,14 +25,6 @@ pub enum TestPoint {
 }
 
 impl TestPoint {
-    /// The original-circuit node this point refers to.
-    #[must_use]
-    pub fn node(self) -> NodeId {
-        match self {
-            TestPoint::Primary(id) | TestPoint::ScanCell(id) => id,
-        }
-    }
-
     /// Whether this point is a scan cell.
     #[must_use]
     pub fn is_scan(self) -> bool {
@@ -60,18 +52,6 @@ impl TestModel {
     #[must_use]
     pub fn scan_cell_count(&self) -> usize {
         self.inputs.iter().filter(|p| p.is_scan()).count()
-    }
-
-    /// Number of real primary inputs.
-    #[must_use]
-    pub fn primary_input_count(&self) -> usize {
-        self.inputs.len() - self.scan_cell_count()
-    }
-
-    /// Number of real primary outputs.
-    #[must_use]
-    pub fn primary_output_count(&self) -> usize {
-        self.outputs.iter().filter(|p| !p.is_scan()).count()
     }
 }
 
@@ -183,8 +163,6 @@ mod tests {
         assert_eq!(m.circuit.input_count(), 3); // a, b, ff.scan
         assert_eq!(m.circuit.output_count(), 2); // h, capture of g
         assert_eq!(m.scan_cell_count(), 1);
-        assert_eq!(m.primary_input_count(), 2);
-        assert_eq!(m.primary_output_count(), 1);
     }
 
     #[test]

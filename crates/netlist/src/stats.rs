@@ -60,13 +60,6 @@ impl CircuitStats {
             },
         })
     }
-
-    /// The interface size `I + O + 2S` the TDV formulas charge per pattern
-    /// for this circuit tested stand-alone without wrapper cells.
-    #[must_use]
-    pub fn pattern_bit_cost(&self) -> usize {
-        self.inputs + self.outputs + 2 * self.dffs
-    }
 }
 
 impl std::fmt::Display for CircuitStats {
@@ -100,7 +93,6 @@ mod tests {
         assert_eq!(st.inverters, 1);
         assert_eq!(st.max_level, 2);
         assert!((st.mean_fanin - 1.5).abs() < 1e-12);
-        assert_eq!(st.pattern_bit_cost(), 2 + 1 + 2);
         assert!(st.to_string().contains("I=2"));
     }
 

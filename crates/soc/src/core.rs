@@ -94,14 +94,6 @@ impl CoreSpec {
         }
     }
 
-    /// Terminal count `I + O + 2B` — this core's contribution to a
-    /// *parent's* `ISOCOST` when wrapped in ExTest, and part of its own
-    /// when tested.
-    #[must_use]
-    pub fn terminal_count(&self) -> u64 {
-        self.inputs + self.outputs + 2 * self.bidirs
-    }
-
     /// Whether this core embeds others.
     #[must_use]
     pub fn is_hierarchical(&self) -> bool {
@@ -130,7 +122,6 @@ mod tests {
     #[test]
     fn leaf_and_parent() {
         let l = CoreSpec::leaf("l", 3, 4, 2, 10, 7);
-        assert_eq!(l.terminal_count(), 3 + 4 + 4);
         assert!(!l.is_hierarchical());
         let p = CoreSpec::parent("p", 1, 1, 0, 0, 1, vec![CoreId::from_index(0)]);
         assert!(p.is_hierarchical());

@@ -15,7 +15,6 @@
 //!   the reference the regenerated experiments are compared against.
 
 use crate::core::CoreSpec;
-use crate::error::SocError;
 use crate::soc::Soc;
 
 /// Monolithic ATPG pattern count the paper measured for SOC1 (ATALANTA
@@ -323,37 +322,6 @@ pub fn table4_row(name: &str) -> Option<&'static Table4Row> {
 /// of insignificant variation.
 pub const G12710_PATTERN_COUNTS: [u64; 4] = [852, 1314, 1223, 1223];
 
-/// Pattern counts the paper attributes to its pessimism discussion:
-/// measured monolithic vs maximum core pattern counts for SOC1 and SOC2,
-/// giving pessimism factors of about 2.5x and 2.1x.
-#[must_use]
-pub fn pessimism_factors() -> [(&'static str, u64, u64); 2] {
-    [
-        ("SOC1", SOC1_MEASURED_TMONO, 85),
-        ("SOC2", SOC2_MEASURED_TMONO, 452),
-    ]
-}
-
-/// Parse error shim so downstream code can treat the embedded data as
-/// any other data source.
-///
-/// # Errors
-///
-/// Never fails for the embedded names; returns [`SocError::UnknownCore`]
-/// for names without embedded per-core data (only `p34392`, `SOC1` and
-/// `SOC2` have exact tables; the other nine Table 4 SOCs must be
-/// reconstructed via `modsoc-core::reconstruct`).
-pub fn embedded(name: &str) -> Result<Soc, SocError> {
-    match name {
-        "p34392" => Ok(p34392()),
-        "SOC1" | "soc1" => Ok(soc1()),
-        "SOC2" | "soc2" => Ok(soc2()),
-        other => Err(SocError::UnknownCore {
-            name: other.to_string(),
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,19 +432,5 @@ mod tests {
     fn g12710_counts_published() {
         let st = crate::stats::SampleStats::of(&G12710_PATTERN_COUNTS);
         assert!((st.normalized_stdev() - 0.18).abs() < 0.01);
-    }
-
-    #[test]
-    fn embedded_lookup() {
-        assert!(embedded("p34392").is_ok());
-        assert!(embedded("SOC1").is_ok());
-        assert!(embedded("d695").is_err());
-    }
-
-    #[test]
-    fn pessimism_factors_about_paper_values() {
-        let [(_, t1, m1), (_, t2, m2)] = pessimism_factors();
-        assert!((t1 as f64 / m1 as f64 - 2.54).abs() < 0.01);
-        assert!((t2 as f64 / m2 as f64 - 2.09).abs() < 0.01);
     }
 }

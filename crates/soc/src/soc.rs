@@ -1,6 +1,5 @@
 //! The SOC container and hierarchy queries.
 
-use std::collections::HashSet;
 use std::fmt;
 
 use crate::core::{CoreId, CoreSpec};
@@ -86,17 +85,19 @@ impl Soc {
             .map(CoreId::from_index)
     }
 
+    /// Whether core `id` is embedded in no parent, so that its terminals
+    /// are chip pins. Scans the children lists; allocates nothing.
+    #[must_use]
+    pub fn is_top_level(&self, id: CoreId) -> bool {
+        !self.cores.iter().any(|c| c.children.contains(&id))
+    }
+
     /// Cores not embedded in any parent. Their terminals are chip pins.
     #[must_use]
     pub fn top_level_cores(&self) -> Vec<CoreId> {
-        let embedded: HashSet<CoreId> = self
-            .cores
-            .iter()
-            .flat_map(|c| c.children.iter().copied())
-            .collect();
-        (0..self.cores.len())
-            .map(CoreId::from_index)
-            .filter(|id| !embedded.contains(id))
+        self.iter()
+            .map(|(id, _)| id)
+            .filter(|&id| self.is_top_level(id))
             .collect()
     }
 
@@ -105,9 +106,9 @@ impl Soc {
     /// `.soc` can carry near-`u64::MAX` counts).
     #[must_use]
     pub fn chip_pins(&self) -> Option<(u64, u64, u64)> {
-        self.top_level_cores()
-            .into_iter()
-            .map(|id| self.core(id))
+        self.iter()
+            .filter(|&(id, _)| self.is_top_level(id))
+            .map(|(_, c)| c)
             .try_fold((0u64, 0u64, 0u64), |(i, o, b), c| {
                 Some((
                     i.checked_add(c.inputs)?,
@@ -257,6 +258,8 @@ mod tests {
         s.validate().unwrap();
         assert_eq!(s.core_count(), 3);
         assert_eq!(s.top_level_cores(), vec![CoreId::from_index(2)]);
+        assert!(!s.is_top_level(CoreId::from_index(0)));
+        assert!(s.is_top_level(CoreId::from_index(2)));
         assert_eq!(s.chip_pins(), Some((30, 12, 0)));
         assert_eq!(s.total_scan_cells(), Some(120));
         assert_eq!(s.max_core_patterns(), 200);

@@ -58,10 +58,9 @@ impl SampleStats {
 /// for p34392, whose Table 3 lists 20 rows including the top).
 #[must_use]
 pub fn pattern_count_stats(soc: &Soc) -> SampleStats {
-    let top: std::collections::HashSet<_> = soc.top_level_cores().into_iter().collect();
     let counts: Vec<u64> = soc
         .iter()
-        .filter(|(id, _)| !top.contains(id))
+        .filter(|&(id, _)| !soc.is_top_level(id))
         .map(|(_, c)| c.patterns)
         .collect();
     if counts.is_empty() {

@@ -9,19 +9,36 @@
 //! simultaneously-running tests over the ceiling is rejected, and the
 //! core slides to a later event point (or a narrower rectangle) instead.
 //!
-//! Power ratings ride on [`PowerCore`] from [`crate::power`]. For cores
-//! that carry no measured rating, [`scan_power_model`] derives one from
-//! the wrapper view: switching power during scan shift scales with the
-//! number of cells toggling per cycle, so the rating is the core's total
-//! wrapper cell count. The units are arbitrary but consistent — ceilings
-//! are expressed on the same scale.
+//! Power ratings ride on [`PowerCore`]. For cores that carry no measured
+//! rating, [`scan_power_model`] derives one from the wrapper view:
+//! switching power during scan shift scales with the number of cells
+//! toggling per cycle, so the rating is the core's total wrapper cell
+//! count. The units are arbitrary but consistent — ceilings are
+//! expressed on the same scale.
 
 use modsoc_metrics::MetricsSink;
 
 use crate::binpack::{pack_impl, PackedSchedule};
 use crate::error::TamError;
-use crate::power::PowerCore;
 use crate::wrapper::WrapperCore;
+
+/// A core plus its test power rating (arbitrary consistent units, e.g.
+/// milliwatts of scan switching power).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PowerCore {
+    /// The wrapper-design view of the core.
+    pub core: WrapperCore,
+    /// Power drawn while this core's test runs.
+    pub test_power: u64,
+}
+
+impl PowerCore {
+    /// Pair a core with its power rating.
+    #[must_use]
+    pub fn new(core: WrapperCore, test_power: u64) -> PowerCore {
+        PowerCore { core, test_power }
+    }
+}
 
 /// Default power model: scan switching activity scales with the cells a
 /// wrapper moves per pattern, so a core's rating is its total cell count
@@ -62,10 +79,25 @@ pub fn pack_constrained_metered(
     pack_impl(&wrappers, Some(&powers), width, ceiling, sink)
 }
 
-/// Peak concurrent power of a packed schedule.
+/// Peak concurrent power of a packed schedule, given the cores it was
+/// packed from. The running sum of ratings only rises at a placement's
+/// start, so the peak is the largest sum at those instants.
 #[must_use]
 pub fn packed_peak_power(schedule: &PackedSchedule, cores: &[PowerCore]) -> u64 {
-    crate::power::peak_power(&schedule.to_schedule(), cores)
+    let running = |t: u64| -> u64 {
+        schedule
+            .placements
+            .iter()
+            .filter(|p| p.start <= t && t < p.end)
+            .map(|p| cores.get(p.core).map_or(0, |c| c.test_power))
+            .sum()
+    };
+    schedule
+        .placements
+        .iter()
+        .map(|p| running(p.start))
+        .max()
+        .unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -17,16 +17,6 @@ pub enum TamError {
         /// Number of cores that each need a wire.
         cores: usize,
     },
-    /// A single core's test power exceeds the chip-wide budget, so no
-    /// schedule can exist.
-    PowerBudgetTooSmall {
-        /// The offending core.
-        core: String,
-        /// Its test power.
-        power: u64,
-        /// The budget it exceeds.
-        budget: u64,
-    },
     /// The rectangle packer exhausted a core's wrapper configurations:
     /// none fits the TAM width budget under the power ceiling.
     Infeasible {
@@ -47,14 +37,6 @@ impl fmt::Display for TamError {
             TamError::WidthBelowCoreCount { width, cores } => write!(
                 f,
                 "distribution architecture needs width >= cores ({width} < {cores})"
-            ),
-            TamError::PowerBudgetTooSmall {
-                core,
-                power,
-                budget,
-            } => write!(
-                f,
-                "core `{core}` draws {power} alone, over the budget {budget}"
             ),
             TamError::Infeasible {
                 core,

@@ -14,9 +14,10 @@
 //!   core test time;
 //! * [`arch`] — the classic TAM architectures (Multiplexing,
 //!   Daisychain, Distribution) with SOC test time computation;
-//! * [`schedule`] — explicit test schedules with start/end times and the
-//!   idle-bit accounting that quantifies exactly what the paper's
-//!   "useful bits only" analysis leaves out;
+//! * [`schedule`] — the greedy flexible-width rectangle scheduler and
+//!   the explicit schedule with start/end times and TAM utilization,
+//!   which quantifies exactly what the paper's "useful bits only"
+//!   analysis leaves out;
 //! * [`binpack`] / [`constraints`] — rectangle bin-packing wrapper/TAM
 //!   co-optimization (the Islam/Karim diagonal-length heuristic, arXiv
 //!   1008.3320 / 1008.4446): Pareto wrapper configurations as
@@ -43,7 +44,6 @@ pub mod binpack;
 pub mod constraints;
 pub mod error;
 pub mod optimize;
-pub mod power;
 pub mod schedule;
 pub mod wrapper;
 

@@ -1,6 +1,5 @@
 //! Explicit SOC test schedules and idle-bit accounting.
 
-use crate::arch::{soc_test_time, TamArchitecture, TamEvaluation};
 use crate::error::TamError;
 use crate::wrapper::{design_wrapper, WrapperCore};
 
@@ -50,54 +49,6 @@ impl Schedule {
             .sum();
         busy as f64 / (makespan * self.width as u64) as f64
     }
-}
-
-/// Build the schedule an architecture implies.
-///
-/// Multiplexing/Daisychain serialize at full width; Distribution starts
-/// every core at time zero on its private wires.
-///
-/// # Errors
-///
-/// Propagates [`soc_test_time`] errors.
-pub fn schedule(
-    arch: TamArchitecture,
-    cores: &[WrapperCore],
-    width: usize,
-) -> Result<Schedule, TamError> {
-    let eval: TamEvaluation = soc_test_time(arch, cores, width)?;
-    let entries = match arch {
-        TamArchitecture::Multiplexing | TamArchitecture::Daisychain => {
-            let mut t = 0u64;
-            eval.cores
-                .iter()
-                .map(|c| {
-                    let e = ScheduleEntry {
-                        name: c.name.clone(),
-                        start: t,
-                        end: t + c.time,
-                        width: c.width,
-                    };
-                    t += c.time;
-                    e
-                })
-                .collect()
-        }
-        TamArchitecture::Distribution => eval
-            .cores
-            .iter()
-            .map(|c| ScheduleEntry {
-                name: c.name.clone(),
-                start: 0,
-                end: c.time,
-                width: c.width,
-            })
-            .collect(),
-    };
-    Ok(Schedule {
-        entries,
-        width: eval.width,
-    })
 }
 
 /// Two-dimensional greedy rectangle scheduling: cores may get any width
@@ -157,6 +108,7 @@ pub fn schedule_rectangles(cores: &[WrapperCore], width: usize) -> Result<Schedu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arch::{soc_test_time, TamArchitecture};
 
     fn cores() -> Vec<WrapperCore> {
         vec![
@@ -164,22 +116,6 @@ mod tests {
             WrapperCore::new("b", 4, 4, vec![32]).with_patterns(300),
             WrapperCore::new("c", 16, 2, vec![128, 16, 16]).with_patterns(50),
         ]
-    }
-
-    #[test]
-    fn multiplexing_schedule_is_sequential() {
-        let s = schedule(TamArchitecture::Multiplexing, &cores(), 4).unwrap();
-        for pair in s.entries.windows(2) {
-            assert_eq!(pair[0].end, pair[1].start);
-        }
-        assert!((s.utilization() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn distribution_schedule_is_parallel() {
-        let s = schedule(TamArchitecture::Distribution, &cores(), 6).unwrap();
-        assert!(s.entries.iter().all(|e| e.start == 0));
-        assert!(s.utilization() < 1.0, "imbalance leaves idle wires");
     }
 
     #[test]
@@ -200,8 +136,10 @@ mod tests {
             assert!(used <= w, "oversubscribed at {t}: {used}");
         }
         // At least as good as pure serial at the same width.
-        let serial = schedule(TamArchitecture::Multiplexing, &cores(), w).unwrap();
-        assert!(s.makespan() <= serial.makespan());
+        let serial = soc_test_time(TamArchitecture::Multiplexing, &cores(), w)
+            .unwrap()
+            .total_time;
+        assert!(s.makespan() <= serial);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use proptest::prelude::*;
 
 use modsoc_soc::CoreSpec;
-use modsoc_tam::power::{peak_power, schedule_power_constrained, PowerCore};
 use modsoc_tam::schedule::schedule_rectangles;
 use modsoc_tam::wrapper::{design_wrapper, WrapperCore};
 
@@ -81,20 +80,4 @@ proptest! {
         prop_assert!(s.utilization() <= 1.0 + 1e-9);
     }
 
-    #[test]
-    fn power_schedule_respects_budget(
-        cores in arb_cores(),
-        width in 1usize..8,
-        powers in proptest::collection::vec(1u64..100, 6),
-    ) {
-        let pcs: Vec<PowerCore> = cores
-            .iter()
-            .zip(&powers)
-            .map(|(c, &p)| PowerCore::new(c.clone(), p))
-            .collect();
-        let budget = powers.iter().take(pcs.len()).copied().max().unwrap_or(1) + 20;
-        let s = schedule_power_constrained(&pcs, width, budget).expect("schedules");
-        prop_assert!(peak_power(&s, &pcs) <= budget);
-        prop_assert_eq!(s.entries.len(), pcs.len());
-    }
 }

@@ -10,7 +10,7 @@ use modsoc::netlist::verilog::{dff_module, write_verilog};
 use modsoc::netlist::{Circuit, CircuitStats};
 use modsoc::soc::format::parse_soc;
 
-use crate::{read_file, write_file, Args, RunStatus};
+use crate::{read_file, write_file, Args, CliError, RunStatus};
 
 /// Write `circuit` as Verilog to `out`, with the DFF primitive module
 /// appended when the circuit has flip-flops.
@@ -34,7 +34,7 @@ fn test_model(circuit: Circuit) -> Result<Circuit, String> {
     Ok(circuit.to_test_model().map_err(|e| e.to_string())?.circuit)
 }
 
-pub(crate) fn atpg(a: &Args) -> Result<RunStatus, String> {
+pub(crate) fn atpg(a: &Args) -> Result<RunStatus, CliError> {
     let path = a.operand();
     let text = read_file(path)?;
     let name = std::path::Path::new(path)
@@ -75,7 +75,7 @@ pub(crate) fn atpg(a: &Args) -> Result<RunStatus, String> {
     Ok(RunStatus::Complete)
 }
 
-pub(crate) fn generate(a: &Args) -> Result<RunStatus, String> {
+pub(crate) fn generate(a: &Args) -> Result<RunStatus, CliError> {
     let profile = CoreProfile::new(
         "generated",
         a.required("--inputs")?,
@@ -95,7 +95,7 @@ pub(crate) fn generate(a: &Args) -> Result<RunStatus, String> {
     Ok(RunStatus::Complete)
 }
 
-pub(crate) fn cones(a: &Args) -> Result<RunStatus, String> {
+pub(crate) fn cones(a: &Args) -> Result<RunStatus, CliError> {
     let circuit = parse_bench("c", &read_file(a.operand())?).map_err(|e| e.to_string())?;
     let cones = extract_cones(&test_model(circuit)?).map_err(|e| e.to_string())?;
     println!(
@@ -110,7 +110,7 @@ pub(crate) fn cones(a: &Args) -> Result<RunStatus, String> {
     Ok(RunStatus::Complete)
 }
 
-pub(crate) fn index(a: &Args) -> Result<RunStatus, String> {
+pub(crate) fn index(a: &Args) -> Result<RunStatus, CliError> {
     let path = a.operand();
     let text = read_file(path)?;
     if path.ends_with(".soc") {
@@ -162,7 +162,7 @@ pub(crate) fn index(a: &Args) -> Result<RunStatus, String> {
     Ok(RunStatus::Complete)
 }
 
-pub(crate) fn tdf(a: &Args) -> Result<RunStatus, String> {
+pub(crate) fn tdf(a: &Args) -> Result<RunStatus, CliError> {
     let circuit = parse_bench("circuit", &read_file(a.operand())?).map_err(|e| e.to_string())?;
     let result = modsoc::atpg::tdf::run_tdf_atpg(&circuit, 400, &a.budget()?, &NullSink)
         .map_err(|e| e.to_string())?;

@@ -23,6 +23,19 @@ use modsoc::analysis::metrics::RunMetrics;
 use modsoc::analysis::RunBudget;
 use modsoc::store::ResultStore;
 
+/// Why a subcommand failed: a command line it cannot run, which prints
+/// the usage after the message, or a failure of the work itself.
+enum CliError {
+    Usage(String),
+    Failed(String),
+}
+
+impl From<String> for CliError {
+    fn from(message: String) -> CliError {
+        CliError::Failed(message)
+    }
+}
+
 /// How a subcommand ended when it did not error.
 enum RunStatus {
     /// Everything ran to completion.
@@ -54,7 +67,7 @@ struct Spec {
     /// The positional's metavar: `<X>` is required, `[X]` optional.
     positional: Option<&'static str>,
     flags: &'static [Flag],
-    run: fn(&Args) -> Result<RunStatus, String>,
+    run: fn(&Args) -> Result<RunStatus, CliError>,
 }
 
 /// Every subcommand, in usage order.
@@ -177,16 +190,20 @@ fn main() -> ExitCode {
     match run(&args) {
         Ok(RunStatus::Complete) => ExitCode::SUCCESS,
         Ok(RunStatus::Partial) => ExitCode::from(2),
-        Err(message) => {
+        Err(CliError::Usage(message)) => {
             eprintln!("error: {message}");
             eprintln!();
             eprintln!("{}", usage());
             ExitCode::FAILURE
         }
+        Err(CliError::Failed(message)) => {
+            eprintln!("error: {message}");
+            ExitCode::FAILURE
+        }
     }
 }
 
-fn run(args: &[String]) -> Result<RunStatus, String> {
+fn run(args: &[String]) -> Result<RunStatus, CliError> {
     // serve, loadgen and campaign talk HTTP and keep Rust's ignored
     // SIGPIPE: HttpClient's stale-socket retry and loadgen's io-error
     // class need a write to a closed socket to come back as EPIPE. Every
@@ -200,22 +217,26 @@ fn run(args: &[String]) -> Result<RunStatus, String> {
         serve::sig::default_sigpipe();
     }
     let (name, rest) = match args {
-        [] => return Err("a subcommand is required".into()),
+        [] => return Err(CliError::Usage("a subcommand is required".into())),
         [flag, ..] if flag == "--version" || flag == "-V" => {
             println!("modsoc {}", env!("CARGO_PKG_VERSION"));
             return Ok(RunStatus::Complete);
         }
-        [store] if store == "store" => return Err("store needs an action: gc or verify".into()),
+        [store] if store == "store" => {
+            return Err(CliError::Usage(
+                "store needs an action: gc or verify".into(),
+            ))
+        }
         [store, action, rest @ ..] if store == "store" => (format!("store {action}"), rest),
         [name, rest @ ..] => (name.clone(), rest),
     };
     let spec = SPECS.iter().find(|spec| spec.name == name).ok_or_else(|| {
-        match name.strip_prefix("store ") {
+        CliError::Usage(match name.strip_prefix("store ") {
             Some(action) => format!("unknown store action `{action}` (gc|verify)"),
             None => format!("unknown subcommand `{name}`"),
-        }
+        })
     })?;
-    (spec.run)(&Args::parse(spec, rest)?)
+    (spec.run)(&Args::parse(spec, rest).map_err(CliError::Usage)?)
 }
 
 /// A command line checked against its [`Spec`].
@@ -302,21 +323,23 @@ impl<'a> Args<'a> {
     }
 
     /// The value of flag `name` parsed as a `T`, if given.
-    fn num<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
-        self.get(name).map(|s| parse_num(s, name)).transpose()
+    fn num<T: FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
+        self.get(name)
+            .map(|s| parse_num(s, name).map_err(CliError::Usage))
+            .transpose()
     }
 
-    fn num_or<T: FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+    fn num_or<T: FromStr>(&self, name: &str, default: T) -> Result<T, CliError> {
         Ok(self.num(name)?.unwrap_or(default))
     }
 
     /// The value of flag `name` as milliseconds, or `default`.
-    fn ms_or(&self, name: &str, default: Duration) -> Result<Duration, String> {
+    fn ms_or(&self, name: &str, default: Duration) -> Result<Duration, CliError> {
         Ok(self.num(name)?.map_or(default, Duration::from_millis))
     }
 
     /// The value of a required flag, parsed as a `T`.
-    fn required<T: FromStr>(&self, name: &str) -> Result<T, String> {
+    fn required<T: FromStr>(&self, name: &str) -> Result<T, CliError> {
         Ok(self
             .num(name)?
             .expect("Args::parse rejects a missing required flag"))
@@ -329,14 +352,14 @@ impl<'a> Args<'a> {
     }
 
     /// The shared `--jobs` flag (`0` = auto; absent = 1, sequential).
-    fn jobs(&self) -> Result<usize, String> {
+    fn jobs(&self) -> Result<usize, CliError> {
         self.num_or("--jobs", 1)
     }
 
     /// A [`RunBudget`] from the shared `--timeout-ms`, `--max-patterns`
     /// and `--max-backtracks` flags (absent flags leave that axis
     /// unlimited; `tdf` takes no `--max-patterns`).
-    fn budget(&self) -> Result<RunBudget, String> {
+    fn budget(&self) -> Result<RunBudget, CliError> {
         let mut budget = RunBudget::unlimited();
         if let Some(ms) = self.num("--timeout-ms")? {
             budget = budget.with_timeout(Duration::from_millis(ms));

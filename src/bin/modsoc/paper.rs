@@ -22,7 +22,7 @@ use modsoc::soc::format::parse_soc;
 use modsoc::soc::Soc;
 use modsoc::store::{LocalBackend, ResultStore};
 
-use crate::{read_file, write_metrics, Args, RunStatus};
+use crate::{read_file, write_metrics, Args, CliError, RunStatus};
 
 /// The SOC's TDV analysis, against the `--measured-tmono` monolithic
 /// pattern count when one is given.
@@ -37,7 +37,7 @@ fn soc_analysis(
     }
 }
 
-pub(crate) fn analyze(a: &Args) -> Result<RunStatus, String> {
+pub(crate) fn analyze(a: &Args) -> Result<RunStatus, CliError> {
     let started = std::time::Instant::now();
     let sink = RecordingSink::new();
     let path = a.operand();
@@ -53,7 +53,7 @@ pub(crate) fn analyze(a: &Args) -> Result<RunStatus, String> {
     };
     if let Some(r) = a.num::<f64>("--reuse")? {
         if !(0.0..=1.0).contains(&r) {
-            return Err("--reuse must be between 0 and 1".into());
+            return Err(CliError::Usage("--reuse must be between 0 and 1".into()));
         }
         options = options.with_functional_reuse(r);
     }
@@ -71,7 +71,7 @@ pub(crate) fn analyze(a: &Args) -> Result<RunStatus, String> {
             match soc_analysis(&soc, &options, measured_tmono) {
                 Ok(analysis) => Ok(analysis),
                 Err(e @ AnalysisError::Overflow { .. }) => Err(e.to_string()),
-                Err(e) => return Err(e.to_string()),
+                Err(e) => return Err(e.to_string().into()),
             }
         } else {
             Err(format!(
@@ -149,16 +149,16 @@ pub(crate) fn analyze(a: &Args) -> Result<RunStatus, String> {
 /// SOC netlist constructions, guarded and budgeted, with the per-core
 /// phase fanned across `--jobs` pool workers and the monolithic run's
 /// fault-sim sweeps sharded across as many.
-pub(crate) fn experiment(a: &Args) -> Result<RunStatus, String> {
+pub(crate) fn experiment(a: &Args) -> Result<RunStatus, CliError> {
     let seed: u64 = a.num_or("--seed", 1)?;
     let netlist = match a.operand() {
         "mini" => modsoc::circuitgen::soc::mini_soc(seed),
         "soc1" => modsoc::circuitgen::soc::soc1(seed),
         "soc2" => modsoc::circuitgen::soc::soc2(seed),
         other => {
-            return Err(format!(
+            return Err(CliError::Usage(format!(
                 "experiment needs one of mini|soc1|soc2, got {other:?}"
-            ))
+            )))
         }
     }
     .map_err(|e| e.to_string())?;
@@ -236,7 +236,7 @@ pub(crate) fn experiment(a: &Args) -> Result<RunStatus, String> {
 /// Run a resumable campaign of SOC experiments from a JSON spec,
 /// journaling per-unit completion into the `--store` directory so a
 /// re-invocation skips everything that already finished.
-pub(crate) fn campaign(a: &Args) -> Result<RunStatus, String> {
+pub(crate) fn campaign(a: &Args) -> Result<RunStatus, CliError> {
     let spec = CampaignSpec::from_json(&read_file(a.operand())?).map_err(|e| e.to_string())?;
     // The journal lives in the store, so a store is not optional here:
     // either a local directory or the URL of a `modsoc serve --store`
@@ -244,7 +244,9 @@ pub(crate) fn campaign(a: &Args) -> Result<RunStatus, String> {
     let url = a.get("--store-url");
     let store = match (a.store()?, url) {
         (Some(_), Some(_)) => {
-            return Err("give either --store DIR or --store-url URL, not both".into())
+            return Err(CliError::Usage(
+                "give either --store DIR or --store-url URL, not both".into(),
+            ))
         }
         (Some(store), None) => store,
         (None, Some(url)) => {
@@ -253,9 +255,9 @@ pub(crate) fn campaign(a: &Args) -> Result<RunStatus, String> {
             Arc::new(ResultStore::with_backend(Arc::new(backend)))
         }
         (None, None) => {
-            return Err(
+            return Err(CliError::Usage(
                 "campaign requires --store DIR or --store-url URL (the journal lives there)".into(),
-            )
+            ))
         }
     };
     let options = ExperimentOptions::paper_tables_1_2()
@@ -337,7 +339,7 @@ fn existing_store(dir: &str) -> Result<ResultStore, String> {
     ResultStore::open(dir_path).map_err(|e| format!("opening store {dir}: {e}"))
 }
 
-pub(crate) fn store_gc(a: &Args) -> Result<RunStatus, String> {
+pub(crate) fn store_gc(a: &Args) -> Result<RunStatus, CliError> {
     let max_bytes: u64 = a.required("--max-bytes")?;
     let store = existing_store(a.operand())?;
     let report = store.gc(max_bytes, &NullSink).map_err(|e| e.to_string())?;
@@ -353,21 +355,27 @@ pub(crate) fn store_gc(a: &Args) -> Result<RunStatus, String> {
     Ok(RunStatus::Complete)
 }
 
-pub(crate) fn store_verify(a: &Args) -> Result<RunStatus, String> {
+pub(crate) fn store_verify(a: &Args) -> Result<RunStatus, CliError> {
     let store = existing_store(a.operand())?;
     let (valid, corrupt) = store.verify_all().map_err(|e| e.to_string())?;
     println!("store verify: {valid} valid, {corrupt} corrupt");
     if corrupt == 0 {
         Ok(RunStatus::Complete)
     } else {
-        Err(format!("{corrupt} corrupt store entries"))
+        Err(format!("{corrupt} corrupt store entries").into())
     }
 }
 
-pub(crate) fn demo(a: &Args) -> Result<RunStatus, String> {
-    print!(
-        "{}",
-        modsoc::demo::run(a.operand()).map_err(|e| e.to_string())?
-    );
+pub(crate) fn demo(a: &Args) -> Result<RunStatus, CliError> {
+    let mode = a.operand();
+    let known = modsoc::demo::MODES.iter().any(|(name, _)| *name == mode);
+    let report = modsoc::demo::run(mode).map_err(|e| {
+        if known {
+            CliError::Failed(e.to_string())
+        } else {
+            CliError::Usage(e.to_string())
+        }
+    })?;
+    print!("{report}");
     Ok(RunStatus::Complete)
 }

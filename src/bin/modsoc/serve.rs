@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use modsoc::analysis::serve::{http_request, HttpClient, HttpResponse, ServeConfig, Server};
 
-use crate::{read_file, write_file, Args, RunStatus};
+use crate::{read_file, write_file, Args, CliError, RunStatus};
 
 /// Best-effort signal dispositions. The bin target carries the
 /// workspace's only `unsafe` blocks: `signal(2)` registrations (no libc
@@ -58,7 +58,7 @@ pub(crate) mod sig {
 /// Prints the bound address (`--addr 127.0.0.1:0` picks an ephemeral
 /// port) on stdout and serves until SIGINT/SIGTERM or `POST /shutdown`,
 /// then drains admitted requests and exits 0.
-pub(crate) fn serve(a: &Args) -> Result<RunStatus, String> {
+pub(crate) fn serve(a: &Args) -> Result<RunStatus, CliError> {
     let d = ServeConfig::default();
     let config = ServeConfig {
         addr: a.get("--addr").map_or(d.addr, String::from),
@@ -298,7 +298,7 @@ fn percentile(sorted: &[Duration], p: f64) -> f64 {
 /// Drive a running `modsoc serve` with a seeded mixed workload and
 /// check the service-level invariants (identical requests get identical
 /// bytes, sheds carry `Retry-After`, nothing hangs or corrupts).
-pub(crate) fn loadgen(a: &Args) -> Result<RunStatus, String> {
+pub(crate) fn loadgen(a: &Args) -> Result<RunStatus, CliError> {
     let addr: String = a.required("--addr")?;
     // Single-shot text analyze: emit the served report verbatim so the
     // CI gate can byte-diff it against `modsoc analyze` stdout.
@@ -328,7 +328,8 @@ pub(crate) fn loadgen(a: &Args) -> Result<RunStatus, String> {
                 "served analyze failed with {}: {}",
                 resp.status,
                 resp.body_text()
-            ));
+            )
+            .into());
         }
         print!("{}", resp.body_text());
         return Ok(RunStatus::Complete);
@@ -346,7 +347,7 @@ pub(crate) fn loadgen(a: &Args) -> Result<RunStatus, String> {
         let resp = http_request(&addr, "GET", "/metrics", None, Duration::from_secs(10))
             .map_err(|e| format!("GET /metrics: {e}"))?;
         if resp.status != 200 {
-            return Err(format!("GET /metrics failed with {}", resp.status));
+            return Err(format!("GET /metrics failed with {}", resp.status).into());
         }
         println!("{}", resp.body_text());
         return Ok(RunStatus::Complete);
@@ -400,7 +401,9 @@ pub(crate) fn loadgen(a: &Args) -> Result<RunStatus, String> {
         if outcomes.len() == n && shed_with_header == shed {
             return Ok(RunStatus::Complete);
         }
-        return Err("flood outcomes violated the shed contract".into());
+        return Err(CliError::Failed(
+            "flood outcomes violated the shed contract".into(),
+        ));
     }
     // Mixed-workload mode.
     let requests: usize = a.num_or("--requests", 64)?;
@@ -529,7 +532,8 @@ pub(crate) fn loadgen(a: &Args) -> Result<RunStatus, String> {
         return Err(format!(
             "corruption check failed (hot consistent: {hot_consistent}, hot ok: {hot_all_ok}, \
              oversized 413: {oversized_ok}, sheds tagged: {sheds_tagged}, no io errors: {no_io_errors})"
-        ));
+        )
+        .into());
     }
     Ok(RunStatus::Complete)
 }

@@ -6,7 +6,7 @@ use modsoc::analysis::report::fmt_u64;
 use modsoc::analysis::RunBudget;
 use modsoc::soc::itc02;
 
-use crate::{write_file, write_metrics, Args, RunStatus};
+use crate::{write_file, write_metrics, Args, CliError, RunStatus};
 
 /// One `modsoc tam` comparison row.
 struct TamRow {
@@ -36,7 +36,7 @@ fn tam_arch_label(arch: Option<modsoc::tam::TamArchitecture>) -> &'static str {
 /// The `modsoc tam` sweep set: the builtin SOCs plus every Table 4
 /// ITC'02 SOC (p34392 from the embedded Table 3 data, the other nine
 /// analytically reconstructed). `only` restricts to one name.
-fn tam_soc_list(only: Option<&str>) -> Result<Vec<(String, modsoc::soc::Soc)>, String> {
+fn tam_soc_list(only: Option<&str>) -> Result<Vec<(String, modsoc::soc::Soc)>, CliError> {
     let mut socs = vec![
         ("soc1".to_string(), itc02::soc1()),
         ("soc2".to_string(), itc02::soc2()),
@@ -49,9 +49,9 @@ fn tam_soc_list(only: Option<&str>) -> Result<Vec<(String, modsoc::soc::Soc)>, S
         Some(name) => {
             socs.retain(|(n, _)| n == name);
             if socs.is_empty() {
-                return Err(format!(
+                return Err(CliError::Usage(format!(
                     "unknown soc `{name}` (expected soc1, soc2, or a Table 4 name)"
-                ));
+                )));
             }
             Ok(socs)
         }
@@ -62,7 +62,7 @@ fn tam_soc_list(only: Option<&str>) -> Result<Vec<(String, modsoc::soc::Soc)>, S
 /// SOCs: pack each SOC's Pareto wrapper rectangles under a TAM width
 /// budget (diagonal-length-first, idle-time backfill) and compare test
 /// time and utilization against the existing architecture sweep's best.
-pub(crate) fn tam(a: &Args) -> Result<RunStatus, String> {
+pub(crate) fn tam(a: &Args) -> Result<RunStatus, CliError> {
     use modsoc::tam::binpack::pack_metered;
     use modsoc::tam::constraints::{pack_constrained_metered, packed_peak_power, power_cores};
     use modsoc::tam::optimize::best_at_width;
@@ -72,11 +72,11 @@ pub(crate) fn tam(a: &Args) -> Result<RunStatus, String> {
     let started = std::time::Instant::now();
     let width: usize = a.num_or("--width", 16)?;
     if width == 0 {
-        return Err("--width must be at least one".into());
+        return Err(CliError::Usage("--width must be at least one".into()));
     }
     let chains: usize = a.num_or("--chains", 8)?;
     if chains == 0 {
-        return Err("--chains must be at least one".into());
+        return Err(CliError::Usage("--chains must be at least one".into()));
     }
     let ceiling: Option<u64> = a.num("--power-ceiling")?;
     let jobs = a.jobs()?;

@@ -8,11 +8,11 @@
 
 use std::time::{Duration, Instant};
 
-use modsoc::analysis::parallel::WorkerPool;
 use modsoc::analysis::runctl::{
     analyze_soc_guarded, guard, guard_result, CoreFailure, CoreOutcomeKind,
 };
 use modsoc::analysis::{RunBudget, SocTdvAnalysis, TdvOptions};
+use modsoc::atpg::pool::WorkerPool;
 use modsoc::atpg::{Atpg, AtpgOptions, ExhaustReason};
 use modsoc::metrics::NullSink;
 use modsoc::netlist::bench_format::parse_bench;

@@ -1,12 +1,12 @@
 //! Cross-crate tests for the metrics layer: the determinism contract
 //! (deterministic report sections are identical at any `--jobs` value)
-//! and the JSON report round-trip.
+//! and the JSON report's layout.
 
 use proptest::prelude::*;
 
 use modsoc::analysis::experiment::ExperimentOptions;
 use modsoc::analysis::metrics::{
-    run_soc_experiment_metered, Counter, MetricsSink, Phase, RecordingSink, RunMetrics,
+    json, run_soc_experiment_metered, Counter, MetricsSink, Phase, RecordingSink, RunMetrics,
 };
 use modsoc::analysis::RunBudget;
 use modsoc::atpg::{Atpg, AtpgOptions};
@@ -24,6 +24,20 @@ fn metered_report(seed: u64, jobs: usize) -> RunMetrics {
         .metrics
 }
 
+/// The report without the lines the CI determinism gate drops
+/// (`grep -vE '"(sched|jobs)": |_ms":|"store_'`).
+fn deterministic_lines(text: &str) -> String {
+    text.lines()
+        .filter(|l| {
+            !(l.contains("\"sched\": ")
+                || l.contains("\"jobs\": ")
+                || l.contains("_ms\":")
+                || l.contains("\"store_"))
+        })
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -32,27 +46,11 @@ proptest! {
     /// counts) is identical at jobs 1, 2 and 4.
     #[test]
     fn metered_counters_are_jobs_invariant(seed in 1u64..500) {
-        let base = metered_report(seed, 1);
+        let base = deterministic_lines(&metered_report(seed, 1).to_json());
         for jobs in [2usize, 4] {
-            let other = metered_report(seed, jobs);
-            prop_assert!(
-                base.deterministic_eq(&other),
-                "seed {} jobs {}: {:?} vs {:?}",
-                seed, jobs, base.totals.counters, other.totals.counters
-            );
+            let other = deterministic_lines(&metered_report(seed, jobs).to_json());
+            prop_assert_eq!(&base, &other, "seed {} jobs {}", seed, jobs);
         }
-        // And the serialized form survives the shell-style volatile-line
-        // filter byte-for-byte.
-        let filter = |text: &str| -> String {
-            text.lines()
-                .filter(|l| !(l.contains("_ms\":")
-                    || l.contains("\"sched\": ")
-                    || l.contains("\"jobs\": ")))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        let four = metered_report(seed, 4);
-        prop_assert_eq!(filter(&base.to_json()), filter(&four.to_json()));
     }
 }
 
@@ -61,11 +59,29 @@ fn report_round_trip_and_field_order_are_stable() {
     let report = metered_report(7, 2);
     let text = report.to_json();
     assert!(!text.contains("NaN") && !text.contains("inf"), "{text}");
-    let back = RunMetrics::from_json(&text).expect("parses");
-    assert!(report.deterministic_eq(&back));
-    // Serialization is a fixed point: parse → re-serialize is identical,
-    // which is what makes reports diffable across runs and releases.
-    assert_eq!(back.to_json(), text);
+    // The generic parser reads the report back: top-level fields in
+    // their fixed order, and every total counter with its value.
+    let doc = json::parse(&text).expect("parses");
+    let json::JsonValue::Object(fields) = &doc else {
+        panic!("report is not an object: {text}");
+    };
+    let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        keys,
+        [
+            "schema", "command", "target", "jobs", "wall_ms", "budget", "counters", "phases",
+            "sched", "cores"
+        ]
+    );
+    for c in Counter::ALL {
+        let value = doc
+            .get("counters")
+            .and_then(|o| o.get(c.name()))
+            .and_then(json::JsonValue::as_u64);
+        assert_eq!(value, Some(report.totals.counter(c)), "{}", c.name());
+    }
+    // Serialization is deterministic: the same report gives the same bytes.
+    assert_eq!(report.to_json(), text);
 }
 
 #[test]

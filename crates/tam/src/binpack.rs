@@ -46,7 +46,7 @@
 use modsoc_metrics::{Counter, MetricsSink};
 
 use crate::error::TamError;
-use crate::schedule::{Schedule, ScheduleEntry};
+use crate::schedule;
 use crate::wrapper::{design_wrapper, WrapperCore};
 
 /// One Pareto-optimal wrapper configuration of a core: a rectangle of
@@ -137,35 +137,21 @@ impl PackedSchedule {
         self.placements.iter().map(|p| p.end).max().unwrap_or(0)
     }
 
-    /// TAM utilization in `[0, 1]` (cf. [`Schedule::utilization`]).
+    /// TAM utilization in `[0, 1]` (cf.
+    /// [`Schedule::utilization`](schedule::Schedule::utilization)).
     #[must_use]
     pub fn utilization(&self) -> f64 {
-        self.to_schedule().utilization()
+        schedule::utilization(
+            self.placements.iter().map(|p| (p.start, p.end, p.width)),
+            self.makespan(),
+            self.width,
+        )
     }
 
     /// Number of placements that backfilled idle windows.
     #[must_use]
     pub fn backfills(&self) -> usize {
         self.placements.iter().filter(|p| p.backfilled).count()
-    }
-
-    /// View the packing as a plain [`Schedule`] (for Gantt rendering and
-    /// the existing utilization/idle accounting).
-    #[must_use]
-    pub fn to_schedule(&self) -> Schedule {
-        Schedule {
-            entries: self
-                .placements
-                .iter()
-                .map(|p| ScheduleEntry {
-                    name: p.name.clone(),
-                    start: p.start,
-                    end: p.end,
-                    width: p.width,
-                })
-                .collect(),
-            width: self.width,
-        }
     }
 }
 
@@ -501,11 +487,20 @@ mod tests {
     }
 
     #[test]
-    fn schedule_view_matches_placements() {
+    fn utilization_is_placed_wire_cycles_over_the_strip() {
         let s = pack_metered(&cores(), 8, &NullSink).unwrap();
-        let sched = s.to_schedule();
-        assert_eq!(sched.entries.len(), s.placements.len());
-        assert_eq!(sched.makespan(), s.makespan());
+        let mut placed: Vec<usize> = s.placements.iter().map(|p| p.core).collect();
+        placed.sort_unstable();
+        assert_eq!(placed, (0..cores().len()).collect::<Vec<_>>());
+        let busy: u64 = s
+            .placements
+            .iter()
+            .map(|p| (p.end - p.start) * p.width as u64)
+            .sum();
+        assert_eq!(
+            s.utilization(),
+            busy as f64 / (s.makespan() * s.width as u64) as f64
+        );
         assert!(s.utilization() > 0.0 && s.utilization() <= 1.0);
     }
 

@@ -38,17 +38,27 @@ impl Schedule {
     /// excludes by design.
     #[must_use]
     pub fn utilization(&self) -> f64 {
-        let makespan = self.makespan();
-        if makespan == 0 || self.width == 0 {
-            return 0.0;
-        }
-        let busy: u64 = self
-            .entries
-            .iter()
-            .map(|e| (e.end - e.start) * e.width as u64)
-            .sum();
-        busy as f64 / (makespan * self.width as u64) as f64
+        utilization(
+            self.entries.iter().map(|e| (e.start, e.end, e.width)),
+            self.makespan(),
+            self.width,
+        )
     }
+}
+
+/// Busy wire-cycles of the `(start, end, width)` spans over the
+/// wire-cycles until `makespan` on a `width`-wire strip; 0 for an empty
+/// strip.
+pub(crate) fn utilization(
+    spans: impl Iterator<Item = (u64, u64, usize)>,
+    makespan: u64,
+    width: usize,
+) -> f64 {
+    if makespan == 0 || width == 0 {
+        return 0.0;
+    }
+    let busy: u64 = spans.map(|(start, end, w)| (end - start) * w as u64).sum();
+    busy as f64 / (makespan * width as u64) as f64
 }
 
 /// Two-dimensional greedy rectangle scheduling: cores may get any width

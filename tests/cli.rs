@@ -1,12 +1,45 @@
 //! Integration tests for the `modsoc` CLI binary.
 
+use std::path::{Path, PathBuf};
 use std::process::Command;
+
+#[path = "cli/volatile.rs"]
+mod volatile;
+use volatile::volatile_filtered;
 
 fn modsoc(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_modsoc"))
         .args(args)
         .output()
         .expect("binary runs")
+}
+
+/// Run `modsoc args`, assert that it exits with `code`, and return its
+/// stdout and stderr.
+fn modsoc_exit(args: &[&str], code: i32) -> (String, String) {
+    let out = modsoc(args);
+    let stderr = String::from_utf8(out.stderr).expect("utf8 stderr");
+    assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+    (String::from_utf8(out.stdout).expect("utf8 stdout"), stderr)
+}
+
+/// The jobs-invariance contract: `run` gives the same output at every
+/// `--jobs` value in `jobs`. Returns that output.
+fn jobs_invariant<T: PartialEq + std::fmt::Debug>(jobs: &[&str], run: impl Fn(&str) -> T) -> T {
+    let (first, rest) = jobs.split_first().expect("a --jobs value");
+    let out = run(first);
+    for j in rest {
+        assert_eq!(run(j), out, "--jobs {j} differs from --jobs {first}");
+    }
+    out
+}
+
+/// A fresh, empty scratch directory.
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("modsoc_cli_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    dir
 }
 
 #[test]
@@ -103,6 +136,26 @@ fn tam_packs_soc2_with_ceiling_and_json() {
     assert!(doc.contains("\"pack_time\""), "{doc}");
     assert!(doc.contains("\"constrained_time\""), "{doc}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn tam_prints_the_soc2_row_and_the_d695_constrained_column() {
+    let (text, _) = modsoc_exit(&["tam", "soc2", "--width", "16"], 0);
+    assert!(text.lines().any(|l| l.starts_with("soc2 ")), "{text}");
+    let (text, _) = modsoc_exit(
+        &["tam", "d695", "--width", "16", "--power-ceiling", "2000"],
+        0,
+    );
+    assert!(text.contains("constrained"), "{text}");
+}
+
+/// The packer's table is a pure function of (SOC, width, chains,
+/// ceiling): byte-identical at any `--jobs` over all 12 SOCs.
+#[test]
+fn tam_table_is_jobs_invariant() {
+    jobs_invariant(&["1", "4"], |jobs| {
+        modsoc_exit(&["tam", "--width", "16", "--jobs", jobs], 0).0
+    });
 }
 
 #[test]
@@ -463,22 +516,20 @@ fn unknown_and_dangling_flags_are_errors() {
 
 #[test]
 fn experiment_mini_is_jobs_invariant_byte_for_byte() {
-    let run = |jobs: &str| {
-        let out = modsoc(&["experiment", "mini", "--skip-monolithic", "--jobs", jobs]);
-        assert_eq!(
-            out.status.code(),
-            Some(0),
-            "jobs={jobs}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        out.stdout
-    };
-    let serial = run("1");
-    assert_eq!(serial, run("4"), "stdout must be identical at any --jobs");
-    assert_eq!(serial, run("0"));
-    let text = String::from_utf8_lossy(&serial);
+    let text = jobs_invariant(&["1", "4", "0"], |jobs| {
+        modsoc_exit(
+            &["experiment", "mini", "--skip-monolithic", "--jobs", jobs],
+            0,
+        )
+        .0
+    });
     assert!(text.contains("coreA"), "{text}");
     assert!(text.contains("monolithic phase skipped"), "{text}");
+    // The monolithic phase too: its fault-sim sweeps run on the pool.
+    let text = jobs_invariant(&["1", "4"], |jobs| {
+        modsoc_exit(&["experiment", "mini", "--jobs", jobs], 0).0
+    });
+    assert!(text.contains("monolithic ATPG"), "{text}");
 }
 
 #[test]
@@ -506,52 +557,41 @@ fn experiment_rejects_unknown_target_and_bad_jobs() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--jobs"));
 }
 
-/// Strip the volatile lines of a metrics report — wall times (`*_ms`),
-/// the single-line `sched` objects, the `jobs` field, and the store
-/// traffic counters (`store_*`, which depend on cache warmth) — exactly
-/// like the shell-level determinism gate in ci.sh does with grep.
-fn volatile_filtered(report: &str) -> String {
-    report
-        .lines()
-        .filter(|l| {
-            !(l.contains("_ms\":")
-                || l.contains("\"sched\": ")
-                || l.contains("\"jobs\": ")
-                || l.contains("\"store_"))
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
+/// Run `experiment target --jobs jobs --metrics` with the report in
+/// `dir`; returns the report.
+fn metrics_report(dir: &Path, target: &str, jobs: &str) -> String {
+    let path = dir.join(format!("m_{target}_j{jobs}.json"));
+    let (stdout, _) = modsoc_exit(
+        &[
+            "experiment",
+            target,
+            "--jobs",
+            jobs,
+            "--metrics",
+            path.to_str().expect("utf8 path"),
+        ],
+        0,
+    );
+    assert!(stdout.contains("wrote metrics"), "{stdout}");
+    std::fs::read_to_string(&path).expect("metrics file written")
 }
 
 #[test]
 fn experiment_metrics_report_is_valid_json_and_jobs_invariant() {
     use modsoc::analysis::metrics::json::{self, JsonValue};
-    let dir = std::env::temp_dir().join(format!("modsoc_cli_metrics_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let run = |jobs: &str, file: &str| {
-        let path = dir.join(file);
-        let out = modsoc(&[
-            "experiment",
-            "mini",
-            "--jobs",
-            jobs,
-            "--metrics",
-            path.to_str().expect("utf8 path"),
-        ]);
-        assert_eq!(
-            out.status.code(),
-            Some(0),
-            "jobs={jobs}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        assert!(String::from_utf8_lossy(&out.stdout).contains("wrote metrics"));
-        std::fs::read_to_string(&path).expect("metrics file written")
-    };
-    let m1 = run("1", "m1.json");
-    let m4 = run("4", "m4.json");
+    let dir = temp_dir("metrics");
+    // The deterministic fields are byte-identical at --jobs 1 and 4, and
+    // equal the committed golden, so counter drift between commits fails
+    // too. Re-record the golden only for a change meant to move the
+    // counters.
+    let filtered = jobs_invariant(&["1", "4"], |jobs| {
+        volatile_filtered(&metrics_report(&dir, "mini", jobs))
+    });
+    assert_eq!(filtered, include_str!("../testdata/metrics_mini.golden"));
 
     // The report parses with the workspace's own JSON parser and carries
     // real engine observations.
+    let m1 = std::fs::read_to_string(dir.join("m_mini_j1.json")).expect("metrics file");
     let parsed = json::parse(&m1).expect("valid metrics JSON");
     let field = |key: &str| parsed.get(key).and_then(JsonValue::as_str);
     assert_eq!(field("command"), Some("experiment"));
@@ -572,11 +612,51 @@ fn experiment_metrics_report_is_valid_json_and_jobs_invariant() {
     let last = cores.last().and_then(|c| c.get("core"));
     assert_eq!(last.and_then(JsonValue::as_str), Some("<monolithic>"));
     assert!(!m1.contains("NaN") && !m1.contains("inf"), "{m1}");
-
-    // Deterministic sections are byte-identical at --jobs 1 vs 4 through
-    // the shell-style line filter.
-    assert_eq!(volatile_filtered(&m1), volatile_filtered(&m4));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The whole Table 2 report: T_mono 686 against a largest core of 410,
+/// coverage, Eq. 2 and the modular and monolithic TDVs. Re-record the
+/// golden only for a change meant to move the engine's output.
+#[test]
+fn experiment_soc2_report_matches_its_golden() {
+    let (stdout, _) = modsoc_exit(&["experiment", "soc2", "--jobs", "4"], 0);
+    assert_eq!(stdout, include_str!("../testdata/experiment_soc2.golden"));
+}
+
+/// SOC2 is the only target with runs above 512 patterns, so only it
+/// crosses a fault-sim block boundary, and its monolithic run is the only
+/// one whose fault-sim sweeps span hundreds of pool chunks. 2 workers is
+/// the benchmark's width and 3 split the chunks unevenly: the counters
+/// must not notice either.
+#[test]
+fn experiment_soc2_metrics_match_their_golden_at_any_jobs() {
+    let dir = temp_dir("metrics_soc2");
+    let filtered = jobs_invariant(&["1", "2", "3"], |jobs| {
+        volatile_filtered(&metrics_report(&dir, "soc2", jobs))
+    });
+    assert_eq!(filtered, include_str!("../testdata/metrics_soc2.golden"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A 900-pattern cap trips inside the monolithic run's PODEM windows,
+/// whose searches run on the pool: the partial report, its warning and
+/// exit code 2 must not depend on `--jobs`.
+#[test]
+fn experiment_soc2_pattern_cap_is_jobs_invariant() {
+    jobs_invariant(&["1", "3"], |jobs| {
+        modsoc_exit(
+            &[
+                "experiment",
+                "soc2",
+                "--max-patterns",
+                "900",
+                "--jobs",
+                jobs,
+            ],
+            2,
+        )
+    });
 }
 
 #[test]
@@ -709,45 +789,44 @@ fn version_flag_prints_the_crate_version() {
     }
 }
 
-#[test]
-fn experiment_store_warm_run_is_byte_identical_with_cache_hits() {
-    let dir = std::env::temp_dir().join(format!("modsoc_cli_store_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+/// The result store's contract: a cold `--store` run of `target` at
+/// `--jobs cold_jobs` computes and writes its `engine_runs` (cores plus
+/// monolithic), and warm runs at any `--jobs` serve every one from the
+/// cache with stdout byte-identical to the cold run.
+fn store_warm_runs_match_the_cold_run(target: &str, cold_jobs: &str, engine_runs: usize) {
+    let dir = temp_dir(&format!("store_{target}"));
     let store = dir.join("store");
     let run = |jobs: &str| {
-        let out = modsoc(&[
-            "experiment",
-            "mini",
-            "--jobs",
-            jobs,
-            "--store",
-            store.to_str().expect("utf8 path"),
-        ]);
-        assert_eq!(
-            out.status.code(),
-            Some(0),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        (out.stdout, String::from_utf8_lossy(&out.stderr).to_string())
+        let store = store.to_str().expect("utf8 path");
+        modsoc_exit(&["experiment", target, "--jobs", jobs, "--store", store], 0)
     };
-    let (cold_stdout, cold_stderr) = run("1");
-    // Cold: 2 cores + monolithic, all computed and written.
+    let (cold, cold_err) = run(cold_jobs);
+    assert!(cold.contains("monolithic ATPG"), "{cold}");
+    let n = engine_runs;
     assert!(
-        cold_stderr.contains("store: 0 hits, 3 misses, 3 writes"),
-        "{cold_stderr}"
+        cold_err.contains(&format!("store: 0 hits, {n} misses, {n} writes")),
+        "{cold_err}"
     );
-    // Warm runs are byte-identical on stdout at any --jobs, with one
-    // cache hit per engine run reported on stderr.
-    for jobs in ["1", "4"] {
-        let (warm_stdout, warm_stderr) = run(jobs);
-        assert_eq!(warm_stdout, cold_stdout, "jobs={jobs}");
+    let warm = jobs_invariant(&["1", "4"], |jobs| {
+        let (stdout, stderr) = run(jobs);
         assert!(
-            warm_stderr.contains("store: 3 hits, 0 misses, 0 writes"),
-            "{warm_stderr}"
+            stderr.contains(&format!("store: {n} hits, 0 misses, 0 writes")),
+            "jobs={jobs}: {stderr}"
         );
-    }
+        stdout
+    });
+    assert_eq!(warm, cold);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn experiment_store_warm_run_is_byte_identical_with_cache_hits() {
+    store_warm_runs_match_the_cold_run("mini", "1", 3);
+}
+
+#[test]
+fn experiment_soc2_store_warm_run_is_byte_identical_with_cache_hits() {
+    store_warm_runs_match_the_cold_run("soc2", "4", 5);
 }
 
 #[test]
@@ -886,13 +965,11 @@ fn analyze_keep_going_output_is_jobs_invariant() {
         "soc demo\ncore top i=8 o=4 s=0 t=2 children=a,b\ncore a i=4 o=2 s=16 t=40\ncore b i=3 o=3 s=8 t=20\n",
     )
     .expect("write soc");
-    let path = soc_path.to_str().expect("utf8 path");
-    let run = |jobs: &str| {
-        let out = modsoc(&["analyze", path, "--keep-going", "--jobs", jobs]);
-        assert_eq!(out.status.code(), Some(0));
-        out.stdout
-    };
-    assert_eq!(run("1"), run("4"));
+    for path in [soc_path.to_str().expect("utf8 path"), "testdata/soc2.soc"] {
+        jobs_invariant(&["1", "4"], |jobs| {
+            modsoc_exit(&["analyze", path, "--keep-going", "--jobs", jobs], 0).0
+        });
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -14,6 +14,10 @@ use modsoc::circuitgen::soc::mini_soc;
 use modsoc::circuitgen::{generate, CoreProfile};
 use std::sync::Arc;
 
+#[path = "cli/volatile.rs"]
+mod volatile;
+use volatile::volatile_filtered;
+
 /// Run the metered experiment on `mini_soc(seed)` at a given job count
 /// and return the report.
 fn metered_report(seed: u64, jobs: usize) -> RunMetrics {
@@ -24,20 +28,6 @@ fn metered_report(seed: u64, jobs: usize) -> RunMetrics {
         .metrics
 }
 
-/// The report without the lines the CI determinism gate drops
-/// (`grep -vE '"(sched|jobs)": |_ms":|"store_'`).
-fn deterministic_lines(text: &str) -> String {
-    text.lines()
-        .filter(|l| {
-            !(l.contains("\"sched\": ")
-                || l.contains("\"jobs\": ")
-                || l.contains("_ms\":")
-                || l.contains("\"store_"))
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -46,9 +36,9 @@ proptest! {
     /// counts) is identical at jobs 1, 2 and 4.
     #[test]
     fn metered_counters_are_jobs_invariant(seed in 1u64..500) {
-        let base = deterministic_lines(&metered_report(seed, 1).to_json());
+        let base = volatile_filtered(&metered_report(seed, 1).to_json());
         for jobs in [2usize, 4] {
-            let other = deterministic_lines(&metered_report(seed, jobs).to_json());
+            let other = volatile_filtered(&metered_report(seed, jobs).to_json());
             prop_assert_eq!(&base, &other, "seed {} jobs {}", seed, jobs);
         }
     }

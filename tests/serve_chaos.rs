@@ -7,7 +7,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, Output, Stdio};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -435,37 +435,90 @@ fn batching_composes_with_coalescing_and_stays_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Run the `modsoc` binary to completion.
+fn modsoc(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_modsoc"))
+        .args(args)
+        .output()
+        .expect("binary runs")
+}
+
+/// Run `modsoc loadgen --addr addr args`, expecting exit 0; returns its
+/// stdout.
+fn loadgen(addr: &str, args: &[&str]) -> String {
+    let out = modsoc(&[&["loadgen", "--addr", addr], args].concat());
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "loadgen {args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("utf8 stdout")
+}
+
+/// Start `modsoc serve --addr 127.0.0.1:0 args` as a child process;
+/// returns it and the address from its listen line.
+fn spawn_serve(args: &[&str]) -> (Child, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_modsoc"))
+        .args(["serve", "--addr", "127.0.0.1:0"])
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn serve");
+    let mut line = String::new();
+    BufReader::new(child.stdout.take().expect("stdout"))
+        .read_line(&mut line)
+        .expect("listen line");
+    let addr = line
+        .trim()
+        .rsplit_once("http://")
+        .unwrap_or_else(|| panic!("no address in listen line {line:?}"))
+        .1
+        .to_string();
+    (child, addr)
+}
+
+/// Send SIGTERM to `child` and assert that it drains and exits 0.
+fn sigterm_exits_0(mut child: Child) {
+    let term = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .expect("kill runs");
+    assert!(term.success());
+    let status = child.wait().expect("daemon exits");
+    assert!(status.success(), "graceful drain must exit 0, got {status}");
+}
+
+/// POST /shutdown to the daemon at `addr` and assert that it exits 0.
+fn shutdown_exits_0(mut child: Child, addr: &str) {
+    loadgen(addr, &["--shutdown"]);
+    let status = child.wait().expect("daemon exits");
+    assert!(status.success(), "POST /shutdown must exit 0, got {status}");
+}
+
+/// The seeded mixed workload: 48 requests from 8 callers.
+const MIXED: [&str; 6] = [
+    "--requests",
+    "48",
+    "--concurrency",
+    "8",
+    "--seed",
+    "20080310",
+];
+
 /// Process-level: SIGTERM mid-service must drain, exit 0, and leave the
 /// shared store passing a corruption sweep.
 #[test]
 fn sigterm_drains_the_daemon_and_preserves_the_store() {
     let dir = temp_dir("sigterm");
     let store_dir = dir.join("store");
-    let mut child = Command::new(env!("CARGO_BIN_EXE_modsoc"))
-        .args([
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            "2",
-            "--store",
-            store_dir.to_str().expect("utf8"),
-        ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn serve");
-    let stdout = child.stdout.take().expect("stdout");
-    let mut line = String::new();
-    BufReader::new(stdout)
-        .read_line(&mut line)
-        .expect("listen line");
-    let addr = line
-        .trim()
-        .rsplit("http://")
-        .next()
-        .expect("address in listen line")
-        .to_string();
+    let (child, addr) = spawn_serve(&[
+        "--workers",
+        "2",
+        "--store",
+        store_dir.to_str().expect("utf8"),
+    ]);
 
     // Put real work through it so the store has entries to corrupt.
     let resp = post_experiment(&addr, 5).expect("request against daemon");
@@ -482,18 +535,102 @@ fn sigterm_drains_the_daemon_and_preserves_the_store() {
             }
         }
     });
-    let term = Command::new("kill")
-        .args(["-TERM", &child.id().to_string()])
-        .status()
-        .expect("kill runs");
-    assert!(term.success());
-    let status = child.wait().expect("daemon exits");
-    assert!(status.success(), "graceful drain must exit 0, got {status}");
+    sigterm_exits_0(child);
     firing.join().expect("client thread");
 
     let store = ResultStore::open(&store_dir).expect("reopen");
     let (valid, corrupt) = store.verify_all().expect("sweep");
     assert_eq!(corrupt, 0, "{valid} valid entries, {corrupt} corrupt");
     assert!(valid > 0, "the pre-SIGTERM request must have persisted");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Process-level: a served analyze is byte-identical to the CLI's
+/// stdout, the seeded mixed workload passes loadgen's corruption check,
+/// and POST /shutdown drains the daemon to exit 0.
+#[test]
+fn served_analyze_matches_the_cli_and_mixed_load_is_uncorrupted() {
+    let dir = temp_dir("parity");
+    let store_dir = dir.join("store");
+    let (child, addr) = spawn_serve(&[
+        "--workers",
+        "2",
+        "--store",
+        store_dir.to_str().expect("utf8"),
+    ]);
+    let cli = modsoc(&["analyze", "testdata/soc1.soc"]);
+    assert_eq!(cli.status.code(), Some(0));
+    let served = loadgen(&addr, &["--analyze-file", "testdata/soc1.soc"]);
+    assert_eq!(served, String::from_utf8(cli.stdout).expect("utf8 stdout"));
+    let report = loadgen(&addr, &MIXED);
+    assert!(report.contains("zero-corruption check: PASS"), "{report}");
+    shutdown_exits_0(child, &addr);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Process-level: a one-worker daemon with a two-slot queue sheds a
+/// flood with 503s, each carrying Retry-After, and SIGTERM drains it to
+/// exit 0.
+#[test]
+fn flooded_daemon_sheds_with_retry_after_and_drains_on_sigterm() {
+    let (child, addr) = spawn_serve(&["--workers", "1", "--queue", "2"]);
+    let report = loadgen(&addr, &["--flood", "24"]);
+    let shed: usize = report
+        .lines()
+        .find_map(|l| l.strip_suffix(" shed with 503"))
+        .and_then(|l| l.rsplit(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no shed count: {report}"));
+    assert!(shed > 0, "{report}");
+    assert!(report.contains("retry-after on all 503s: PASS"), "{report}");
+    sigterm_exits_0(child);
+}
+
+/// Process-level: one keep-alive, batching daemon serves the seeded
+/// mixed workload over both transports with identical per-request
+/// bodies, and the keep-alive client really reuses its sockets.
+#[test]
+fn keep_alive_transport_never_changes_the_bodies() {
+    let dir = temp_dir("keepalive");
+    let store_dir = dir.join("store");
+    let (child, addr) = spawn_serve(&[
+        "--workers",
+        "2",
+        "--keep-alive",
+        "--batch-max",
+        "4",
+        "--store",
+        store_dir.to_str().expect("utf8"),
+    ]);
+    let close = dir.join("bodies_close.txt");
+    let kept = dir.join("bodies_ka.txt");
+    loadgen(
+        &addr,
+        &[&MIXED[..], &["--bodies-out", close.to_str().expect("utf8")]].concat(),
+    );
+    let report = loadgen(
+        &addr,
+        &[
+            &MIXED[..],
+            &["--keep-alive", "--bodies-out", kept.to_str().expect("utf8")],
+        ]
+        .concat(),
+    );
+    assert_eq!(
+        std::fs::read_to_string(&close).expect("close bodies"),
+        std::fs::read_to_string(&kept).expect("keep-alive bodies")
+    );
+    assert!(report.contains("zero-corruption check: PASS"), "{report}");
+    // "keep-alive: 48 requests over N connections (M reused)", M >= 1.
+    let reused: u64 = report
+        .lines()
+        .find_map(|l| l.strip_prefix("keep-alive: 48 requests over "))
+        .and_then(|l| l.split_once(" connections ("))
+        .filter(|(connects, _)| connects.parse::<u64>().is_ok())
+        .and_then(|(_, rest)| rest.strip_suffix(" reused)"))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no keep-alive line: {report}"));
+    assert!(reused > 0, "{report}");
+    shutdown_exits_0(child, &addr);
     let _ = std::fs::remove_dir_all(&dir);
 }

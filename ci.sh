@@ -62,11 +62,12 @@ lint() {
   echo "== chaos and property suites (fixed seed)"
   # The chaos harness is seed-deterministic; PROPTEST_SEED pins the
   # vendored proptest streams on top so the whole gate is reproducible,
-  # and a failing property case (the packed-cube differentials and the
+  # and a failing property case (the packed-cube differentials, the
+  # canonical-order differential against the name-keyed heap and the
   # lib-internal PODEM differentials against ReferencePodem among them)
   # reproduces under the same seed.
   PROPTEST_SEED=20080310 cargo test -q --test chaos --test parser_fuzz --test properties
-  PROPTEST_SEED=20080310 cargo test -q -p modsoc-atpg --test proptests
+  PROPTEST_SEED=20080310 cargo test -q -p modsoc-atpg -p modsoc-netlist --test proptests
   PROPTEST_SEED=20080310 cargo test -q -p modsoc-atpg --lib podem::
 
   echo "== cargo doc (warnings are errors)"

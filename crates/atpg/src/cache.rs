@@ -29,7 +29,11 @@
 //! (they scale with circuit size and nothing downstream of the
 //! experiment pipeline reads them); a cache-served result has an empty
 //! `fault_statuses` list, while `stats`/`fault_coverage()` are exact.
-//! Callers needing per-fault data should run uncached.
+//! Nor is the full-scan test model rebuilt: a hit's `test_model` is
+//! `None` even for a sequential circuit, and the entry's pattern width
+//! is checked against the model's input count (primary inputs plus
+//! flip-flops) without building it. Callers needing per-fault data or
+//! the model should run uncached.
 
 use std::sync::Arc;
 
@@ -198,14 +202,8 @@ fn decode_entry(
         .get("width")
         .and_then(JsonValue::as_u64)
         .ok_or("missing width")? as usize;
-    let model = if circuit.is_combinational() {
-        None
-    } else {
-        Some(circuit.to_test_model().map_err(|e| e.to_string())?)
-    };
-    let expected_width = model
-        .as_ref()
-        .map_or(circuit.input_count(), |m| m.circuit.input_count());
+    // The scan model's inputs: primary inputs, then one per flip-flop.
+    let expected_width = circuit.input_count() + circuit.dff_count();
     if width != expected_width {
         return Err(format!(
             "width mismatch: entry {width}, circuit {expected_width}"
@@ -233,7 +231,7 @@ fn decode_entry(
         fault_statuses: Vec::new(),
         stats,
         fill: options.fill,
-        test_model: model,
+        test_model: None,
         exhausted: None,
     })
 }
@@ -455,7 +453,7 @@ q = XOR(g1, g2)
     }
 
     #[test]
-    fn sequential_hit_restores_the_test_model() {
+    fn sequential_hit_checks_the_scan_width_and_builds_no_test_model() {
         let (dir, store) = temp_store("seq");
         let c = seq_circuit();
         let engine = Atpg::default();
@@ -468,12 +466,61 @@ q = XOR(g1, g2)
             .unwrap();
         assert_eq!(store.hits(), 1);
         assert_eq!(warm.patterns.to_text(), cold.patterns.to_text());
-        assert!(warm.test_model.is_some(), "scan model is reconstructed");
+        assert_eq!(warm.stats, cold.stats);
+        assert!(cold.test_model.is_some(), "a cold run keeps its scan model");
+        assert!(warm.test_model.is_none(), "a hit builds no scan model");
         assert_eq!(
             warm.patterns.width(),
             c.input_count() + c.dff_count(),
             "pattern bits cover inputs + scan cells"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn entry_with_a_width_one_off_is_evicted_and_recomputed() {
+        let (dir, store) = temp_store("width");
+        let c = seq_circuit();
+        let engine = Atpg::default();
+        let budget = RunBudget::unlimited();
+        let cold = engine
+            .run_budgeted_stored(&c, &budget, &store, true)
+            .unwrap();
+        let key = cache_key(&c, engine.options()).unwrap();
+        let width = c.input_count() + c.dff_count();
+        // Checksum-valid entries, consistent in themselves (every pattern
+        // has the recorded width), one bit wider or narrower than the
+        // circuit's scan width: only the width check can refuse them.
+        let reshape = |line: &str, off_width: usize| {
+            let mut line = line[..width.min(off_width)].to_string();
+            line.extend(std::iter::repeat_n('X', off_width.saturating_sub(width)));
+            line
+        };
+        for (evictions, off_width) in (1..).zip([width + 1, width - 1]) {
+            let Some(JsonValue::Object(mut fields)) = store.get(&key, &NullSink) else {
+                panic!("the entry is present");
+            };
+            for (name, value) in &mut fields {
+                match (name.as_str(), &*value) {
+                    ("width", _) => *value = JsonValue::Number(off_width as f64),
+                    ("patterns", JsonValue::String(text)) => {
+                        let lines: String =
+                            text.lines().map(|l| reshape(l, off_width) + "\n").collect();
+                        *value = JsonValue::String(lines);
+                    }
+                    _ => {}
+                }
+            }
+            store
+                .put(&key, &JsonValue::Object(fields), &NullSink)
+                .unwrap();
+            let again = engine
+                .run_budgeted_stored(&c, &budget, &store, true)
+                .unwrap();
+            assert_eq!(store.evictions(), evictions, "width {off_width} evicted");
+            assert_eq!(again.patterns.to_text(), cold.patterns.to_text());
+            assert!(again.test_model.is_some(), "recomputed, not served");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -370,18 +370,18 @@ impl Atpg {
     ) -> Result<AtpgResult, AtpgError> {
         if circuit.is_combinational() {
             circuit.validate().map_err(AtpgError::from)?;
-            self.run_model(circuit, None, budget, phases)
+            self.run_model(circuit, budget, phases)
         } else {
             let model = circuit.to_test_model()?;
-            let comb = model.circuit.clone();
-            self.run_model(&comb, Some(model), budget, phases)
+            let mut result = self.run_model(&model.circuit, budget, phases)?;
+            result.test_model = Some(model);
+            Ok(result)
         }
     }
 
     fn run_model(
         &self,
         circuit: &Circuit,
-        model: Option<TestModel>,
         budget: &RunBudget,
         phases: SearchPhases,
     ) -> Result<AtpgResult, AtpgError> {
@@ -396,7 +396,7 @@ impl Atpg {
                 fault_statuses: Vec::new(),
                 stats: AtpgStats::default(),
                 fill: self.options.fill,
-                test_model: model,
+                test_model: None,
                 exhausted: Some(budget.exhausted(reason, "setup", 0)),
             });
         }
@@ -662,7 +662,7 @@ impl Atpg {
             fault_statuses: reps.into_iter().zip(status).collect(),
             stats,
             fill: self.options.fill,
-            test_model: model,
+            test_model: None,
             exhausted,
         })
     }

@@ -134,6 +134,7 @@ impl SocNetlist {
 
         // Per core, the flat node id of each of its output ports.
         let mut core_outputs: Vec<Vec<NodeId>> = vec![Vec::new(); cores.len()];
+        let mut fanin: Vec<NodeId> = Vec::new();
         for ci in order {
             let core = cores[ci];
             let prefix = format!("c{ci}.");
@@ -157,11 +158,10 @@ impl SocNetlist {
                     continue;
                 }
                 let node = core.node(id);
-                let fanin: Vec<NodeId> = node
-                    .fanin
-                    .iter()
-                    .map(|f| map[f.index()].expect("topo order places fanins first"))
-                    .collect();
+                fanin.clear();
+                for f in &node.fanin {
+                    fanin.push(map[f.index()].expect("topo order places fanins first"));
+                }
                 let nid = flat.add_gate(format!("{prefix}{}", node.name), node.kind, &fanin)?;
                 map[id.index()] = Some(nid);
             }

@@ -39,6 +39,16 @@ impl JsonValue {
         }
     }
 
+    /// Move a field's value out of an object (first match), leaving
+    /// `null` in its place.
+    pub fn take(&mut self, key: &str) -> Option<JsonValue> {
+        let JsonValue::Object(fields) = self else {
+            return None;
+        };
+        let (_, value) = fields.iter_mut().find(|(k, _)| k == key)?;
+        Some(std::mem::replace(value, JsonValue::Null))
+    }
+
     /// The number value, if this is a number.
     #[must_use]
     pub fn as_f64(&self) -> Option<f64> {

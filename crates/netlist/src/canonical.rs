@@ -24,7 +24,10 @@
 //!   canonical order and miss the cache — a safe false miss, never a
 //!   false hit between structurally different circuits.
 
-use crate::circuit::{Circuit, NodeId};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use crate::circuit::{Circuit, NodeId, ReadySet};
 use crate::error::NetlistError;
 use crate::gate::GateKind;
 
@@ -54,61 +57,42 @@ fn kind_tag(kind: GateKind) -> u8 {
 /// set as [`Circuit::topo_order`], smallest node *name* first among the
 /// ready nodes.
 ///
+/// Names are unique within a circuit, so the ids are sorted by name once
+/// and the ready set is a min-heap of those ranks.
+///
 /// # Errors
 ///
 /// Returns [`NetlistError::CombinationalCycle`] exactly when
 /// [`Circuit::topo_order`] does.
 pub fn canonical_order(circuit: &Circuit) -> Result<Vec<NodeId>, NetlistError> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
+    let mut by_rank: Vec<NodeId> = circuit.iter().map(|(id, _)| id).collect();
+    by_rank.sort_unstable_by(|&a, &b| circuit.node(a).name.cmp(&circuit.node(b).name));
+    let mut rank = vec![0u32; by_rank.len()];
+    for (r, id) in by_rank.iter().enumerate() {
+        rank[id.index()] = r as u32;
+    }
+    let ready = RankHeap {
+        heap: BinaryHeap::new(),
+        rank,
+        by_rank,
+    };
+    circuit.kahn(&circuit.fanout_csr(), ready)
+}
 
-    let n = circuit.node_count();
-    let mut indegree = vec![0u32; n];
-    let mut fanout: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (id, node) in circuit.iter() {
-        if node.kind == GateKind::Dff {
-            // Sequential cut: a Dff's output does not depend
-            // combinationally on its fanin.
-            continue;
-        }
-        for f in &node.fanin {
-            if f.index() >= n {
-                return Err(NetlistError::DanglingFanin {
-                    gate: node.name.clone(),
-                    id: f.index() as u32,
-                });
-            }
-            fanout[f.index()].push(id.index() as u32);
-            indegree[id.index()] += 1;
-        }
+/// Smallest name first: the ready set of [`canonical_order`].
+struct RankHeap {
+    heap: BinaryHeap<Reverse<u32>>,
+    rank: Vec<u32>,
+    by_rank: Vec<NodeId>,
+}
+
+impl ReadySet for RankHeap {
+    fn push(&mut self, id: NodeId) {
+        self.heap.push(Reverse(self.rank[id.index()]));
     }
-    let mut heap: BinaryHeap<Reverse<(&str, u32)>> = (0..n)
-        .filter(|&i| indegree[i] == 0)
-        .map(|i| Reverse((circuit.node(NodeId::from_index(i)).name.as_str(), i as u32)))
-        .collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(Reverse((_, v))) = heap.pop() {
-        order.push(NodeId::from_index(v as usize));
-        for &w in &fanout[v as usize] {
-            indegree[w as usize] -= 1;
-            if indegree[w as usize] == 0 {
-                heap.push(Reverse((
-                    circuit.node(NodeId::from_index(w as usize)).name.as_str(),
-                    w,
-                )));
-            }
-        }
+    fn pop(&mut self) -> Option<NodeId> {
+        self.heap.pop().map(|Reverse(r)| self.by_rank[r as usize])
     }
-    if order.len() != n {
-        let stuck = indegree
-            .iter()
-            .position(|&d| d > 0)
-            .expect("some node has nonzero indegree");
-        return Err(NetlistError::CombinationalCycle {
-            node: circuit.node(NodeId::from_index(stuck)).name.clone(),
-        });
-    }
-    Ok(order)
 }
 
 fn push_u32(out: &mut Vec<u8>, v: u32) {

@@ -1,6 +1,6 @@
 //! The gate-level circuit data structure.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 use crate::error::NetlistError;
@@ -294,14 +294,17 @@ impl Circuit {
         self.outputs.push(id);
     }
 
-    /// Validate structural invariants: all fanins resolve, arities are
-    /// legal, and the combinational logic is acyclic (flip-flops break
-    /// cycles).
+    /// Validate structural invariants: arities are legal (a flip-flop
+    /// from [`Circuit::add_dff_deferred`] is connected), and the
+    /// combinational logic is acyclic (flip-flops break cycles). Fanins
+    /// always resolve: [`Circuit::add_gate`] and [`Circuit::set_fanin`]
+    /// check them. Returns the [`Circuit::topo_order`] the cycle check
+    /// computed.
     ///
     /// # Errors
     ///
     /// Returns the first violated invariant.
-    pub fn validate(&self) -> Result<(), NetlistError> {
+    pub fn validate(&self) -> Result<Vec<NodeId>, NetlistError> {
         for node in &self.nodes {
             if !node.kind.arity_ok(node.fanin.len()) {
                 return Err(NetlistError::BadArity {
@@ -310,16 +313,8 @@ impl Circuit {
                     got: node.fanin.len(),
                 });
             }
-            for f in &node.fanin {
-                if f.index() >= self.nodes.len() {
-                    return Err(NetlistError::DanglingFanin {
-                        gate: node.name.clone(),
-                        id: f.0,
-                    });
-                }
-            }
         }
-        self.topo_order().map(|_| ())
+        self.topo_order()
     }
 
     /// Compute a topological order of the *combinational* graph: flip-flop
@@ -331,44 +326,66 @@ impl Circuit {
     /// Returns [`NetlistError::CombinationalCycle`] if the logic (excluding
     /// paths through flip-flops) contains a cycle.
     pub fn topo_order(&self) -> Result<Vec<NodeId>, NetlistError> {
-        // Kahn's algorithm over combinational edges. A Dff node consumes its
-        // fanin (sink side) but its own output is a source: edges *out of* a
-        // Dff do not depend on the Dff's fanin being ready.
+        self.kahn(&self.fanout_csr(), VecDeque::new())
+    }
+
+    /// The fanout lists of [`Circuit::fanouts`] in CSR form: one entry per
+    /// pin edge (combinational *and* sequential), consumers in ascending
+    /// id order.
+    pub(crate) fn fanout_csr(&self) -> Csr {
         let n = self.nodes.len();
-        let mut indegree = vec![0u32; n];
-        let mut fanout: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (i, node) in self.nodes.iter().enumerate() {
-            if node.kind == GateKind::Dff {
-                // Sequential cut: the Dff output value does not depend
-                // combinationally on its fanin.
-                continue;
-            }
+        let mut start = vec![0u32; n + 1];
+        for f in self.nodes.iter().flat_map(|node| &node.fanin) {
+            start[f.index() + 1] += 1;
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut cursor = start[..n].to_vec();
+        let mut adj = vec![NodeId(0); start[n] as usize];
+        for (id, node) in self.iter() {
             for f in &node.fanin {
-                fanout[f.index()].push(i as u32);
-                indegree[i] += 1;
+                adj[cursor[f.index()] as usize] = id;
+                cursor[f.index()] += 1;
             }
         }
-        let mut queue: Vec<u32> = (0..n as u32)
-            .filter(|&i| indegree[i as usize] == 0)
+        Csr { start, adj }
+    }
+
+    /// Kahn's algorithm over the combinational edges of `fanout` (this
+    /// circuit's [`Circuit::fanout_csr`]). A flip-flop consumes its fanin
+    /// (sink side) but its own output is a source: edges *into* a
+    /// flip-flop do not order it. `ready` holds the nodes whose fanins
+    /// are all placed, and its pop order picks among them.
+    pub(crate) fn kahn(
+        &self,
+        fanout: &Csr,
+        mut ready: impl ReadySet,
+    ) -> Result<Vec<NodeId>, NetlistError> {
+        // A flip-flop starts ready. Its count goes negative as its data
+        // pin's driver is placed, so it is never pushed again.
+        let mut indegree: Vec<i32> = self
+            .nodes
+            .iter()
+            .map(|node| match node.kind {
+                GateKind::Dff => 0,
+                _ => node.fanin.len() as i32,
+            })
             .collect();
-        let mut order = Vec::with_capacity(n);
-        let mut head = 0;
-        while head < queue.len() {
-            let v = queue[head];
-            head += 1;
-            order.push(NodeId(v));
-            for &w in &fanout[v as usize] {
-                indegree[w as usize] -= 1;
-                if indegree[w as usize] == 0 {
-                    queue.push(w);
+        for v in (0..self.nodes.len()).filter(|&v| indegree[v] == 0) {
+            ready.push(NodeId::from_index(v));
+        }
+        let mut order = Vec::with_capacity(self.nodes.len());
+        while let Some(v) = ready.pop() {
+            order.push(v);
+            for &w in fanout.of(v) {
+                indegree[w.index()] -= 1;
+                if indegree[w.index()] == 0 {
+                    ready.push(w);
                 }
             }
         }
-        if order.len() != n {
-            let stuck = indegree
-                .iter()
-                .position(|&d| d > 0)
-                .expect("some node has nonzero indegree");
+        if let Some(stuck) = indegree.iter().position(|&d| d > 0) {
             return Err(NetlistError::CombinationalCycle {
                 node: self.nodes[stuck].name.clone(),
             });
@@ -376,20 +393,12 @@ impl Circuit {
         Ok(order)
     }
 
-    /// Compute per-node logic depth: inputs, constants and flip-flop
-    /// outputs are level 0; every other node is 1 + max fanin level
-    /// (through combinational edges).
-    ///
-    /// # Errors
-    ///
-    /// Propagates cycle detection from [`Circuit::topo_order`].
-    pub fn levels(&self) -> Result<Vec<u32>, NetlistError> {
-        Ok(self.levels_in(&self.topo_order()?))
-    }
-
-    /// [`Circuit::levels`] over a topological order the caller already
-    /// holds.
-    pub(crate) fn levels_in(&self, order: &[NodeId]) -> Vec<u32> {
+    /// Compute per-node logic depth over `order`, a
+    /// [`Circuit::topo_order`]: inputs, constants and flip-flop outputs
+    /// are level 0; every other node is 1 + max fanin level (through
+    /// combinational edges).
+    #[must_use]
+    pub fn levels(&self, order: &[NodeId]) -> Vec<u32> {
         let mut level = vec![0u32; self.nodes.len()];
         for &id in order {
             let node = &self.nodes[id.index()];
@@ -423,6 +432,37 @@ impl Circuit {
     #[must_use]
     pub fn is_combinational(&self) -> bool {
         self.dffs.is_empty()
+    }
+}
+
+/// Adjacency lists in CSR form: the list of node `n` occupies
+/// `adj[start[n] .. start[n + 1]]`.
+#[derive(Debug, Clone)]
+pub(crate) struct Csr {
+    pub(crate) start: Vec<u32>,
+    pub(crate) adj: Vec<NodeId>,
+}
+
+impl Csr {
+    pub(crate) fn of(&self, id: NodeId) -> &[NodeId] {
+        &self.adj[self.start[id.index()] as usize..self.start[id.index() + 1] as usize]
+    }
+}
+
+/// The ready set of [`Circuit::kahn`]: its pop order is the order's
+/// tie-break.
+pub(crate) trait ReadySet {
+    fn push(&mut self, id: NodeId);
+    fn pop(&mut self) -> Option<NodeId>;
+}
+
+/// First ready, first placed: [`Circuit::topo_order`].
+impl ReadySet for VecDeque<NodeId> {
+    fn push(&mut self, id: NodeId) {
+        self.push_back(id);
+    }
+    fn pop(&mut self) -> Option<NodeId> {
+        self.pop_front()
     }
 }
 
@@ -521,7 +561,7 @@ mod tests {
         let h = c.add_gate("h", GateKind::Or, &[ff, a]).unwrap();
         c.mark_output(h);
         c.validate().unwrap();
-        let levels = c.levels().unwrap();
+        let levels = c.levels(&c.topo_order().unwrap());
         assert_eq!(levels[ff.index()], 0, "dff output is level 0");
         assert_eq!(levels[h.index()], 1);
     }
@@ -529,7 +569,7 @@ mod tests {
     #[test]
     fn levels_computed() {
         let c = tiny();
-        let lv = c.levels().unwrap();
+        let lv = c.levels(&c.topo_order().unwrap());
         assert_eq!(lv, vec![0, 0, 1, 2]);
     }
 

@@ -30,7 +30,9 @@
 //! and the cone below that region is a tree, so fault simulation can
 //! trace the flip there instead of propagating it.
 
-use crate::circuit::{Circuit, NodeId};
+use std::collections::VecDeque;
+
+use crate::circuit::{Circuit, Csr, NodeId};
 use crate::error::NetlistError;
 use crate::gate::GateKind;
 
@@ -44,14 +46,10 @@ pub struct StructuralIndex {
     node_count: usize,
     /// Each node's gate kind.
     kinds: Vec<GateKind>,
-    /// CSR offsets into `fanin_adj`: the drivers of node `n`, in pin
-    /// order, occupy `fanin_adj[fanin_start[n] .. fanin_start[n + 1]]`.
-    fanin_start: Vec<u32>,
-    fanin_adj: Vec<NodeId>,
-    /// CSR offsets into `fanout_adj`: consumers of node `n` occupy
-    /// `fanout_adj[fanout_start[n] .. fanout_start[n + 1]]`.
-    fanout_start: Vec<u32>,
-    fanout_adj: Vec<NodeId>,
+    /// The drivers of each node, in pin order, CSR-packed.
+    fanin: Csr,
+    /// The consumers of each node, CSR-packed.
+    fanout: Csr,
     topo: Vec<NodeId>,
     topo_pos: Vec<u32>,
     levels: Vec<u32>,
@@ -86,8 +84,11 @@ impl StructuralIndex {
     /// Propagates cycle detection from [`Circuit::topo_order`].
     pub fn build(circuit: &Circuit) -> Result<StructuralIndex, NetlistError> {
         let n = circuit.node_count();
-        let topo = circuit.topo_order()?;
-        let levels = circuit.levels_in(&topo);
+        // The CSR fanout adjacency orders the nodes too: one entry per pin
+        // edge, consumers in id order, exactly as `Circuit::fanouts()`.
+        let fanout = circuit.fanout_csr();
+        let topo = circuit.kahn(&fanout, VecDeque::new())?;
+        let levels = circuit.levels(&topo);
         let mut topo_pos = vec![0u32; n];
         for (pos, id) in topo.iter().enumerate() {
             topo_pos[id.index()] = pos as u32;
@@ -96,33 +97,15 @@ impl StructuralIndex {
         // The fanin lists and gate kinds, packed so that a search reads
         // them from two flat arrays instead of one heap list per node.
         let kinds: Vec<GateKind> = circuit.iter().map(|(_, node)| node.kind).collect();
-        let mut fanin_start = Vec::with_capacity(n + 1);
-        let mut fanin_adj = Vec::new();
-        fanin_start.push(0);
+        let mut fanin = Csr {
+            start: vec![0],
+            adj: Vec::new(),
+        };
         for (_, node) in circuit.iter() {
-            fanin_adj.extend_from_slice(&node.fanin);
-            fanin_start.push(u32::try_from(fanin_adj.len()).expect("pin edges fit in u32"));
-        }
-
-        // CSR fanout adjacency, mirroring `Circuit::fanouts()` exactly:
-        // iterate consumers in id order, one entry per pin edge.
-        let mut degree = vec![0u32; n];
-        for (_, node) in circuit.iter() {
-            for f in &node.fanin {
-                degree[f.index()] += 1;
-            }
-        }
-        let mut fanout_start = vec![0u32; n + 1];
-        for i in 0..n {
-            fanout_start[i + 1] = fanout_start[i] + degree[i];
-        }
-        let mut cursor: Vec<u32> = fanout_start[..n].to_vec();
-        let mut fanout_adj = vec![NodeId::from_index(0); fanout_start[n] as usize];
-        for (id, node) in circuit.iter() {
-            for f in &node.fanin {
-                fanout_adj[cursor[f.index()] as usize] = id;
-                cursor[f.index()] += 1;
-            }
+            fanin.adj.extend_from_slice(&node.fanin);
+            fanin
+                .start
+                .push(u32::try_from(fanin.adj.len()).expect("pin edges fit in u32"));
         }
 
         let mut output_marks = vec![0u32; n];
@@ -142,8 +125,7 @@ impl StructuralIndex {
         let mut ffr_sizes: Vec<u32> = Vec::new();
         for &id in topo.iter().rev() {
             let i = id.index();
-            let (lo, hi) = (fanout_start[i] as usize, fanout_start[i + 1] as usize);
-            let consumers = &fanout_adj[lo..hi];
+            let consumers = fanout.of(id);
             live[i] = live[i]
                 || consumers
                     .iter()
@@ -179,10 +161,8 @@ impl StructuralIndex {
         let mut index = StructuralIndex {
             node_count: n,
             kinds,
-            fanin_start,
-            fanin_adj,
-            fanout_start,
-            fanout_adj,
+            fanin,
+            fanout,
             topo,
             topo_pos,
             levels,
@@ -281,16 +261,14 @@ impl StructuralIndex {
     /// `circuit.node(id).fanin`.
     #[must_use]
     pub fn fanins(&self, id: NodeId) -> &[NodeId] {
-        let i = id.index();
-        &self.fanin_adj[self.fanin_start[i] as usize..self.fanin_start[i + 1] as usize]
+        self.fanin.of(id)
     }
 
     /// Consumers of `id`, one entry per pin edge, in ascending consumer
     /// id order — the CSR view of `Circuit::fanouts()[id]`.
     #[must_use]
     pub fn fanouts(&self, id: NodeId) -> &[NodeId] {
-        let i = id.index();
-        &self.fanout_adj[self.fanout_start[i] as usize..self.fanout_start[i + 1] as usize]
+        self.fanout.of(id)
     }
 
     /// Number of pin edges out of `id`.
@@ -465,7 +443,7 @@ mod tests {
     fn topo_and_levels_consistent_with_circuit() {
         let c = diamond();
         let idx = StructuralIndex::build(&c).unwrap();
-        let levels = c.levels().unwrap();
+        let levels = c.levels(&c.topo_order().unwrap());
         for (id, node) in c.iter() {
             assert_eq!(idx.level(id), levels[id.index()]);
             for f in &node.fanin {

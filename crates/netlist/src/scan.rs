@@ -69,28 +69,21 @@ impl Circuit {
     /// Returns [`NetlistError::NoObservationPoints`] for a circuit with no
     /// outputs and no flip-flops, or propagates validation errors.
     pub fn to_test_model(&self) -> Result<TestModel, NetlistError> {
-        self.validate()?;
+        let order = self.validate()?;
         if self.outputs().is_empty() && self.dffs().is_empty() {
             return Err(NetlistError::NoObservationPoints);
         }
         let mut model = Circuit::new(format!("{}.testmodel", self.name()));
-        // Map original node id -> model node id, built in original id order
-        // so fanin references resolve (original circuits are created in
-        // definition order; validate() guarantees fanins exist, and ids are
-        // creation-ordered, but a fanin may still have a *larger* id than
-        // its user only through a Dff... which we replace by an input, so
-        // we must create model nodes in topological order instead).
-        let order = self.topo_order()?;
+        // Original node id -> model node id. A gate may read a flip-flop
+        // created after it, so gates are placed in topological order.
         let mut map: Vec<Option<NodeId>> = vec![None; self.node_count()];
         // First pass: create all Dff replacements (they are sources) and
         // inputs, preserving the documented ordering.
         for &pi in self.inputs() {
-            let mid = model.add_input(self.node(pi).name.clone());
-            map[pi.index()] = Some(mid);
+            map[pi.index()] = Some(model.add_input(self.node(pi).name.clone()));
         }
         for &ff in self.dffs() {
-            let mid = model.add_input(format!("{}.scan", self.node(ff).name));
-            map[ff.index()] = Some(mid);
+            map[ff.index()] = Some(model.add_input(format!("{}.scan", self.node(ff).name)));
         }
         // Second pass: logic gates in topological order.
         for id in order {
@@ -103,8 +96,7 @@ impl Circuit {
                 .iter()
                 .map(|f| map[f.index()].expect("topo order guarantees fanin placed"))
                 .collect();
-            let mid = model.add_gate(node.name.clone(), node.kind, &fanin)?;
-            map[id.index()] = Some(mid);
+            map[id.index()] = Some(model.add_gate(node.name.clone(), node.kind, &fanin)?);
         }
         // Outputs: primary outputs first, then scan capture points.
         let mut inputs: Vec<TestPoint> = self

@@ -147,11 +147,10 @@ impl<'a> ScanSimulator<'a> {
         circuit: &'a Circuit,
         chains: &'a ScanChains,
     ) -> Result<ScanSimulator<'a>, NetlistError> {
-        circuit.validate()?;
         Ok(ScanSimulator {
             circuit,
             chains,
-            order: circuit.topo_order()?,
+            order: circuit.validate()?,
             state: vec![false; circuit.node_count()],
         })
     }

@@ -56,9 +56,8 @@ impl Simulator {
                 node: circuit.node(ff).name.clone(),
             });
         }
-        circuit.validate()?;
         Ok(Simulator {
-            order: circuit.topo_order()?,
+            order: circuit.validate()?,
             node_count: circuit.node_count(),
             input_count: circuit.input_count(),
         })

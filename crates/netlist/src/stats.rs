@@ -32,7 +32,7 @@ impl CircuitStats {
     ///
     /// Propagates structural validation errors.
     pub fn of(circuit: &Circuit) -> Result<CircuitStats, NetlistError> {
-        let levels = circuit.levels()?;
+        let levels = circuit.levels(&circuit.topo_order()?);
         let mut gates = 0usize;
         let mut inverters = 0usize;
         let mut fanin_sum = 0usize;

@@ -75,7 +75,7 @@ impl WrappedCircuit {
 /// # }
 /// ```
 pub fn wrap_circuit(core: &Circuit) -> Result<WrappedCircuit, NetlistError> {
-    core.validate()?;
+    let order = core.validate()?;
     let mut out = Circuit::new(format!("{}.wrapped", core.name()));
     let mut map: Vec<Option<NodeId>> = vec![None; core.node_count()];
     let mut input_cells = Vec::with_capacity(core.input_count());
@@ -96,7 +96,7 @@ pub fn wrap_circuit(core: &Circuit) -> Result<WrappedCircuit, NetlistError> {
         let id = out.add_dff_deferred(core.node(ff).name.clone())?;
         map[ff.index()] = Some(id);
     }
-    for id in core.topo_order()? {
+    for id in order {
         if map[id.index()].is_some() {
             continue;
         }

@@ -3,9 +3,13 @@
 use proptest::prelude::*;
 
 use modsoc_netlist::bench_format::{parse_bench, write_bench};
+use modsoc_netlist::canonical::canonical_order;
 use modsoc_netlist::cone::extract_cones;
 use modsoc_netlist::sim::{simulate_single, Simulator};
-use modsoc_netlist::{Circuit, GateKind};
+use modsoc_netlist::{Circuit, GateKind, NodeId};
+
+#[path = "../../../tests/canonical/reference.rs"]
+mod reference;
 
 /// A random combinational circuit description: per gate, (kind selector,
 /// fanin selectors). Inputs come first; every gate may use any earlier
@@ -100,6 +104,14 @@ proptest! {
             let o2: Vec<bool> = c2.outputs().iter().map(|o| v2[o.index()]).collect();
             prop_assert_eq!(o1, o2);
         }
+    }
+
+    #[test]
+    fn canonical_order_matches_the_name_heap_reference(rc in arb_circuit()) {
+        // `g10` sorts before `g2`: name order is not id order here.
+        let c = build(&rc);
+        let order = canonical_order(&c).expect("acyclic by construction");
+        prop_assert_eq!(Some(order), reference::name_heap_order(&c));
     }
 
     #[test]

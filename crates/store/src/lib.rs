@@ -272,7 +272,7 @@ pub fn payload_check(payload: &JsonValue) -> String {
 /// The eviction reason: `"malformed JSON"`, `"schema mismatch"`,
 /// `"key mismatch"`, `"missing payload"` or `"checksum mismatch"`.
 pub fn validate_entry_doc(key_hex: &str, text: &str) -> Result<JsonValue, String> {
-    let Ok(doc) = json::parse(text) else {
+    let Ok(mut doc) = json::parse(text) else {
         return Err("malformed JSON".to_string());
     };
     if doc.get("schema").and_then(JsonValue::as_u64) != Some(STORE_SCHEMA) {
@@ -281,13 +281,13 @@ pub fn validate_entry_doc(key_hex: &str, text: &str) -> Result<JsonValue, String
     if doc.get("key").and_then(JsonValue::as_str) != Some(key_hex) {
         return Err("key mismatch".to_string());
     }
-    let Some(payload) = doc.get("payload") else {
+    let Some(payload) = doc.take("payload") else {
         return Err("missing payload".to_string());
     };
-    if doc.get("check").and_then(JsonValue::as_str) != Some(payload_check(payload).as_str()) {
+    if doc.get("check").and_then(JsonValue::as_str) != Some(payload_check(&payload).as_str()) {
         return Err("checksum mismatch".to_string());
     }
-    Ok(payload.clone())
+    Ok(payload)
 }
 
 /// Why [`ResultStore::ingest`] or [`ResultStore::merge_journal_raw`]

@@ -9,9 +9,8 @@
 //! degrade instead of falling over (see `DESIGN.md` §13):
 //!
 //! * **Admission control** — a bounded queue between the accept loop
-//!   and the workers. Queue full or connection cap reached ⇒ the
-//!   request is *shed* with `503` + `Retry-After`, never parked
-//!   unboundedly.
+//!   and the workers. Queue full ⇒ the request is *shed* with `503` +
+//!   `Retry-After`, never parked unboundedly.
 //! * **Request coalescing** — experiment requests are keyed by the
 //!   store's canonical content address ([`crate::campaign::unit_key`]);
 //!   N concurrent identical requests block on one computation and all
@@ -28,18 +27,20 @@
 //!   a slowloris writer is dropped, not waited on. A keep-alive client
 //!   that stalls mid-request gets a clean `408` + close, never a
 //!   misparsed next request.
-//! * **Keep-alive** — with [`ServeConfig::keep_alive`], connections are
-//!   persistent HTTP/1.1: after each response the connection re-enters
-//!   the read queue until the idle timeout, the per-connection request
-//!   cap, a client `Connection: close`, or shutdown ends it. Pipelined
-//!   bytes are carried over between requests instead of being dropped.
+//! * **Keep-alive** — connections are persistent HTTP/1.1 by default
+//!   ([`ServeConfig::keep_alive`]): after each response the connection
+//!   re-enters the read queue until the idle timeout, the per-connection
+//!   request cap, a client `Connection: close`, or shutdown ends it.
+//!   Pipelined bytes are carried over between requests instead of being
+//!   dropped.
 //! * **Priority lanes** — parsed requests land in one of two admission
 //!   lanes (`/experiment` = heavy, everything else = light) drained by
 //!   weighted round-robin with a deficit-token scheme (4:1), so cheap
 //!   `/analyze` probes are not starved behind long experiment runs.
 //!   Lane depth and wait time are exported through `/metrics`.
-//! * **Request batching** — with [`ServeConfig::batch_max`] > 1,
-//!   coalesce leaders for *distinct* experiment keys with the same
+//! * **Request batching** — by default up to four
+//!   ([`ServeConfig::batch_max`]) coalesce leaders for *distinct*
+//!   experiment keys with the same
 //!   [`ExperimentOptions::fingerprint`] rendezvous for a short window
 //!   ([`ServeConfig::batch_window`]) and run as one [`WorkerPool`]
 //!   dispatch. Each batched unit runs serially inside it (a pool map
@@ -118,6 +119,18 @@ const ACCEPT_POLL: Duration = Duration::from_millis(10);
 /// slice boundary).
 const READ_POLL: Duration = Duration::from_millis(15);
 
+/// Socket write timeout: a client that stops draining its response is
+/// dropped when it expires.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Server-enforced deadline cap per request, in milliseconds. A
+/// request's own `timeout_ms` may shorten it but never extend it.
+const MAX_REQUEST_MS: u64 = 30_000;
+
+/// `Retry-After` seconds advertised on every `503`: a shed connection
+/// and a contended store lock alike.
+const RETRY_AFTER_SECS: u64 = 1;
+
 /// Configuration for [`Server::bind`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -129,22 +142,11 @@ pub struct ServeConfig {
     /// Bounded admission queue: connections accepted but not yet
     /// claimed by a worker. Beyond this, requests are shed with 503.
     pub queue_capacity: usize,
-    /// Cap on connections in flight (queued + in service). Beyond
-    /// this, requests are shed with 503.
-    pub max_connections: usize,
     /// Request bodies over this many bytes get 413.
     pub max_body_bytes: usize,
     /// Socket read timeout: a client that stalls mid-request
     /// (slowloris) is dropped when it expires.
     pub read_timeout: Duration,
-    /// Socket write timeout: a client that stops draining its response
-    /// is dropped when it expires.
-    pub write_timeout: Duration,
-    /// Server-enforced deadline cap per request, in milliseconds. A
-    /// request's own `timeout_ms` may shorten it but never extend it.
-    pub max_request_ms: u64,
-    /// `Retry-After` seconds advertised on shed (503) responses.
-    pub retry_after_secs: u64,
     /// Worker threads per request ([`ExperimentOptions::with_jobs`]):
     /// the per-core pool, then the monolithic run's fault-simulation
     /// sweeps. Also the width of a batch's dispatch, whose units then run
@@ -153,11 +155,9 @@ pub struct ServeConfig {
     /// Content-addressed result store shared with CLI runs; also the
     /// coalescing key domain.
     pub store: Option<Arc<ResultStore>>,
-    /// Whether store lookups are performed (`false` refreshes entries).
-    pub store_read: bool,
     /// Serve multiple requests per connection (HTTP/1.1 keep-alive).
-    /// Off by default: one request per connection, `Connection: close`,
-    /// exactly the pre-keep-alive behavior.
+    /// On by default; `false` answers every request with
+    /// `Connection: close`.
     pub keep_alive: bool,
     /// Requests served on one connection before the server closes it
     /// (bounds how long one client can monopolize worker attention).
@@ -166,8 +166,9 @@ pub struct ServeConfig {
     /// before the server closes it. Once a request has *started*
     /// arriving, `read_timeout` governs instead.
     pub idle_timeout: Duration,
-    /// Cap on experiment units fused into one pool dispatch. `1`
-    /// disables batching (every coalesce leader computes alone).
+    /// Cap on experiment units fused into one pool dispatch (4 by
+    /// default). `1` disables batching (every coalesce leader computes
+    /// alone).
     pub batch_max: usize,
     /// How long a batch leader waits for compatible units to rendezvous
     /// before dispatching whatever has arrived.
@@ -185,19 +186,14 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
             queue_capacity: 64,
-            max_connections: 256,
             max_body_bytes: 1024 * 1024,
             read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
-            max_request_ms: 30_000,
-            retry_after_secs: 1,
             jobs: 1,
             store: None,
-            store_read: true,
-            keep_alive: false,
+            keep_alive: true,
             keep_alive_max_requests: 256,
             idle_timeout: Duration::from_secs(2),
-            batch_max: 1,
+            batch_max: 4,
             batch_window: Duration::from_millis(3),
         }
     }
@@ -305,6 +301,7 @@ impl Sched {
 #[derive(Debug)]
 struct BatchJob {
     unit: CampaignUnit,
+    /// The effective options, `skip_monolithic` already applied.
     options: ExperimentOptions,
     timeout_ms: Option<u64>,
     key_hex: String,
@@ -472,40 +469,44 @@ impl Server {
     }
 }
 
-/// Admission control: shed with 503 when the connection cap or the
-/// pending-work bound is hit, otherwise enqueue for a worker. The
-/// bound counts everything no worker has claimed yet — connections
-/// awaiting bytes *and* parsed requests waiting in a lane — so a
-/// backlog parked in the lanes sheds exactly like one parked in the
-/// old single queue did.
+/// Admission control: shed with 503 when the pending-work bound is
+/// hit, otherwise enqueue for a worker. The bound counts everything no
+/// worker has claimed yet — connections awaiting bytes *and* parsed
+/// requests waiting in a lane — so a backlog parked in the lanes sheds
+/// exactly like one parked in the old single queue did.
+///
+/// It also bounds the open connections. An admitted connection is
+/// always either pending (in the read queue or a lane) or held by one
+/// worker, and a connection is admitted only while fewer than
+/// `queue_capacity` are pending. So at most
+/// `queue_capacity + max(workers, 1)` connections are ever open: 68 at
+/// the defaults.
 fn admit(shared: &Shared, stream: TcpStream) {
-    let over_cap = shared.active.load(Ordering::SeqCst) >= shared.config.max_connections;
-    if !over_cap {
-        let mut sched = lock_clean(&shared.sched);
-        if sched.pending() < shared.config.queue_capacity {
-            shared.active.fetch_add(1, Ordering::SeqCst);
-            let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-            // Persistent connections live or die by this: with Nagle
-            // on, the head/body write pair stalls behind delayed ACKs
-            // (~10-40ms per response). One-shot connections never saw
-            // it because their closing FIN flushed the last segment.
-            let _ = stream.set_nodelay(true);
-            sched.read_q.push_back(Conn {
-                stream,
-                buf: Vec::new(),
-                served: 0,
-                // A fresh connection gets the read timeout to produce
-                // its first request; only *recycled* keep-alive
-                // connections run on the idle clock.
-                idle_deadline: Instant::now() + shared.config.read_timeout,
-                read_deadline: None,
-            });
-            drop(sched);
-            shared.sched_cv.notify_one();
-            return;
-        }
+    let mut sched = lock_clean(&shared.sched);
+    if sched.pending() >= shared.config.queue_capacity {
+        drop(sched);
+        shed(shared, stream);
+        return;
     }
-    shed(shared, stream);
+    shared.active.fetch_add(1, Ordering::SeqCst);
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+    // Persistent connections live or die by this: with Nagle on, the
+    // head/body write pair stalls behind delayed ACKs (~10-40ms per
+    // response). One-shot connections never saw it because their
+    // closing FIN flushed the last segment.
+    let _ = stream.set_nodelay(true);
+    sched.read_q.push_back(Conn {
+        stream,
+        buf: Vec::new(),
+        served: 0,
+        // A fresh connection gets the read timeout to produce its first
+        // request; only *recycled* keep-alive connections run on the
+        // idle clock.
+        idle_deadline: Instant::now() + shared.config.read_timeout,
+        read_deadline: None,
+    });
+    drop(sched);
+    shared.sched_cv.notify_one();
 }
 
 /// Refuse one connection with `503` + `Retry-After` (never a hang: the
@@ -521,9 +522,9 @@ fn admit(shared: &Shared, stream: TcpStream) {
 fn shed(shared: &Shared, mut stream: TcpStream) {
     shared.sink.add(Counter::ServeShed, 1);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let resp = Response {
-        retry_after: Some(shared.config.retry_after_secs),
+        retry_after: Some(RETRY_AFTER_SECS),
         ..Response::error(503, "server is at capacity, retry shortly")
     };
     let _ = write_response(&mut stream, &resp, false);
@@ -1339,7 +1340,7 @@ fn store_error_response(e: &modsoc_store::StoreError) -> Response {
     match e {
         modsoc_store::StoreError::Contended { .. } => {
             let mut r = Response::error(503, "store lock contended; retry");
-            r.retry_after = Some(1);
+            r.retry_after = Some(RETRY_AFTER_SECS);
             r
         }
         _ => Response::error(500, &e.to_string()),
@@ -1603,9 +1604,7 @@ fn with_default_name(doc: &JsonValue) -> JsonValue {
 fn experiment_options(shared: &Shared) -> ExperimentOptions {
     let mut options = ExperimentOptions::paper_tables_1_2().with_jobs(shared.config.jobs);
     if let Some(store) = &shared.config.store {
-        options = options
-            .with_store(Arc::clone(store))
-            .with_store_read(shared.config.store_read);
+        options = options.with_store(Arc::clone(store));
     }
     options
 }
@@ -1640,8 +1639,7 @@ fn coalesce(shared: &Shared, key: [u8; 32], compute: impl FnOnce() -> Response) 
     // cap plus slack for queue time. A leader that outlives the bound
     // (wedged I/O) gets this follower a 504 rather than a hang.
     shared.sink.add(Counter::ServeCoalesceHits, 1);
-    let deadline =
-        Instant::now() + Duration::from_millis(shared.config.max_request_ms.saturating_mul(2));
+    let deadline = Instant::now() + Duration::from_millis(2 * MAX_REQUEST_MS);
     let mut done = lock_clean(&flight.done);
     loop {
         if let Some(response) = done.clone() {
@@ -1684,8 +1682,7 @@ fn batch_or_compute(shared: &Shared, job: BatchJob) -> Response {
         batch.pending.push(job);
     }
     shared.batch_cv.notify_all();
-    let deadline =
-        Instant::now() + Duration::from_millis(shared.config.max_request_ms.saturating_mul(2));
+    let deadline = Instant::now() + Duration::from_millis(2 * MAX_REQUEST_MS);
     let mut state = lock_clean(&shared.batch);
     loop {
         if let Some(response) = lock_clean(&slot).clone() {
@@ -1811,16 +1808,11 @@ fn compute_experiment(
     timeout_ms: Option<u64>,
     key_hex: &str,
 ) -> Response {
-    let cap = shared.config.max_request_ms;
-    let ms = timeout_ms.map_or(cap, |t| t.min(cap));
+    let ms = timeout_ms.map_or(MAX_REQUEST_MS, |t| t.min(MAX_REQUEST_MS));
     let budget = RunBudget::unlimited().with_timeout(Duration::from_millis(ms));
     let result = guard_result(|| {
         let netlist = build_unit_netlist(unit)?;
-        let mut unit_options = options.clone();
-        if unit.skip_monolithic {
-            unit_options.monolithic = false;
-        }
-        run_soc_experiment_guarded(&netlist, &unit_options, &budget)
+        run_soc_experiment_guarded(&netlist, options, &budget)
     });
     match result {
         Ok(completion) => {

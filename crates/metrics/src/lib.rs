@@ -42,303 +42,156 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Identifiers for the fixed set of run counters.
-///
-/// The enum order is the canonical report order; `Counter::ALL` and
-/// [`Counter::name`] keep serialization stable across runs and releases
-/// (new counters are appended, never reordered).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)] // names + `name()` strings are the documentation
-pub enum Counter {
-    FaultsUniverse,
-    FaultsCollapsed,
-    RandomPatternsKept,
-    PodemCalls,
-    PodemTests,
-    PodemRedundant,
-    PodemAborted,
-    PodemDecisions,
-    PodemBacktracks,
-    FaultSimBatches,
-    FaultSimFaultEvals,
-    FaultSimDetections,
-    StaticMergeSaved,
-    RepairPatterns,
-    ReverseCompactionRemoved,
-    PatternsFinal,
-    TdfFaults,
-    TdfDetected,
-    TdfPatterns,
-    BistPatterns,
-    BistTopUpPatterns,
-    BudgetTrips,
-    PoolTasks,
-    PoolPanics,
-    StoreHits,
-    StoreMisses,
-    StoreWrites,
-    StoreEvictions,
-    StoreRetries,
-    ServeRequests,
-    ServeShed,
-    ServeCoalesceHits,
-    ServePanics,
-    ServeDeadlineTrips,
-    ServeBatches,
-    ServeBatchedUnits,
-    ServeLaneLight,
-    ServeLaneHeavy,
-    ServeKeepAliveReuses,
-    ServeRequestTimeouts,
-    StoreRemoteGets,
-    StoreRemotePuts,
-    StoreRemoteJournalOps,
-    StoreClaimsAcquired,
-    StoreClaimsHeld,
-    StoreClaimsExpired,
-    TamPackCores,
-    TamPackCandidates,
-    TamPackBackfills,
-    TamPackPowerRejects,
+/// Declares one fixed metric kind from a single `Variant => "name"`
+/// list: the enum (its declaration order is the canonical report order
+/// and each discriminant is the sink's array index), `ALL` in that
+/// order, `index()` and the stable snake_case `name()`.
+macro_rules! metric_kind {
+    (
+        $(#[$doc:meta])*
+        $Kind:ident { $($Variant:ident => $name:literal,)* }
+    ) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[allow(missing_docs)] // names + `name()` strings are the documentation
+        pub enum $Kind {
+            $($Variant,)*
+        }
+
+        impl $Kind {
+            #[doc = concat!("Every `", stringify!($Kind), "`, in canonical report order.")]
+            pub const ALL: [$Kind; [$($name),*].len()] = [$($Kind::$Variant),*];
+
+            #[doc = concat!("Position in [`", stringify!($Kind), "::ALL`] (the sink's array index).")]
+            #[must_use]
+            pub fn index(self) -> usize {
+                self as usize
+            }
+
+            /// Stable snake_case report name.
+            #[must_use]
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($Kind::$Variant => $name,)*
+                }
+            }
+        }
+    };
 }
 
-impl Counter {
-    /// Every counter, in canonical report order.
-    pub const ALL: [Counter; 50] = [
-        Counter::FaultsUniverse,
-        Counter::FaultsCollapsed,
-        Counter::RandomPatternsKept,
-        Counter::PodemCalls,
-        Counter::PodemTests,
-        Counter::PodemRedundant,
-        Counter::PodemAborted,
-        Counter::PodemDecisions,
-        Counter::PodemBacktracks,
-        Counter::FaultSimBatches,
-        Counter::FaultSimFaultEvals,
-        Counter::FaultSimDetections,
-        Counter::StaticMergeSaved,
-        Counter::RepairPatterns,
-        Counter::ReverseCompactionRemoved,
-        Counter::PatternsFinal,
-        Counter::TdfFaults,
-        Counter::TdfDetected,
-        Counter::TdfPatterns,
-        Counter::BistPatterns,
-        Counter::BistTopUpPatterns,
-        Counter::BudgetTrips,
-        Counter::PoolTasks,
-        Counter::PoolPanics,
-        Counter::StoreHits,
-        Counter::StoreMisses,
-        Counter::StoreWrites,
-        Counter::StoreEvictions,
-        Counter::StoreRetries,
-        Counter::ServeRequests,
-        Counter::ServeShed,
-        Counter::ServeCoalesceHits,
-        Counter::ServePanics,
-        Counter::ServeDeadlineTrips,
-        Counter::ServeBatches,
-        Counter::ServeBatchedUnits,
-        Counter::ServeLaneLight,
-        Counter::ServeLaneHeavy,
-        Counter::ServeKeepAliveReuses,
-        Counter::ServeRequestTimeouts,
-        Counter::StoreRemoteGets,
-        Counter::StoreRemotePuts,
-        Counter::StoreRemoteJournalOps,
-        Counter::StoreClaimsAcquired,
-        Counter::StoreClaimsHeld,
-        Counter::StoreClaimsExpired,
-        Counter::TamPackCores,
-        Counter::TamPackCandidates,
-        Counter::TamPackBackfills,
-        Counter::TamPackPowerRejects,
-    ];
-
-    /// Position in [`Counter::ALL`] (the sink's array index).
-    #[must_use]
-    pub fn index(self) -> usize {
-        Counter::ALL
-            .iter()
-            .position(|&c| c == self)
-            .expect("every counter is listed in ALL")
-    }
-
-    /// Stable snake_case report name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::FaultsUniverse => "faults_universe",
-            Counter::FaultsCollapsed => "faults_collapsed",
-            Counter::RandomPatternsKept => "random_patterns_kept",
-            Counter::PodemCalls => "podem_calls",
-            Counter::PodemTests => "podem_tests",
-            Counter::PodemRedundant => "podem_redundant",
-            Counter::PodemAborted => "podem_aborted",
-            Counter::PodemDecisions => "podem_decisions",
-            Counter::PodemBacktracks => "podem_backtracks",
-            Counter::FaultSimBatches => "fault_sim_batches",
-            Counter::FaultSimFaultEvals => "fault_sim_fault_evals",
-            Counter::FaultSimDetections => "fault_sim_detections",
-            Counter::StaticMergeSaved => "static_merge_saved",
-            Counter::RepairPatterns => "repair_patterns",
-            Counter::ReverseCompactionRemoved => "reverse_compaction_removed",
-            Counter::PatternsFinal => "patterns_final",
-            Counter::TdfFaults => "tdf_faults",
-            Counter::TdfDetected => "tdf_detected",
-            Counter::TdfPatterns => "tdf_patterns",
-            Counter::BistPatterns => "bist_patterns",
-            Counter::BistTopUpPatterns => "bist_top_up_patterns",
-            Counter::BudgetTrips => "budget_trips",
-            Counter::PoolTasks => "pool_tasks",
-            Counter::PoolPanics => "pool_panics",
-            // The store_* counters are *cache-state-dependent*: a warm
-            // run reports hits where the cold run reported misses and
-            // writes. They are excluded from the cross-run determinism
-            // gates (the `"store_` filter) but are still deterministic
-            // at a fixed cache state and --jobs-invariant.
-            Counter::StoreHits => "store_hits",
-            Counter::StoreMisses => "store_misses",
-            Counter::StoreWrites => "store_writes",
-            Counter::StoreEvictions => "store_evictions",
-            // Retries depend on transient filesystem weather, so they
-            // ride the same `"store_` exemption as the other store rows.
-            Counter::StoreRetries => "store_retries",
-            // The serve_* counters only move inside `modsoc serve`; CLI
-            // runs report them as constant zeros, which keeps the
-            // cross-run determinism diffs trivially green.
-            Counter::ServeRequests => "serve_requests",
-            Counter::ServeShed => "serve_shed",
-            Counter::ServeCoalesceHits => "serve_coalesce_hits",
-            Counter::ServePanics => "serve_panics",
-            Counter::ServeDeadlineTrips => "serve_deadline_trips",
-            Counter::ServeBatches => "serve_batches",
-            Counter::ServeBatchedUnits => "serve_batched_units",
-            Counter::ServeLaneLight => "serve_lane_light",
-            Counter::ServeLaneHeavy => "serve_lane_heavy",
-            Counter::ServeKeepAliveReuses => "serve_keepalive_reuses",
-            Counter::ServeRequestTimeouts => "serve_request_timeouts",
-            // Remote-store traffic: counted by the `modsoc serve`
-            // daemon's `/store/*` endpoints (and by an `HttpBackend`
-            // client on its side). Cache-state- and topology-dependent,
-            // so they ride the `"store_` determinism-filter exemption.
-            Counter::StoreRemoteGets => "store_remote_gets",
-            Counter::StoreRemotePuts => "store_remote_puts",
-            Counter::StoreRemoteJournalOps => "store_remote_journal_ops",
-            // Claim/lease traffic from distributed `modsoc campaign`
-            // workers partitioning a shared spec (CAS on unit + content
-            // key). Contention-dependent, hence `store_`-exempted too.
-            Counter::StoreClaimsAcquired => "store_claims_acquired",
-            Counter::StoreClaimsHeld => "store_claims_held",
-            Counter::StoreClaimsExpired => "store_claims_expired",
-            // Rectangle bin-packing co-optimizer (`modsoc tam`): cores
-            // packed, Pareto wrapper candidates enumerated, placements
-            // that backfilled idle TAM windows, and placements bounced
-            // off the power ceiling. All four are pure functions of the
-            // input SOC and flags, so they sit under the full
-            // determinism contract (no exemptions).
-            Counter::TamPackCores => "tam_pack_cores",
-            Counter::TamPackCandidates => "tam_pack_candidates",
-            Counter::TamPackBackfills => "tam_pack_backfills",
-            Counter::TamPackPowerRejects => "tam_pack_power_rejects",
-        }
+metric_kind! {
+    /// Identifiers for the fixed set of run counters.
+    ///
+    /// The list order is the canonical report order; `Counter::ALL` and
+    /// [`Counter::name`] keep serialization stable across runs and
+    /// releases (new counters are appended, never reordered).
+    Counter {
+        FaultsUniverse => "faults_universe",
+        FaultsCollapsed => "faults_collapsed",
+        RandomPatternsKept => "random_patterns_kept",
+        PodemCalls => "podem_calls",
+        PodemTests => "podem_tests",
+        PodemRedundant => "podem_redundant",
+        PodemAborted => "podem_aborted",
+        PodemDecisions => "podem_decisions",
+        PodemBacktracks => "podem_backtracks",
+        FaultSimBatches => "fault_sim_batches",
+        FaultSimFaultEvals => "fault_sim_fault_evals",
+        FaultSimDetections => "fault_sim_detections",
+        StaticMergeSaved => "static_merge_saved",
+        RepairPatterns => "repair_patterns",
+        ReverseCompactionRemoved => "reverse_compaction_removed",
+        PatternsFinal => "patterns_final",
+        TdfFaults => "tdf_faults",
+        TdfDetected => "tdf_detected",
+        TdfPatterns => "tdf_patterns",
+        BistPatterns => "bist_patterns",
+        BistTopUpPatterns => "bist_top_up_patterns",
+        BudgetTrips => "budget_trips",
+        PoolTasks => "pool_tasks",
+        PoolPanics => "pool_panics",
+        // The store_* counters are *cache-state-dependent*: a warm
+        // run reports hits where the cold run reported misses and
+        // writes. They are excluded from the cross-run determinism
+        // gates (the `"store_` filter) but are still deterministic
+        // at a fixed cache state and --jobs-invariant.
+        StoreHits => "store_hits",
+        StoreMisses => "store_misses",
+        StoreWrites => "store_writes",
+        StoreEvictions => "store_evictions",
+        // Retries depend on transient filesystem weather, so they
+        // ride the same `"store_` exemption as the other store rows.
+        StoreRetries => "store_retries",
+        // The serve_* counters only move inside `modsoc serve`; CLI
+        // runs report them as constant zeros, which keeps the
+        // cross-run determinism diffs trivially green.
+        ServeRequests => "serve_requests",
+        ServeShed => "serve_shed",
+        ServeCoalesceHits => "serve_coalesce_hits",
+        ServePanics => "serve_panics",
+        ServeDeadlineTrips => "serve_deadline_trips",
+        ServeBatches => "serve_batches",
+        ServeBatchedUnits => "serve_batched_units",
+        ServeLaneLight => "serve_lane_light",
+        ServeLaneHeavy => "serve_lane_heavy",
+        ServeKeepAliveReuses => "serve_keepalive_reuses",
+        ServeRequestTimeouts => "serve_request_timeouts",
+        // Remote-store traffic: counted by the `modsoc serve`
+        // daemon's `/store/*` endpoints (and by an `HttpBackend`
+        // client on its side). Cache-state- and topology-dependent,
+        // so they ride the `"store_` determinism-filter exemption.
+        StoreRemoteGets => "store_remote_gets",
+        StoreRemotePuts => "store_remote_puts",
+        StoreRemoteJournalOps => "store_remote_journal_ops",
+        // Claim/lease traffic from distributed `modsoc campaign`
+        // workers partitioning a shared spec (CAS on unit + content
+        // key). Contention-dependent, hence `store_`-exempted too.
+        StoreClaimsAcquired => "store_claims_acquired",
+        StoreClaimsHeld => "store_claims_held",
+        StoreClaimsExpired => "store_claims_expired",
+        // Rectangle bin-packing co-optimizer (`modsoc tam`): cores
+        // packed, Pareto wrapper candidates enumerated, placements
+        // that backfilled idle TAM windows, and placements bounced
+        // off the power ceiling. All four are pure functions of the
+        // input SOC and flags, so they sit under the full
+        // determinism contract (no exemptions).
+        TamPackCores => "tam_pack_cores",
+        TamPackCandidates => "tam_pack_candidates",
+        TamPackBackfills => "tam_pack_backfills",
+        TamPackPowerRejects => "tam_pack_power_rejects",
     }
 }
 
 /// Number of counters (the sink's array width).
 pub const COUNTER_COUNT: usize = Counter::ALL.len();
 
-/// Pipeline phases whose wall time is charged separately.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)] // names + `name()` strings are the documentation
-pub enum Phase {
-    IndexBuild,
-    FaultEnumerate,
-    FaultCollapse,
-    RandomPhase,
-    PodemPhase,
-    StaticCompaction,
-    CoverageRepair,
-    ReverseCompaction,
-    FinalAccounting,
-    Tdf,
-    Bist,
-    Flatten,
-    ModularDispatch,
-    MonolithicAtpg,
-    TdvAnalysis,
-    Parse,
-    ServeRequest,
-    ServeWaitLight,
-    ServeWaitHeavy,
-    TamPack,
-}
-
-impl Phase {
-    /// Every phase, in canonical report order.
-    pub const ALL: [Phase; 20] = [
-        Phase::IndexBuild,
-        Phase::FaultEnumerate,
-        Phase::FaultCollapse,
-        Phase::RandomPhase,
-        Phase::PodemPhase,
-        Phase::StaticCompaction,
-        Phase::CoverageRepair,
-        Phase::ReverseCompaction,
-        Phase::FinalAccounting,
-        Phase::Tdf,
-        Phase::Bist,
-        Phase::Flatten,
-        Phase::ModularDispatch,
-        Phase::MonolithicAtpg,
-        Phase::TdvAnalysis,
-        Phase::Parse,
-        Phase::ServeRequest,
-        Phase::ServeWaitLight,
-        Phase::ServeWaitHeavy,
-        Phase::TamPack,
-    ];
-
-    /// Position in [`Phase::ALL`] (the sink's array index).
-    #[must_use]
-    pub fn index(self) -> usize {
-        Phase::ALL
-            .iter()
-            .position(|&p| p == self)
-            .expect("every phase is listed in ALL")
-    }
-
-    /// Stable snake_case report name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::IndexBuild => "index_build",
-            Phase::FaultEnumerate => "fault_enumerate",
-            Phase::FaultCollapse => "fault_collapse",
-            Phase::RandomPhase => "random_phase",
-            Phase::PodemPhase => "podem_phase",
-            Phase::StaticCompaction => "static_compaction",
-            Phase::CoverageRepair => "coverage_repair",
-            Phase::ReverseCompaction => "reverse_compaction",
-            Phase::FinalAccounting => "final_accounting",
-            Phase::Tdf => "tdf",
-            Phase::Bist => "bist",
-            Phase::Flatten => "flatten",
-            Phase::ModularDispatch => "modular_dispatch",
-            Phase::MonolithicAtpg => "monolithic_atpg",
-            Phase::TdvAnalysis => "tdv_analysis",
-            Phase::Parse => "parse",
-            Phase::ServeRequest => "serve_request",
-            // Lane-queue wait time inside `modsoc serve`: how long a
-            // parsed request sat in its admission lane before a worker
-            // dispatched it. Like the serve_* counters, these never
-            // move in CLI runs.
-            Phase::ServeWaitLight => "serve_wait_light",
-            Phase::ServeWaitHeavy => "serve_wait_heavy",
-            Phase::TamPack => "tam_pack",
-        }
+metric_kind! {
+    /// Pipeline phases whose wall time is charged separately.
+    Phase {
+        IndexBuild => "index_build",
+        FaultEnumerate => "fault_enumerate",
+        FaultCollapse => "fault_collapse",
+        RandomPhase => "random_phase",
+        PodemPhase => "podem_phase",
+        StaticCompaction => "static_compaction",
+        CoverageRepair => "coverage_repair",
+        ReverseCompaction => "reverse_compaction",
+        FinalAccounting => "final_accounting",
+        Tdf => "tdf",
+        Bist => "bist",
+        Flatten => "flatten",
+        ModularDispatch => "modular_dispatch",
+        MonolithicAtpg => "monolithic_atpg",
+        TdvAnalysis => "tdv_analysis",
+        Parse => "parse",
+        ServeRequest => "serve_request",
+        // Lane-queue wait time inside `modsoc serve`: how long a
+        // parsed request sat in its admission lane before a worker
+        // dispatched it. Like the serve_* counters, these never
+        // move in CLI runs.
+        ServeWaitLight => "serve_wait_light",
+        ServeWaitHeavy => "serve_wait_heavy",
+        TamPack => "tam_pack",
     }
 }
 

@@ -92,12 +92,8 @@ const SPECS: &[Spec] = &[
            run: paper::store_gc },
     Spec { name: "store verify", positional: Some("<DIR>"), flags: &[], run: paper::store_verify },
     Spec { name: "serve", positional: None, flags: &[
-        opt("--addr", "HOST:PORT"), opt("--workers", "N"), opt("--queue", "N"),
-        opt("--max-conns", "N"), opt("--max-body-bytes", "N"), opt("--request-timeout-ms", "N"),
-        opt("--read-timeout-ms", "N"), opt("--write-timeout-ms", "N"),
-        opt("--retry-after-secs", "N"), opt("--jobs", "N"), switch("--keep-alive"),
-        opt("--keep-alive-max", "N"), opt("--idle-timeout-ms", "N"), opt("--batch-max", "N"),
-        opt("--batch-window-ms", "N"), opt("--store", "DIR"), switch("--no-store-read"),
+        opt("--addr", "HOST:PORT"), opt("--workers", "N"), opt("--queue", "N"), opt("--jobs", "N"),
+        opt("--store", "DIR"),
     ], run: serve::serve },
     Spec { name: "loadgen", positional: None, flags: &[
         req("--addr", "HOST:PORT"), opt("--requests", "N"), opt("--concurrency", "N"),
@@ -331,11 +327,6 @@ impl<'a> Args<'a> {
 
     fn num_or<T: FromStr>(&self, name: &str, default: T) -> Result<T, CliError> {
         Ok(self.num(name)?.unwrap_or(default))
-    }
-
-    /// The value of flag `name` as milliseconds, or `default`.
-    fn ms_or(&self, name: &str, default: Duration) -> Result<Duration, CliError> {
-        Ok(self.num(name)?.map_or(default, Duration::from_millis))
     }
 
     /// The value of a required flag, parsed as a `T`.

@@ -64,20 +64,9 @@ pub(crate) fn serve(a: &Args) -> Result<RunStatus, CliError> {
         addr: a.get("--addr").map_or(d.addr, String::from),
         workers: a.num_or("--workers", d.workers)?,
         queue_capacity: a.num_or("--queue", d.queue_capacity)?,
-        max_connections: a.num_or("--max-conns", d.max_connections)?,
-        max_body_bytes: a.num_or("--max-body-bytes", d.max_body_bytes)?,
-        max_request_ms: a.num_or("--request-timeout-ms", d.max_request_ms)?,
-        read_timeout: a.ms_or("--read-timeout-ms", d.read_timeout)?,
-        write_timeout: a.ms_or("--write-timeout-ms", d.write_timeout)?,
-        retry_after_secs: a.num_or("--retry-after-secs", d.retry_after_secs)?,
         jobs: a.jobs()?,
         store: a.store()?,
-        store_read: !a.has("--no-store-read"),
-        keep_alive: a.has("--keep-alive"),
-        keep_alive_max_requests: a.num_or("--keep-alive-max", d.keep_alive_max_requests)?,
-        idle_timeout: a.ms_or("--idle-timeout-ms", d.idle_timeout)?,
-        batch_max: a.num_or("--batch-max", d.batch_max)?,
-        batch_window: a.ms_or("--batch-window-ms", d.batch_window)?,
+        ..d
     };
     let requested = config.addr.clone();
     let server = Server::bind(config).map_err(|e| format!("binding {requested}: {e}"))?;

@@ -4,6 +4,7 @@
 use modsoc::analysis::metrics::{analysis_run_metrics, Phase, PhaseTimer, RecordingSink};
 use modsoc::analysis::report::fmt_u64;
 use modsoc::analysis::RunBudget;
+use modsoc::metrics::json::write_json_string;
 use modsoc::soc::itc02;
 
 use crate::{write_file, write_metrics, Args, CliError, RunStatus};
@@ -180,31 +181,28 @@ pub(crate) fn tam(a: &Args) -> Result<RunStatus, CliError> {
         }
         out.push_str("  \"rows\": [\n");
         for (i, r) in rows.iter().enumerate() {
-            let sep = if i + 1 == rows.len() { "" } else { "," };
-            let mut extra = String::new();
+            out.push_str("    {\"soc\": ");
+            write_json_string(&r.soc, &mut out);
+            let _ = write!(
+                out,
+                ", \"cores\": {}, \"pack_time\": {}, \"utilization\": {:.4}, \
+                 \"backfills\": {}, \"best_arch\": \"{}\", \"best_time\": {}",
+                r.cores, r.pack_time, r.utilization, r.backfills, r.best_arch, r.best_time,
+            );
             match &r.constrained {
                 None => {}
                 Some(Ok((time, peak))) => {
                     let _ = write!(
-                        extra,
+                        out,
                         ", \"constrained_time\": {time}, \"peak_power\": {peak}"
                     );
                 }
                 Some(Err(reason)) => {
-                    let _ = write!(
-                        extra,
-                        ", \"infeasible\": \"{}\"",
-                        reason.replace('\\', "\\\\").replace('"', "\\\"")
-                    );
+                    out.push_str(", \"infeasible\": ");
+                    write_json_string(reason, &mut out);
                 }
             }
-            let _ = writeln!(
-                out,
-                "    {{\"soc\": \"{}\", \"cores\": {}, \"pack_time\": {}, \
-                 \"utilization\": {:.4}, \"backfills\": {}, \"best_arch\": \"{}\", \
-                 \"best_time\": {}{extra}}}{sep}",
-                r.soc, r.cores, r.pack_time, r.utilization, r.backfills, r.best_arch, r.best_time,
-            );
+            out.push_str(if i + 1 == rows.len() { "}\n" } else { "},\n" });
         }
         out.push_str("  ]\n}\n");
         write_file(path, out)?;

@@ -110,6 +110,39 @@ fn demo_table4_prints_all_socs() {
 }
 
 #[test]
+fn serve_takes_only_addr_workers_queue_jobs_and_store() {
+    // Keep-alive and batching are the daemon's defaults, and its timeouts,
+    // caps and store reads are fixed: every other flag is unknown and
+    // rejected with the usage before anything binds.
+    for flag in [
+        "--keep-alive",
+        "--batch-max",
+        "--max-conns",
+        "--max-body-bytes",
+        "--request-timeout-ms",
+        "--read-timeout-ms",
+        "--write-timeout-ms",
+        "--retry-after-secs",
+        "--keep-alive-max",
+        "--idle-timeout-ms",
+        "--batch-window-ms",
+        "--no-store-read",
+    ] {
+        let (_, err) = modsoc_exit(&["serve", flag, "1"], 1);
+        assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
+        assert!(err.contains("usage:"), "{err}");
+    }
+    let (_, err) = modsoc_exit(&["serve", "--frobnicate"], 1);
+    let usage = err.lines().find(|l| l.starts_with("  modsoc serve"));
+    assert_eq!(
+        usage,
+        Some(
+            "  modsoc serve [--addr HOST:PORT] [--workers N] [--queue N] [--jobs N] [--store DIR]"
+        )
+    );
+}
+
+#[test]
 fn tam_packs_soc2_with_ceiling_and_json() {
     let dir = std::env::temp_dir().join(format!("modsoc_tam_test_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");

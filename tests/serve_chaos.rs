@@ -347,6 +347,7 @@ fn batching_composes_with_coalescing_and_stays_byte_identical() {
     let seq_store = Arc::new(ResultStore::open(&seq_dir).expect("store"));
     let (seq_addr, seq_stop) = start(ServeConfig {
         workers: 1,
+        batch_max: 1,
         store: Some(Arc::clone(&seq_store)),
         ..ServeConfig::default()
     });
@@ -586,9 +587,11 @@ fn flooded_daemon_sheds_with_retry_after_and_drains_on_sigterm() {
     sigterm_exits_0(child);
 }
 
-/// Process-level: one keep-alive, batching daemon serves the seeded
-/// mixed workload over both transports with identical per-request
-/// bodies, and the keep-alive client really reuses its sockets.
+/// Process-level: a daemon started with no transport flags keeps
+/// connections alive and batches. It serves the seeded mixed workload
+/// over both transports with identical per-request bodies, the
+/// keep-alive client really reuses its sockets, and experiment units
+/// went through at least one batch.
 #[test]
 fn keep_alive_transport_never_changes_the_bodies() {
     let dir = temp_dir("keepalive");
@@ -596,9 +599,6 @@ fn keep_alive_transport_never_changes_the_bodies() {
     let (child, addr) = spawn_serve(&[
         "--workers",
         "2",
-        "--keep-alive",
-        "--batch-max",
-        "4",
         "--store",
         store_dir.to_str().expect("utf8"),
     ]);
@@ -631,6 +631,12 @@ fn keep_alive_transport_never_changes_the_bodies() {
         .and_then(|n| n.parse().ok())
         .unwrap_or_else(|| panic!("no keep-alive line: {report}"));
     assert!(reused > 0, "{report}");
+    let metrics = loadgen(&addr, &["--dump-metrics"]);
+    let batches = modsoc::metrics::json::parse(&metrics)
+        .ok()
+        .and_then(|doc| doc.get("counters")?.get("serve_batches")?.as_u64())
+        .unwrap_or_else(|| panic!("no serve_batches counter: {metrics}"));
+    assert!(batches >= 1, "{metrics}");
     shutdown_exits_0(child, &addr);
     let _ = std::fs::remove_dir_all(&dir);
 }
